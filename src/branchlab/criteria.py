@@ -17,6 +17,14 @@ direction is up exactly when Eval+ < Eval-.  Infeasible children are
 scored with the incumbent objective so the surviving sibling does not look
 unduly attractive, and they raise control signals that the tree builders
 react to (compulsory branch, dead node, improved incumbent).
+
+Every strategy evaluates branches through one pipeline: a disjunction
+(BoundDisjunction here, straddle.StraddleDisjunction for derived-variable
+rows) supplies the two children and their single-pivot estimates,
+evaluate_pair solves and scores one child pair, evaluate_candidates runs
+it over a candidate set with optional estimator shortcuts and weights the
+results by the spec's flavor, and absorb_compulsory folds a forced branch
+back into its node.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ from enum import Enum
 
 from branchlab.lp import (
     INT_TOL,
+    Basis,
     LpModel,
     LpSolution,
     LpStatus,
     PivotBudget,
     apply_branch,
+    probe_single_pivot,
     solve,
 )
 from branchlab.model import MipProblem, detect_fractional
@@ -169,7 +179,6 @@ class EvalContext:
     budget: PivotBudget = field(default_factory=PivotBudget)
     counters: SearchCounters = field(default_factory=SearchCounters)
     check_incumbent: bool = True
-    uc_estimator: object = None      # optional pseudo/analytical shortcut
     k2_default: int | None = None    # driver-calibrated stage-2 budget
 
     def branch_budget(self, pivot_limit: int | None = None) -> PivotBudget:
@@ -179,19 +188,66 @@ class EvalContext:
         return b
 
 
-def solve_child(model: LpModel, parent_sol: LpSolution, j: int,
-                direction: str, ctx: EvalContext,
-                pivot_limit: int | None = None,
-                budget: PivotBudget | None = None) -> LpSolution:
-    """Solve one branch child; may raise IncumbentSignal."""
-    child, warm = apply_branch(model, parent_sol, j, direction)
-    sol = solve(child, warm_basis=warm,
-                budget=budget or ctx.branch_budget(pivot_limit))
+def solve_warm(child: LpModel, warm: Basis, ctx: EvalContext,
+               budget: PivotBudget | None = None) -> LpSolution:
+    """Solve a prepared child LP from its warm basis; may raise
+    IncumbentSignal."""
+    sol = solve(child, warm_basis=warm, budget=budget or ctx.branch_budget())
     ctx.counters.absorb(sol)
     if (ctx.check_incumbent and sol.status is LpStatus.OPTIMAL
             and not detect_fractional(sol, ctx.problem)):
         raise IncumbentSignal(sol)
     return sol
+
+
+def solve_child(model: LpModel, parent_sol: LpSolution, j: int,
+                direction: str, ctx: EvalContext,
+                budget: PivotBudget | None = None) -> LpSolution:
+    """Solve one branch child; may raise IncumbentSignal."""
+    child, warm = apply_branch(model, parent_sol, j, direction)
+    return solve_warm(child, warm, ctx, budget)
+
+
+class BoundDisjunction:
+    """x_j >= ceil(x_j°) or x_j <= floor(x_j°) at one node.
+
+    One dead side forces the other, so this disjunction raises the
+    compulsory signal.
+    """
+
+    signal_compulsory = True
+
+    def __init__(self, model: LpModel, sol: LpSolution, j: int,
+                 ctx: EvalContext):
+        self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
+
+    def child(self, direction: str) -> tuple[LpModel, Basis]:
+        return apply_branch(self.model, self.sol, self.j, direction)
+
+    def solve(self, direction: str,
+              budget: PivotBudget | None = None) -> LpSolution:
+        return solve_child(self.model, self.sol, self.j, direction, self.ctx,
+                           budget)
+
+    def estimate(self, direction: str) -> float:
+        """First-dual-pivot objective change; +inf for an empty side."""
+        est = probe_single_pivot(self.model, self.sol, self.j, direction)
+        self.ctx.counters.probes += 1
+        return est
+
+
+def absorb_compulsory(model: LpModel, sol: LpSolution,
+                      sig: CompulsorySignal,
+                      ctx: EvalContext) -> tuple[LpModel, LpSolution]:
+    """Impose a forced branch on the node and re-solve it warm.
+
+    Returns the tightened model and its solution, whatever its status;
+    what the node keeps of them is the caller's bookkeeping.
+    """
+    model, warm = apply_branch(model, sol, sig.var, sig.direction)
+    fresh = solve(model, warm_basis=warm, budget=ctx.branch_budget())
+    ctx.counters.absorb(fresh)
+    return model, fresh
 
 
 def _child_infeasible(sol: LpSolution) -> bool:
@@ -211,7 +267,6 @@ def _iterate_fractional(sol: LpSolution, problem: MipProblem) -> dict:
 
 def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
               sol_down: LpSolution, ctx: EvalContext,
-              problem: MipProblem | None = None,
               signal_compulsory: bool = True) -> BranchEval:
     """Plain BranchEval from two child solves.
 
@@ -223,7 +278,7 @@ def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
     side there restricts the derived variable, not the branching variable
     itself, so only the both-dead case may kill the node.
     """
-    problem = problem or ctx.problem
+    problem = ctx.problem
     up_dead = _child_infeasible(sol_up)
     down_dead = _child_infeasible(sol_down)
     if up_dead and down_dead:
@@ -287,17 +342,10 @@ def weight_eval(ev: BranchEval, flavor: Flavor, w1: float, w2: float,
             raise ValueError("cost weighting needs a unit-cost lookup")
         up_term = _mincost_sum(ev.frac_up, uc_lookup, top_k)
         dn_term = _mincost_sum(ev.frac_down, uc_lookup, top_k)
-    out = replace_eval(ev)
-    out.eval_up = ev.eval_up + w1 * up_term + w2 * ev.infeas_up
-    out.eval_down = ev.eval_down + w1 * dn_term + w2 * ev.infeas_down
-    return out
-
-
-def replace_eval(ev: BranchEval) -> BranchEval:
-    return BranchEval(**{k: getattr(ev, k) for k in (
-        "var", "eval_up", "eval_down", "x_up", "x_down", "infeas_up",
-        "infeas_down", "frac_up", "frac_down", "uc_up", "uc_down",
-        "up_infeasible", "down_infeasible", "sol_up", "sol_down")})
+    return replace(ev,
+                   eval_up=ev.eval_up + w1 * up_term + w2 * ev.infeas_up,
+                   eval_down=ev.eval_down + w1 * dn_term
+                   + w2 * ev.infeas_down)
 
 
 def uc_lookup_from(evals: dict, parent_sol: LpSolution):
@@ -313,31 +361,72 @@ def uc_lookup_from(evals: dict, parent_sol: LpSolution):
     return lookup
 
 
+def evaluate_pair(disj, fractions: dict,
+                  budget: PivotBudget | None = None) -> BranchEval:
+    """Solve both children of one disjunction and score the pair.
+
+    The evaluation is plain, with unit costs attached.  A dead child
+    raises the compulsory signal only when the disjunction says so; both
+    children dead always kill the node.
+    """
+    node_x_o = disj.sol.x_o
+    sol_up = disj.solve("up", budget)
+    sol_dn = disj.solve("down", budget)
+    ev = make_eval(disj.j, node_x_o, sol_up, sol_dn, disj.ctx,
+                   signal_compulsory=disj.signal_compulsory)
+    fp, fm = fractions[disj.j]
+    return attach_unit_costs(ev, node_x_o, fp, fm)
+
+
 def evaluate_candidates(model: LpModel, parent_sol: LpSolution,
                         candidates, ctx: EvalContext, spec: CriterionSpec,
-                        fractions: dict,
-                        pivot_limit: int | None = None) -> dict:
-    """Solve both children of every candidate and score per the flavor.
+                        fractions: dict, disjunction=BoundDisjunction,
+                        budget: PivotBudget | None = None, estimate=None,
+                        on_pair=None) -> dict:
+    """Evaluate every candidate's child pair and score per the flavor.
 
-    Two passes so that cost weighting can price child fractionals with the
-    unit costs collected across all candidates first.  Compulsory and
-    node-infeasible conditions propagate as signals.
+    estimate(j, f_plus, f_minus) may return (Eval+, Eval-) to stand in
+    for candidate j's LP solves; when an estimated candidate wins the
+    selection under `spec`, it alone is solved for real.  on_pair(ev) sees
+    each plain evaluation as soon as its pair is solved.  Weighting runs
+    once over the LP-solved candidates, pricing child fractionals with the
+    unit costs of that set, and once more over a re-solved winner alone.
+    Compulsory and node-infeasible conditions propagate as signals.
     """
-    plain: dict[int, BranchEval] = {}
+
+    def solve_pairs(js) -> dict:
+        plain = {}
+        for j in js:
+            ev = evaluate_pair(disjunction(model, parent_sol, j, ctx),
+                               fractions, budget)
+            if on_pair is not None:
+                on_pair(ev)
+            plain[j] = ev
+        flavor = spec.eval_flavor()
+        if flavor is Flavor.PLAIN:
+            return plain
+        lookup = uc_lookup_from(plain, parent_sol)
+        return {j: weight_eval(ev, flavor, spec.w1, spec.w2, lookup,
+                               spec.mincost_top_k)
+                for j, ev in plain.items()}
+
+    evals: dict[int, BranchEval] = {}
+    pending = []
     for j in sorted(candidates):
-        fp, fm = fractions[j]
-        sol_up = solve_child(model, parent_sol, j, "up", ctx, pivot_limit)
-        sol_dn = solve_child(model, parent_sol, j, "down", ctx, pivot_limit)
-        ev = make_eval(j, parent_sol.x_o, sol_up, sol_dn, ctx)
-        attach_unit_costs(ev, parent_sol.x_o, fp, fm)
-        plain[j] = ev
-    flavor = spec.eval_flavor()
-    if flavor is Flavor.PLAIN:
-        return plain
-    lookup = uc_lookup_from(plain, parent_sol)
-    return {j: weight_eval(ev, flavor, spec.w1, spec.w2, lookup,
-                           spec.mincost_top_k)
-            for j, ev in plain.items()}
+        guess = None if estimate is None else estimate(j, *fractions[j])
+        if guess is None:
+            pending.append(j)
+        else:
+            up, dn = guess
+            evals[j] = BranchEval(var=j, eval_up=up, eval_down=dn,
+                                  x_up=parent_sol.x_o + up,
+                                  x_down=parent_sol.x_o + dn)
+    evals.update(solve_pairs(pending))
+    if len(pending) < len(evals):
+        winner = select(evals, spec).var
+        if winner not in pending:
+            evals.update(solve_pairs([winner]))
+    return evals
 
 
 # -- criterion scoring ----------------------------------------------------

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from branchlab.criteria import (
     IncumbentSignal,
     NodeInfeasibleSignal,
     SearchCounters,
+    _mincost_sum,
+    absorb_compulsory,
     evaluate_candidates,
     select,
     uc_lookup_from,
@@ -392,8 +395,10 @@ class _Search:
         spec = cfg.criterion
         ranking_spec = cfg.vote_panel[0] \
             if spec.criterion is Criterion.VOTE else spec
-        evals = self.evaluate_with_estimates(model, node, f2, ctx,
-                                             ranking_spec, fractions)
+        est = self.estimator()
+        evals = evaluate_candidates(
+            model, node.solution, f2, ctx, ranking_spec, fractions,
+            estimate=None if est is None else partial(est, node=node))
         pick = vote(evals, cfg.vote_panel) \
             if spec.criterion is Criterion.VOTE else select(evals, spec)
         var, direction = self.apply_gate(node, evals, pick)
@@ -403,47 +408,11 @@ class _Search:
         if ev is not None and ev.uc_up is not None:
             lookup = uc_lookup_from(evals, node.solution)
             seed = {
-                "up": (ev.eval_up,
-                       sum(min(lookup(i)[0] * fp, lookup(i)[1] * fm)
-                           for i, (fp, fm) in ev.frac_up.items())),
+                "up": (ev.eval_up, _mincost_sum(ev.frac_up, lookup, None)),
                 "down": (ev.eval_down,
-                         sum(min(lookup(i)[0] * fp, lookup(i)[1] * fm)
-                             for i, (fp, fm) in ev.frac_down.items())),
+                         _mincost_sum(ev.frac_down, lookup, None)),
             }
         return [(var, direction)], seed
-
-    def evaluate_with_estimates(self, model, node, candidates, ctx, spec,
-                                fractions) -> dict:
-        """Full candidate evals, letting pseudo estimates stand in where
-        permitted; the selected candidate is always re-solved for real."""
-        est = self.estimator()
-        if est is None:
-            return evaluate_candidates(model, node.solution, candidates,
-                                       ctx, spec, fractions)
-        from branchlab.criteria import BranchEval
-        evals: dict = {}
-        pending = []
-        for j in sorted(candidates):
-            fp, fm = fractions[j]
-            guess = est(j, fp, fm, node)
-            if guess is None:
-                pending.append(j)
-            else:
-                up, dn = guess
-                evals[j] = BranchEval(var=j, eval_up=up, eval_down=dn,
-                                      x_up=node.solution.x_o + up,
-                                      x_down=node.solution.x_o + dn)
-        if pending:
-            solved = evaluate_candidates(model, node.solution, pending,
-                                         ctx, spec, fractions)
-            evals.update(solved)
-        pick = select(evals, spec)
-        if evals[pick.var].sol_up is None and \
-                not evals[pick.var].up_infeasible:
-            solved = evaluate_candidates(model, node.solution, [pick.var],
-                                         ctx, spec, fractions)
-            evals.update(solved)
-        return evals
 
     def record_pseudo(self, evals: dict):
         for j, ev in evals.items():
@@ -781,23 +750,16 @@ class _Search:
         self.push(fresh)
 
     def absorb_at(self, node: NodeState, sig: CompulsorySignal) -> bool:
-        value = float(node.solution.x[sig.var])
-        if sig.direction == "up":
-            bound = math.ceil(value)
-            node.lower = node.lower.copy()
-            node.lower[sig.var] = bound
-        else:
-            bound = math.floor(value)
-            node.upper = node.upper.copy()
-            node.upper[sig.var] = bound
+        if node.ext_id is not None:
+            self.ext.add_compulsory(node.ext_id)
+        model, sol = absorb_compulsory(self.node_model(node), node.solution,
+                                       sig, self.ctx())
+        node.lower, node.upper = model.lower, model.upper
+        bound = float(model.lower[sig.var] if sig.direction == "up"
+                      else model.upper[sig.var])
         node.implied.append(BranchRecord(var=sig.var,
                                          direction=sig.direction,
                                          bound=bound, compulsory=True))
-        if node.ext_id is not None:
-            self.ext.add_compulsory(node.ext_id)
-        sol = solve(self.node_model(node), warm_basis=node.solution.basis,
-                    budget=PivotBudget(cutoff=self.incumbent.cutoff))
-        self.counters.absorb(sol)
         if sol.status is not LpStatus.OPTIMAL:
             self.trace_node(node, "infeasible",
                             reason="compulsory branch failed")

@@ -27,31 +27,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from branchlab.criteria import (
+    BoundDisjunction,
     BranchEval,
     CompulsorySignal,
     Criterion,
     CriterionSpec,
     EvalContext,
+    Flavor,
     IncumbentSignal,
     NodeInfeasibleSignal,
-    attach_unit_costs,
+    absorb_compulsory,
     evaluate_candidates,
-    make_eval,
     score,
     select,
-    solve_child,
-    uc_lookup_from,
     weight_eval,
 )
 from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
 from branchlab.model import BranchRecord, MipProblem, detect_fractional
-from branchlab.straddle import (
-    drop_inactive_straddle_rows,
-    make_straddle,
-    straddle_eval,
-)
+from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
 from branchlab.winnow import CListLeafSignal, WinnowParams
 from branchlab.winnow import run as winnow_run
 
@@ -186,6 +182,10 @@ class _Builder:
         self.problem = problem
         self.cfg = cfg
         self.ctx = ctx
+        self.disjunction = StraddleDisjunction if cfg.straddle \
+            else BoundDisjunction
+        # Step-2 pairs are scored unweighted whatever the winnow flavor
+        self.pair_spec = replace(cfg.winnow.spec, flavor=Flavor.PLAIN)
         self.estimator = estimator
         self.ext = ext_tree
         self.counter = 0
@@ -217,10 +217,9 @@ class _Builder:
         return frac
 
     def _winnow(self, node: TreeNode, fractions: dict):
-        params = self.cfg.winnow
-        mask = self.problem.integer_mask if self.cfg.straddle else None
-        return winnow_run(node.model, node.solution, fractions, params,
-                          self.ctx, node.depth, straddle_mask=mask)
+        return winnow_run(node.model, node.solution, fractions,
+                          self.cfg.winnow, self.ctx, node.depth,
+                          self.disjunction)
 
     def _reduce_straddle(self, node: TreeNode) -> None:
         """Drop straddle rows whose slack went nonbasic, re-solving once.
@@ -244,47 +243,29 @@ class _Builder:
                 return
             node.solution = sol
 
-    def _solve_pair(self, node: TreeNode, j: int,
-                    fractions: dict) -> BranchEval:
-        """Full child solves for candidate j at a scanned node."""
-        if self.cfg.straddle:
-            ev = straddle_eval(node.model, node.solution, j, self.ctx,
-                               fractions)
-        else:
-            sol_up = solve_child(node.model, node.solution, j, "up",
-                                 self.ctx)
-            sol_dn = solve_child(node.model, node.solution, j, "down",
-                                 self.ctx)
-            ev = make_eval(j, node.solution.x_o, sol_up, sol_dn, self.ctx)
-            fp, fm = fractions[j]
-            attach_unit_costs(ev, node.solution.x_o, fp, fm)
-        self._log_pair(node, ev, tentative=True)
-        return ev
+    def _solve_pairs(self, node: TreeNode, candidates, fractions: dict,
+                     estimate=None) -> dict:
+        """Step-2 pair evaluations at a scanned node, each logged to the
+        extended tree as soon as it is solved."""
+        return evaluate_candidates(
+            node.model, node.solution, candidates, self.ctx, self.pair_spec,
+            fractions, self.disjunction, estimate=estimate,
+            on_pair=partial(self._log_pair, node))
 
-    def _log_pair(self, node: TreeNode, ev: BranchEval, tentative: bool):
+    def _log_pair(self, node: TreeNode, ev: BranchEval):
         if self.ext is None:
             return
         for direction, uc, dead in (("up", ev.uc_up, ev.up_infeasible),
                                     ("down", ev.uc_down,
                                      ev.down_infeasible)):
             if not dead:
-                self._record_ext(node, ev.var, direction, 0.0, tentative,
-                                 uc)
+                self._record_ext(node, ev.var, direction, 0.0, True, uc)
 
     def _absorb_compulsory(self, node: TreeNode,
                            sig: CompulsorySignal) -> bool:
         """Tighten node bounds with a forced branch; False kills the node."""
-        sol = node.solution
-        value = float(sol.x[sig.var])
-        if sig.direction == "up":
-            bound = math.ceil(value)
-            model = node.model.with_bounds(sig.var, lower=bound)
-        else:
-            bound = math.floor(value)
-            model = node.model.with_bounds(sig.var, upper=bound)
-        fresh = solve(model, warm_basis=sol.basis,
-                      budget=self.ctx.branch_budget())
-        self.ctx.counters.absorb(fresh)
+        model, fresh = absorb_compulsory(node.model, node.solution, sig,
+                                         self.ctx)
         if fresh.status is not LpStatus.OPTIMAL:
             return False
         node.model = model
@@ -313,31 +294,13 @@ class _Builder:
                 raise IncumbentSignal(node.solution)
             try:
                 f2, s2, f1, _ = self._winnow(node, fractions)
-            except CompulsorySignal as sig:
                 if node.depth == 0:
-                    raise
-                if not self._absorb_compulsory(node, sig):
-                    node.alive = False
-                    return None
-                continue
-            except NodeInfeasibleSignal:
-                if node.depth == 0:
-                    raise
-                node.alive = False
-                return None
-            except CListLeafSignal:
-                if node.depth == 0:
-                    raise
-                return None   # the node stays an unexpanded tree leaf
-            if node.depth == 0:
-                self.root_f2 = list(f2)
-            half = node.root_side
-            for j in f1:
-                if j not in f2:
-                    self.attract.bump(j, s2[j].direction, half)
-            n2 = len(f2)
-            try:
-                if n2 == 1:
+                    self.root_f2 = list(f2)
+                half = node.root_side
+                for j in f1:
+                    if j not in f2:
+                        self.attract.bump(j, s2[j].direction, half)
+                if len(f2) == 1:
                     j = f2[0]
                     # the pair itself is solved only if this proposal
                     # survives post-winnow gating
@@ -345,7 +308,10 @@ class _Builder:
                     self.attract.bump(j, s2[j].direction, half)
                     return _Proposal(parent=node, var=j, sel_score=sel,
                                      stage_eval=s2[j])
-                evals = self._full_evals(node, f2, fractions)
+                est = self.estimator
+                evals = self._solve_pairs(
+                    node, f2, fractions,
+                    None if est is None else partial(est, node=node))
                 chosen = select(evals, self.cfg.winnow.spec)
                 for j in f2:
                     self.attract.bump(j, evals[j].direction, half)
@@ -364,38 +330,10 @@ class _Builder:
                     raise
                 node.alive = False
                 return None
-
-    def _full_evals(self, node: TreeNode, candidates, fractions) -> dict:
-        """Step-2 solves for every candidate, estimator shortcuts allowed.
-
-        Estimated candidates are ranked without LP solves; the winner is
-        then solved for real so its children can join the tree.
-        """
-        est = self.estimator
-        evals: dict[int, BranchEval] = {}
-        pending = []
-        if est is not None:
-            for j in sorted(candidates):
-                fp, fm = fractions[j]
-                pair = est(j, fp, fm, node)
-                if pair is None:
-                    pending.append(j)
-                else:
-                    up, dn = pair
-                    evals[j] = BranchEval(
-                        var=j, eval_up=up, eval_down=dn,
-                        x_up=node.solution.x_o + up,
-                        x_down=node.solution.x_o + dn)
-        else:
-            pending = sorted(candidates)
-        for j in pending:
-            evals[j] = self._solve_pair(node, j, fractions)
-        chosen = select(evals, self.cfg.winnow.spec)
-        if evals[chosen.var].sol_up is None \
-                and not evals[chosen.var].up_infeasible:
-            evals[chosen.var] = self._solve_pair(node, chosen.var,
-                                                 fractions)
-        return evals
+            except CListLeafSignal:
+                if node.depth == 0:
+                    raise
+                return None   # the node stays an unexpanded tree leaf
 
     def _admit_pair(self, prop: _Proposal, fractions: dict | None = None):
         """Solve (if needed) and attach the chosen pair as tree nodes."""
@@ -403,7 +341,8 @@ class _Builder:
         if prop.solved is None:
             fractions = fractions or self._fractions(node)
             try:
-                prop.solved = self._solve_pair(node, prop.var, fractions)
+                prop.solved = self._solve_pairs(node, [prop.var],
+                                                fractions)[prop.var]
             except CompulsorySignal as sig:
                 if node.depth == 0:
                     raise
@@ -418,19 +357,15 @@ class _Builder:
                 node.alive = False
                 return []
         ev = prop.solved
+        live = [(direction, sol) for direction, sol in
+                (("up", ev.sol_up), ("down", ev.sol_down)) if sol is not None]
+        if not live:
+            return []
+        disj = self.disjunction(node.model, node.solution, prop.var,
+                                self.ctx)
         kids = []
-        for direction, sol, dead in (("up", ev.sol_up, ev.up_infeasible),
-                                     ("down", ev.sol_down,
-                                      ev.down_infeasible)):
-            if dead or sol is None:
-                continue
-            if self.cfg.straddle:
-                child_model, _, _ = make_straddle(
-                    node.model, node.solution, prop.var, direction,
-                    self.problem.integer_mask)
-            else:
-                child_model, _ = apply_branch(node.model, node.solution,
-                                              prop.var, direction)
+        for direction, sol in live:
+            child_model, _ = disj.child(direction)
             kid = TreeNode(
                 node_id=self._next_id(), parent=node,
                 depth=node.depth + 1, var=prop.var, direction=direction,
@@ -455,15 +390,15 @@ class _Builder:
         self.depth_counts = []
         pairs_by_depth: dict[int, list[list[TreeNode]]] = {}
         early_exit = False
-        root_candidates: dict = {}
         for d in range(cfg.depth):
             proposals = []
             for node in scan:
                 if not node.alive:
                     continue
                 if forced_root_var is not None and d == 0:
-                    fractions = self._fractions(node)
-                    ev = self._solve_pair(node, forced_root_var, fractions)
+                    ev = self._solve_pairs(node, [forced_root_var],
+                                           self._fractions(node))[
+                                               forced_root_var]
                     proposals.append(_Proposal(
                         parent=node, var=forced_root_var,
                         sel_score=score(ev, cfg.winnow.spec),
@@ -472,10 +407,8 @@ class _Builder:
                 prop = self._propose(node)
                 if prop is not None:
                     proposals.append(prop)
-            if d == 0:
-                if not proposals:
-                    raise NodeInfeasibleSignal(-1)
-                root_candidates = {proposals[0].var: proposals[0]}
+            if d == 0 and not proposals:
+                raise NodeInfeasibleSignal(-1)
             gated = cfg.postwin != "off" and d >= cfg.d0
             if gated and d == cfg.d0 and len(proposals) > cfg.lim:
                 # first gate: rank prospective pairs before solving them
@@ -539,13 +472,12 @@ class _Builder:
                         ev_up += pen
                     else:
                         ev_dn += pen
-            var = (up_node or dn_node).var
             bundles[idx] = BranchEval(
                 var=idx, eval_up=ev_up, eval_down=ev_dn,
                 x_up=ev_up, x_down=ev_dn,
                 up_infeasible=up_node is None,
                 down_infeasible=dn_node is None)
-            handles[idx] = (up_node, dn_node, var)
+            handles[idx] = (up_node, dn_node)
         return bundles, handles
 
     def _finish(self, root, pairs_by_depth, cfg, early_side=None,
@@ -570,7 +502,7 @@ class _Builder:
             raise NodeInfeasibleSignal(-1)
         bundles, handles = self._leaf_bundles(pairs, root)
         pick = select(bundles, cfg.leaf_spec)
-        up_node, dn_node, _ = handles[pick.var]
+        up_node, dn_node = handles[pick.var]
         winner = up_node if pick.direction == "up" else dn_node
         if winner is None:
             winner = up_node or dn_node
@@ -639,17 +571,9 @@ def _maybe_override(result: BuildResult, builder: _Builder,
         if val > best_val:
             best_j, best_val, best_dir = j, val, direction
     if best_j is not None and best_val > att.threshold:
-        return replace_result(result, var=best_j, direction=best_dir,
-                              overridden=True)
+        return replace(result, var=best_j, direction=best_dir,
+                       path=[(best_j, best_dir)], overridden=True)
     return result
-
-
-def replace_result(result: BuildResult, **kw) -> BuildResult:
-    data = dict(result.__dict__)
-    data.update(kw)
-    if kw.get("overridden"):
-        data["path"] = [(kw["var"], kw["direction"])]
-    return BuildResult(**data)
 
 
 def _root_node(problem: MipProblem, model: LpModel, sol: LpSolution,
@@ -696,7 +620,6 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     root_evals = evaluate_candidates(model, sol, f2, ctx, spec, fractions)
     choice = select(root_evals, spec)
     root_ev = root_evals[choice.var]
-    root_lookup = uc_lookup_from(root_evals, sol)
     leaf_spec = CriterionSpec(criterion=Criterion.C7, w1=spec.w1 or 1.0,
                               w2=0.0)
     bundles = {}
@@ -721,16 +644,8 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                 break
             except CompulsorySignal as sig:
                 # absorb the forced branch into this depth-1 child
-                value = float(child_sol.x[sig.var])
-                if sig.direction == "up":
-                    child_model = child_model.with_bounds(
-                        sig.var, lower=math.ceil(value))
-                else:
-                    child_model = child_model.with_bounds(
-                        sig.var, upper=math.floor(value))
-                fresh = solve(child_model, warm_basis=child_sol.basis,
-                              budget=ctx.branch_budget())
-                ctx.counters.absorb(fresh)
+                child_model, fresh = absorb_compulsory(child_model,
+                                                       child_sol, sig, ctx)
                 if fresh.status is not LpStatus.OPTIMAL:
                     child_evals = None
                     break
@@ -756,16 +671,15 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
 
         pick = select(child_evals, spec)
         leaf = child_evals[pick.var]
+        # re-express the child evals against the root objective (Step 3)
+        shift = child_sol.x_o - sol.x_o
         weighted = weight_eval(
-            replace_leaf_baseline(leaf, child_sol.x_o, sol.x_o),
+            replace(leaf, eval_up=leaf.eval_up + shift,
+                    eval_down=leaf.eval_down + shift),
             leaf_spec.eval_flavor(), leaf_spec.w1, leaf_spec.w2, lookup)
-        bundles[0 if direction == "up" else 1] = BranchEval(
-            var=0 if direction == "up" else 1,
-            eval_up=weighted.eval_up, eval_down=weighted.eval_down,
-            x_up=weighted.x_up, x_down=weighted.x_down,
-            up_infeasible=weighted.up_infeasible,
-            down_infeasible=weighted.down_infeasible)
-        handles[0 if direction == "up" else 1] = direction
+        side = 0 if direction == "up" else 1
+        bundles[side] = replace(weighted, var=side)
+        handles[side] = direction
     if not bundles:
         raise NodeInfeasibleSignal(choice.var)
     pick = select(bundles, leaf_spec)
@@ -778,19 +692,6 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                        root_candidates=root_evals,
                        attract=AttractCounters(),
                        pair_scores={"n2_root": n2_0, "n2_child": n2_1})
-
-
-def replace_leaf_baseline(ev: BranchEval, parent_x_o: float,
-                          root_x_o: float) -> BranchEval:
-    """Re-express child evals against the root objective (Step 3)."""
-    shift = parent_x_o - root_x_o
-    out = BranchEval(**{k: getattr(ev, k) for k in (
-        "var", "eval_up", "eval_down", "x_up", "x_down", "infeas_up",
-        "infeas_down", "frac_up", "frac_down", "uc_up", "uc_down",
-        "up_infeasible", "down_infeasible", "sol_up", "sol_down")})
-    out.eval_up = ev.eval_up + shift
-    out.eval_down = ev.eval_down + shift
-    return out
 
 
 def build_multi_trees(problem: MipProblem, model: LpModel,

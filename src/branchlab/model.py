@@ -125,8 +125,6 @@ class NodeState:
     upper: np.ndarray
     implied: list[BranchRecord] = field(default_factory=list)
     solution: LpSolution | None = None
-    fractional: dict[int, tuple[float, float]] = field(default_factory=dict)
-    warm_basis: object = None
     bound: float = -math.inf    # best known lower bound on this subtree
     ext_id: int | None = None   # matching node in the extended-tree log
     dval_parts: tuple | None = None

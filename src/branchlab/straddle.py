@@ -28,6 +28,9 @@ original variables (translated columns substituted back, surplus columns
 eliminated through their defining rows); the appended row's surplus IS the
 z slack.  Straddle rows whose slack has gone nonbasic are dropped before
 deriving further children.
+
+StraddleDisjunction partitions the tableau row once and derives both
+children from it, for criteria.evaluate_pair and the winnow estimates.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchlab.criteria import (
+    BranchEval,
     EvalContext,
-    IncumbentSignal,
-    make_eval,
+    evaluate_pair,
+    solve_warm,
 )
 from branchlab.lp import (
     Basis,
@@ -190,12 +194,49 @@ def make_straddle(model: LpModel, sol: LpSolution, j: int, direction: str,
     if direction not in ("up", "down"):
         raise LpProbeError(f"bad direction {direction!r}")
     rows, up, down = build_straddle_rows(model, sol, j, integer_mask)
-    w, rhs = rows[direction]
     rec = up if direction == "up" else down
+    return (*_append_row(model, sol, rows[direction], rec.slack_col), rec)
+
+
+def _append_row(model: LpModel, sol: LpSolution, row: tuple,
+                slack_col: int) -> tuple[LpModel, Basis]:
+    w, rhs = row
     child = model.with_row(w, rhs, straddle=True)
-    warm = Basis(basic=sol.basis.basic + (rec.slack_col,),
+    warm = Basis(basic=sol.basis.basic + (slack_col,),
                  at_upper=sol.basis.at_upper)
-    return child, warm, rec
+    return child, warm
+
+
+class StraddleDisjunction:
+    """z >= ceil(x_j°) or z <= floor(x_j°) on x_j's derived variable.
+
+    A single dead side only resolves the derived disjunction, not a
+    branch on x_j, so it raises no compulsory signal; both sides dead
+    still kill the node (the two children partition its MIP-feasible
+    set).
+    """
+
+    signal_compulsory = False
+
+    def __init__(self, model: LpModel, sol: LpSolution, j: int,
+                 ctx: EvalContext):
+        self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
+        self.rows, up, _ = build_straddle_rows(model, sol, j,
+                                               ctx.problem.integer_mask)
+        self.slack_col = up.slack_col     # the same column for both rows
+
+    def child(self, direction: str) -> tuple[LpModel, Basis]:
+        return _append_row(self.model, self.sol, self.rows[direction],
+                           self.slack_col)
+
+    def solve(self, direction: str,
+              budget: PivotBudget | None = None) -> LpSolution:
+        child, warm = self.child(direction)
+        return solve_straddle_child(child, warm, self.ctx, budget)
+
+    def estimate(self, direction: str) -> float:
+        child, warm = self.child(direction)
+        return straddle_pivot_estimate(child, warm, self.sol, self.ctx)
 
 
 def drop_inactive_straddle_rows(model: LpModel,
@@ -214,56 +255,28 @@ def drop_inactive_straddle_rows(model: LpModel,
     return model.without_rows(drop), None
 
 
-def solve_straddle_child(model: LpModel, sol: LpSolution, j: int,
-                         direction: str, ctx: EvalContext,
-                         budget: PivotBudget | None = None,
-                         pivot_limit: int | None = None) -> LpSolution:
-    """Probe one straddle branch (same contract as criteria.solve_child)."""
-    child, warm, _ = make_straddle(model, sol, j, direction,
-                                   ctx.problem.integer_mask)
-    out = solve(child, warm_basis=warm,
-                budget=budget or ctx.branch_budget(pivot_limit))
-    ctx.counters.absorb(out)
-    if (ctx.check_incumbent and out.status is LpStatus.OPTIMAL):
-        from branchlab.model import detect_fractional
-        if not detect_fractional(out, ctx.problem):
-            raise IncumbentSignal(out)
-    return out
+def solve_straddle_child(child: LpModel, warm: Basis, ctx: EvalContext,
+                         budget: PivotBudget | None = None) -> LpSolution:
+    """Solve one straddle child (same contract as criteria.solve_child)."""
+    return solve_warm(child, warm, ctx, budget)
 
 
 def straddle_eval(model: LpModel, sol: LpSolution, j: int,
                   ctx: EvalContext, fractions: dict,
-                  budget: PivotBudget | None = None,
-                  pivot_limit: int | None = None):
-    """BranchEval for x_j where both children come from straddle rows.
-
-    A single dead straddle side only resolves the derived disjunction, so
-    it is scored per the missing-sibling convention rather than raised as
-    a compulsory branch on x_j; both sides dead still kill the node
-    (the two children partition its MIP-feasible set).
-    """
-    sol_up = solve_straddle_child(model, sol, j, "up", ctx, budget,
-                                  pivot_limit)
-    sol_dn = solve_straddle_child(model, sol, j, "down", ctx, budget,
-                                  pivot_limit)
-    ev = make_eval(j, sol.x_o, sol_up, sol_dn, ctx,
-                   signal_compulsory=False)
-    from branchlab.criteria import attach_unit_costs
-    fp, fm = fractions[j]
-    attach_unit_costs(ev, sol.x_o, fp, fm)
-    return ev
+                  budget: PivotBudget | None = None) -> BranchEval:
+    """BranchEval for x_j where both children come from straddle rows."""
+    return evaluate_pair(StraddleDisjunction(model, sol, j, ctx), fractions,
+                         budget)
 
 
-def straddle_pivot_estimate(model: LpModel, sol: LpSolution, j: int,
-                            direction: str, integer_mask,
+def straddle_pivot_estimate(child: LpModel, warm: Basis, sol: LpSolution,
                             ctx: EvalContext) -> float:
-    """First-dual-pivot objective change of one straddle branch.
+    """First-dual-pivot objective change of one straddle child of sol.
 
     The straddle slack starts as the only violated basic variable, so one
     budgeted pivot realizes exactly the screening estimate; +inf means
     that side of the derived disjunction is empty.
     """
-    child, warm, _ = make_straddle(model, sol, j, direction, integer_mask)
     out = solve(child, warm_basis=warm,
                 budget=PivotBudget(max_pivots=1, cutoff=ctx.cutoff))
     ctx.counters.probes += 1

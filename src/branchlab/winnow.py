@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from branchlab.criteria import (
+    BoundDisjunction,
     BranchEval,
     BranchSignal,
     CompulsorySignal,
@@ -25,14 +26,10 @@ from branchlab.criteria import (
     CriterionSpec,
     EvalContext,
     NodeInfeasibleSignal,
-    attach_unit_costs,
-    make_eval,
+    evaluate_candidates,
     score,
-    solve_child,
-    uc_lookup_from,
-    weight_eval,
 )
-from branchlab.lp import LpModel, LpSolution, probe_single_pivot
+from branchlab.lp import LpModel, LpSolution
 
 
 class CListLeafSignal(BranchSignal):
@@ -104,14 +101,14 @@ def v_lim_for(fractions: dict, mult: float | None) -> float | None:
 
 def stage1(model: LpModel, sol: LpSolution, fractions: dict,
            params: WinnowParams, ctx: EvalContext,
-           straddle_mask=None) -> tuple[list[int], list[int], dict]:
+           disjunction=BoundDisjunction
+           ) -> tuple[list[int], list[int], dict]:
     """Closeness-to-0.5 screen, then single-pivot probes under the criterion.
 
-    Returns (F0, F1, stage-1 evals keyed by variable).  A probe that finds
-    one side dual-unbounded raises the compulsory signal; both sides dead
-    kills the node.  With a straddle mask the probes branch on the derived
-    variable instead, where a single dead side is scored at the incumbent
-    gap rather than forcing the plain branch.
+    Returns (F0, F1, stage-1 evals keyed by variable).  Both sides dead
+    kills the node.  One dead side raises the compulsory signal when the
+    disjunction forces its sibling; otherwise (a straddle row, which only
+    restricts the derived variable) it is scored at the incumbent gap.
     """
     pool = sorted(fractions)
     if params.clist is not None:
@@ -122,31 +119,20 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
         raise ValueError("stage1 needs a nonempty fractional set")
     n0 = params.n0 if params.n0 is not None else len(pool)
     f0 = sorted(pool, key=lambda j: (abs(fractions[j][1] - 0.5), j))[:n0]
+    gap = ctx.x_o_star - sol.x_o
     evals: dict[int, BranchEval] = {}
     for j in sorted(f0):
-        if straddle_mask is not None:
-            from branchlab.straddle import straddle_pivot_estimate
-            est_up = straddle_pivot_estimate(model, sol, j, "up",
-                                             straddle_mask, ctx)
-            est_dn = straddle_pivot_estimate(model, sol, j, "down",
-                                             straddle_mask, ctx)
-            if math.isinf(est_up) and math.isinf(est_dn):
-                raise NodeInfeasibleSignal(j)
-            gap = ctx.x_o_star - sol.x_o
-            if math.isinf(est_up):
-                est_up = gap
-            if math.isinf(est_dn):
-                est_dn = gap
-        else:
-            est_up = probe_single_pivot(model, sol, j, "up")
-            est_dn = probe_single_pivot(model, sol, j, "down")
-            ctx.counters.probes += 2
-            if math.isinf(est_up) and math.isinf(est_dn):
-                raise NodeInfeasibleSignal(j)
-            if math.isinf(est_up):
-                raise CompulsorySignal(j, "down")
-            if math.isinf(est_dn):
-                raise CompulsorySignal(j, "up")
+        disj = disjunction(model, sol, j, ctx)
+        est_up = disj.estimate("up")
+        est_dn = disj.estimate("down")
+        if math.isinf(est_up) and math.isinf(est_dn):
+            raise NodeInfeasibleSignal(j)
+        if math.isinf(est_up) or math.isinf(est_dn):
+            if disj.signal_compulsory:
+                raise CompulsorySignal(
+                    j, "down" if math.isinf(est_up) else "up")
+            est_up = gap if math.isinf(est_up) else est_up
+            est_dn = gap if math.isinf(est_dn) else est_dn
         evals[j] = BranchEval(var=j, eval_up=est_up, eval_down=est_dn,
                               x_up=sol.x_o + est_up, x_down=sol.x_o + est_dn)
     n1 = params.n1 if params.n1 is not None else max(1, math.ceil(len(pool) / 4))
@@ -163,39 +149,18 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
 
 def stage2(model: LpModel, sol: LpSolution, f1: list[int], fractions: dict,
            params: WinnowParams, ctx: EvalContext, depth: int,
-           k2: int | None = None,
-           straddle_mask=None) -> tuple[list[int], dict]:
+           disjunction=BoundDisjunction) -> tuple[list[int], dict]:
     """Branch both ways on every F1 member under a k2-pivot budget.
 
     Returns (F2, stage-2 evals for all of F1).  Evals are truncated-solve
     evaluations: x_o of the last dual iterate, plus the infeasibility sums
     that feed the w2 terms of the weighted criteria.
     """
-    if k2 is None:
-        k2 = params.k2 if params.k2 is not None else \
-            (ctx.k2_default or 25)
+    k2 = params.k2 if params.k2 is not None else (ctx.k2_default or 25)
     vlim = v_lim_for(fractions, params.vlim_mult)
     budget = replace(ctx.branch_budget(pivot_limit=k2), v_lim=vlim)
-    evals: dict[int, BranchEval] = {}
-    for j in sorted(f1):
-        if straddle_mask is not None:
-            from branchlab.straddle import straddle_eval
-            evals[j] = straddle_eval(model, sol, j, ctx, fractions,
-                                     budget=budget)
-            continue
-        sol_up = solve_child(model, sol, j, "up", ctx, budget=budget)
-        sol_dn = solve_child(model, sol, j, "down", ctx, budget=budget)
-        ev = make_eval(j, sol.x_o, sol_up, sol_dn, ctx)
-        fp, fm = fractions[j]
-        attach_unit_costs(ev, sol.x_o, fp, fm)
-        evals[j] = ev
-    flavor = params.spec.eval_flavor()
-    scored = evals
-    if flavor.value != "plain":
-        lookup = uc_lookup_from(evals, sol)
-        scored = {j: weight_eval(ev, flavor, params.spec.w1, params.spec.w2,
-                                 lookup, params.spec.mincost_top_k)
-                  for j, ev in evals.items()}
+    scored = evaluate_candidates(model, sol, f1, ctx, params.spec, fractions,
+                                 disjunction, budget)
     n2 = min(params.n2_for(depth), len(f1))
     f2 = _rank(scored, params.spec, n2)
     return f2, scored
@@ -203,9 +168,9 @@ def stage2(model: LpModel, sol: LpSolution, f1: list[int], fractions: dict,
 
 def run(model: LpModel, sol: LpSolution, fractions: dict,
         params: WinnowParams, ctx: EvalContext, depth: int,
-        k2: int | None = None, straddle_mask=None):
+        disjunction=BoundDisjunction):
     """Full two-stage winnow; returns (F2, stage2 evals, F1, stage1 evals)."""
-    f0, f1, s1 = stage1(model, sol, fractions, params, ctx, straddle_mask)
-    f2, s2 = stage2(model, sol, f1, fractions, params, ctx, depth, k2,
-                    straddle_mask)
+    f0, f1, s1 = stage1(model, sol, fractions, params, ctx, disjunction)
+    f2, s2 = stage2(model, sol, f1, fractions, params, ctx, depth,
+                    disjunction)
     return f2, s2, f1, s1
