@@ -79,7 +79,7 @@ class ExtendedRecord:
     uc: float | None
     depth: int
     compulsory: int               # implied restrictions absorbed at this node
-    session: int
+    session: object               # the owning tree's token
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,11 @@ class AnalyticalThresholds:
             raise ValueError("min_intersect must be >= 0")
 
 
-_SESSION_COUNTER = [0]
-
-
 class ExtendedTree:
     """Append-only log of every branch evaluated during one solve."""
 
     def __init__(self):
-        _SESSION_COUNTER[0] += 1
-        self.session = _SESSION_COUNTER[0]
+        self.session = object()
         self.records: list[ExtendedRecord] = []
         root = ExtendedRecord(node_id=0, parent_id=None, var=None,
                               direction=None, bound=None, tentative=False,
@@ -221,7 +217,14 @@ def analytical_uc(tree: ExtendedTree, j: int, direction: str,
     if max_tree_depth > 0 and v_depth > thresholds.late_depth_frac * \
             max_tree_depth:
         return None
-    cands = tree.candidates(j, direction, forward_only=forward_only)
+    return _transfer_uc(tree, tree.candidates(j, direction, forward_only),
+                        v_parent, thresholds)
+
+
+def _transfer_uc(tree: ExtendedTree, cands: list[ExtendedRecord],
+                 v_parent: ExtendedRecord,
+                 thresholds: AnalyticalThresholds) -> float | None:
+    """The unit cost of the best undominated candidate, or None."""
     if not cands:
         return None
     scored = []
@@ -259,27 +262,30 @@ def uc_error_report(tree: ExtendedTree,
     realized unit cost, the analytical transfer (restricted to earlier
     records) and the classic running average are both asked to predict
     it.  The report measures accuracy, it does not assert a winner.
+    One pass gathers the earlier records as it goes.
     """
     thresholds = thresholds or AnalyticalThresholds(
         max_symdif=10 ** 6, min_intersect=0, min_ratio=0.0)
     analytical_errors = []
     classic_errors = []
-    history: dict[tuple[int, str], list[float]] = {}
+    # per (var, direction): the records with a unit cost seen so far, and
+    # the running (sum, count) of the taken ones
+    earlier: dict[tuple[int, str], list[ExtendedRecord]] = {}
+    history: dict[tuple[int, str], tuple[float, int]] = {}
     for rec in tree.records:
-        if rec.parent_id is None or rec.tentative or rec.uc is None:
+        if rec.uc is None:
             continue
-        snapshot = ExtendedTree()
-        snapshot.session = tree.session
-        snapshot.records = tree.records[:rec.node_id]
-        parent = tree[rec.parent_id]
-        est = analytical_uc(snapshot, rec.var, rec.direction, parent,
-                            thresholds)
-        if est is not None:
-            analytical_errors.append(abs(est - rec.uc))
-        past = history.get((rec.var, rec.direction))
-        if past:
-            classic_errors.append(abs(sum(past) / len(past) - rec.uc))
-        history.setdefault((rec.var, rec.direction), []).append(rec.uc)
+        key = (rec.var, rec.direction)
+        cands = earlier.setdefault(key, [])
+        if rec.parent_id is not None and not rec.tentative:
+            est = _transfer_uc(tree, cands, tree[rec.parent_id], thresholds)
+            if est is not None:
+                analytical_errors.append(abs(est - rec.uc))
+            total, count = history.get(key, (0.0, 0))
+            if count:
+                classic_errors.append(abs(total / count - rec.uc))
+            history[key] = (total + rec.uc, count + 1)
+        cands.append(rec)
     # tentative records also feed the classic averages in practice, but
     # the comparison here deliberately uses the same event stream for both
     def mae(errors):

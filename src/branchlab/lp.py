@@ -13,14 +13,34 @@ translated/complemented to sit at value 0, so the reduced costs reported at
 dual-feasible iterates are always nonnegative (up to tolerance).
 
 All arithmetic is dense numpy; the inverse of the basis matrix is kept
-explicitly and rebuilt every REFACTOR_EVERY pivots.  This is intended for
-desk-scale instances (tens of columns), not production LPs.
+explicitly.  This is intended for desk-scale instances (tens of columns),
+not production LPs.
+
+Where B^-1 comes from:
+
+  * A fresh inverse (`np.linalg.inv`) is computed the first time a basis
+    is loaded, and carried with the `Basis` together with the raw reduced
+    costs it gives (`_Factor`).  Both depend only on the row matrix, the
+    objective and the basic set, so any later load of that basis into a
+    model that shares the same `rows` and `obj` arrays (a bound-change
+    child, a probe, a tableau row) copies them instead of inverting, and
+    recomputes only the bound-dependent parts: nonbasic values, basic
+    values and the dual-feasibility flips.  A model with other arrays,
+    even equal ones, gets its own fresh inverse.
+  * Inside a solve, each pivot updates B^-1 by an eta step, and the
+    inverse is rebuilt fresh every REFACTOR_EVERY pivots.  An eta-updated
+    inverse is never carried: its bits differ from a fresh one, so a
+    later load would pivot differently.  A solve that ends with no pivot
+    since its last fresh inverse hands that inverse on with its basis.
+  * All single-pivot probes and tableau rows at one (model, basis) pair
+    read one loaded workspace, built on the first of them and kept with
+    the basis; they never write to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -84,16 +104,49 @@ class PivotBudget:
             raise LpModelError("v_lim must be positive when set")
 
 
+class _Factor:
+    """A fresh B^-1 of one basic set and the raw reduced costs it gives.
+
+    Valid for every model whose `rows` and `obj` are these very arrays:
+    the models are immutable, so identity stands for contents.  The
+    arrays are read-only; a workspace copies B^-1 before its first pivot.
+    """
+
+    __slots__ = ("rows", "obj", "basic", "binv", "rc")
+
+    def __init__(self, model: LpModel, basic: tuple[int, ...],
+                 binv: np.ndarray, rc: np.ndarray):
+        self.rows = model.rows
+        self.obj = model.obj
+        self.basic = basic
+        self.binv = binv
+        self.rc = rc
+
+    def fits(self, model: LpModel, basic: tuple[int, ...]) -> bool:
+        return (self.rows is model.rows and self.obj is model.obj
+                and self.basic == basic)
+
+
 @dataclass(frozen=True)
 class Basis:
     """Basic column indices plus the bound side of every nonbasic column.
 
     Columns 0..n-1 are structural, n..n+m-1 are row surpluses.  `at_upper`
     holds the nonbasic columns currently sitting at their upper bound.
+
+    `factor` and `probe_state` hold work the engine has already done at
+    this basis (see the module docstring).  They are filled in on the
+    first load and are not part of the basis's value.
     """
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
+    factor: _Factor | None = field(default=None, compare=False, repr=False)
+    probe_state: _Workspace | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def _remember(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -113,17 +166,32 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-class LpModel:
-    """Immutable bounded-variable LP: minimize obj.v s.t. rows.v >= rhs."""
+def _checked_bounds(lower, upper, n: int):
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape[0] != n or upper.shape[0] != n:
+        raise LpModelError("bound vectors do not match column count")
+    if (lower == INF).any() or (upper == -INF).any():
+        raise LpModelError("lower bounds must be < +inf, uppers > -inf")
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return lower, upper
 
-    __slots__ = ("obj", "rows", "rhs", "lower", "upper", "straddle_rows")
+
+class LpModel:
+    """Immutable bounded-variable LP: minimize obj.v s.t. rows.v >= rhs.
+
+    Models derived by a bound change share their parent's validated
+    `obj`, `rows` and `rhs` arrays and its full matrix [A | -I].
+    """
+
+    __slots__ = ("obj", "rows", "rhs", "lower", "upper", "straddle_rows",
+                 "_matrices")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
         obj = np.asarray(obj, dtype=float)
         rows = np.asarray(rows, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
         n = obj.shape[0]
         if rows.ndim != 2 or rows.shape[1] != n:
             if rows.size == 0:
@@ -133,14 +201,11 @@ class LpModel:
                     f"row matrix shape {rows.shape} does not match {n} columns")
         if rhs.shape[0] != rows.shape[0]:
             raise LpModelError("rhs length does not match row count")
-        if lower.shape[0] != n or upper.shape[0] != n:
-            raise LpModelError("bound vectors do not match column count")
         if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(rows))
                 and np.all(np.isfinite(rhs))):
             raise LpModelError("coefficients must be finite")
-        if np.any(np.isposinf(lower)) or np.any(np.isneginf(upper)):
-            raise LpModelError("lower bounds must be < +inf, uppers > -inf")
-        for a in (obj, rows, rhs, lower, upper):
+        lower, upper = _checked_bounds(lower, upper, n)
+        for a in (obj, rows, rhs):
             a.setflags(write=False)
         object.__setattr__(self, "obj", obj)
         object.__setattr__(self, "rows", rows)
@@ -149,6 +214,7 @@ class LpModel:
         object.__setattr__(self, "upper", upper)
         # (row index, surplus column) pairs of appended straddle rows
         object.__setattr__(self, "straddle_rows", tuple(straddle_rows))
+        object.__setattr__(self, "_matrices", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LpModel is immutable")
@@ -161,6 +227,33 @@ class LpModel:
     def n_cols(self) -> int:
         return self.obj.shape[0]
 
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only full matrix [A | -I] and cost [c | 0], built once."""
+        if self._matrices is None:
+            m = self.n_rows
+            full = np.hstack([self.rows, -np.eye(m)]) if m else \
+                np.zeros((0, self.n_cols))
+            cost = np.concatenate([self.obj, np.zeros(m)])
+            full.setflags(write=False)
+            cost.setflags(write=False)
+            object.__setattr__(self, "_matrices", (full, cost))
+        return self._matrices
+
+    def _rebound(self, lower: np.ndarray, upper: np.ndarray) -> "LpModel":
+        """This model under checked bound vectors, sharing everything else."""
+        matrices = self.matrices()
+        model = object.__new__(LpModel)
+        for name in ("obj", "rows", "rhs", "straddle_rows"):
+            object.__setattr__(model, name, getattr(self, name))
+        object.__setattr__(model, "lower", lower)
+        object.__setattr__(model, "upper", upper)
+        object.__setattr__(model, "_matrices", matrices)
+        return model
+
+    def with_bound_vectors(self, lower, upper) -> "LpModel":
+        """This model with every column bound replaced."""
+        return self._rebound(*_checked_bounds(lower, upper, self.n_cols))
+
     def with_bounds(self, j: int, lower: float | None = None,
                     upper: float | None = None) -> "LpModel":
         lo = self.lower.copy()
@@ -169,8 +262,11 @@ class LpModel:
             lo[j] = lower
         if upper is not None:
             up[j] = upper
-        return LpModel(self.obj, self.rows, self.rhs, lo, up,
-                       self.straddle_rows)
+        if lo[j] == INF or up[j] == -INF:
+            raise LpModelError("lower bounds must be < +inf, uppers > -inf")
+        lo.setflags(write=False)
+        up.setflags(write=False)
+        return self._rebound(lo, up)
 
     def with_row(self, coeffs, rhs_value: float,
                  straddle: bool = False) -> "LpModel":
@@ -195,6 +291,8 @@ class _Workspace:
     """Mutable dual simplex state for one model.
 
     Full column space: structural columns then one surplus per row.
+    `factor` is the `_Factor` that `binv` and `rc` are equal to (and share
+    their arrays with), or None once a pivot has changed them.
     """
 
     def __init__(self, model: LpModel):
@@ -203,18 +301,15 @@ class _Workspace:
         self.n = n
         self.m = m
         self.ncols = n + m
-        self.full = np.hstack([model.rows, -np.eye(m)]) if m else \
-            np.zeros((0, n))
-        self.cost = np.concatenate([model.obj, np.zeros(m)])
+        self.full, self.cost = model.matrices()
         self.lo = np.concatenate([model.lower, np.zeros(m)])
         self.up = np.concatenate([model.upper, np.full(m, INF)])
         self.artificial: set[int] = set()
         self.basic: list[int] = []
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
-        self.binv = np.zeros((m, m))
-        self.beta = np.zeros(m)
-        self.rc = np.zeros(self.ncols)
+        self.factor: _Factor | None = None
+        self._objective: float | None = None
 
     # -- basis management ------------------------------------------------
 
@@ -223,6 +318,7 @@ class _Workspace:
 
         Columns whose required side has no finite bound get a BIG_BOUND
         stand-in; if the optimum ends up resting on one, solve() raises.
+        The values follow from _restore_dual_feasibility().
         """
         self.basic = list(range(self.n, self.ncols))
         self.in_basis[:] = False
@@ -240,7 +336,7 @@ class _Workspace:
                 else:
                     self.lo[j] = -BIG_BOUND
                     self.artificial.add(j)
-        self.refactorize()
+        self._factorize()
 
     def load_basis(self, basis: Basis) -> bool:
         if len(basis.basic) != self.m:
@@ -257,25 +353,35 @@ class _Workspace:
         for c in basis.at_upper:
             if c < self.ncols and not self.in_basis[c]:
                 self.at_upper[c] = True
-        try:
-            self.refactorize()
-        except LpNumericError:
-            return False
-        if not self._restore_dual_feasibility():
-            return False
-        return True
-
-    def refactorize(self):
-        if self.m == 0:
-            self.binv = np.zeros((0, 0))
+        factor = basis.factor
+        if factor is not None and factor.fits(self.model, basis.basic):
+            self.binv, self.rc, self.factor = factor.binv, factor.rc, factor
         else:
-            B = self.full[:, self.basic]
             try:
-                self.binv = np.linalg.inv(B)
+                self._factorize()
+            except LpNumericError:
+                return False
+            if factor is None:
+                basis._remember("factor", self.factor)
+        return self._restore_dual_feasibility()
+
+    def _factorize(self):
+        """Fresh B^-1 and raw reduced costs of the current basic set."""
+        if self.m == 0:
+            binv = np.zeros((0, 0))
+        else:
+            try:
+                binv = np.linalg.inv(self.full[:, self.basic])
             except np.linalg.LinAlgError:
                 raise LpNumericError("singular basis")
-        self._recompute_values()
+        binv.setflags(write=False)
+        self.binv = binv
         self._recompute_rc()
+        self.factor = _Factor(self.model, tuple(self.basic), binv, self.rc)
+
+    def refactorize(self):
+        self._factorize()
+        self._recompute_values()
 
     def _recompute_values(self):
         vN = np.where(self.at_upper, self.up, self.lo)
@@ -285,22 +391,26 @@ class _Workspace:
         else:
             self.beta = np.zeros(0)
         self._vN = vN
+        self._objective = None
 
     def _recompute_rc(self):
         if self.m:
             y = self.cost[self.basic] @ self.binv
-            self.rc = self.cost - y @ self.full
+            rc = self.cost - y @ self.full
         else:
-            self.rc = self.cost.copy()
-        self.rc[self.basic] = 0.0
+            rc = self.cost.copy()
+        rc[self.basic] = 0.0
+        rc.setflags(write=False)
+        self.rc = rc
 
     def _restore_dual_feasibility(self) -> bool:
-        """Flip nonbasic columns whose reduced-cost sign is wrong.
+        """Flip nonbasic columns whose reduced-cost sign is wrong, then
+        compute the values of the freshly loaded basis.
 
         A flip is only possible onto a finite opposite bound; returns False
-        when a wrong-signed column has no finite bound to move to.
+        when a wrong-signed column has no finite bound to move to.  The
+        flips read only the reduced costs, so values are computed once.
         """
-        changed = False
         for j in range(self.ncols):
             if self.in_basis[j]:
                 continue
@@ -308,14 +418,11 @@ class _Workspace:
                 if math.isinf(self.up[j]):
                     return False
                 self.at_upper[j] = True
-                changed = True
             elif self.at_upper[j] and self.rc[j] > DUAL_TOL:
                 if math.isinf(-self.lo[j]):
                     return False
                 self.at_upper[j] = False
-                changed = True
-        if changed:
-            self._recompute_values()
+        self._recompute_values()
         return True
 
     # -- queries ----------------------------------------------------------
@@ -327,8 +434,11 @@ class _Workspace:
         return v
 
     def objective(self) -> float:
-        v = self.values()
-        return float(self.cost[:self.n] @ v[:self.n])
+        """Objective of the current iterate, computed once per iterate."""
+        if self._objective is None:
+            v = self.values()
+            self._objective = float(self.cost[:self.n] @ v[:self.n])
+        return self._objective
 
     def infeasibility(self) -> float:
         v = self.values()
@@ -412,6 +522,9 @@ class _Workspace:
         self.at_upper[leave] = not below
         self.at_upper[enter] = False
         # eta update of the explicit inverse
+        if self.factor is not None:     # binv is the factor's, read-only
+            self.binv = self.binv.copy()
+            self.factor = None
         piv = w[pos]
         self.binv[pos] /= piv
         for i in range(self.m):
@@ -426,11 +539,13 @@ class _Workspace:
         vN = np.where(self.at_upper, self.up, self.lo)
         vN[self.in_basis] = 0.0
         self._vN = vN
+        self._objective = None
 
     def snapshot_basis(self) -> Basis:
+        """The current basis, with B^-1 when it is still a fresh inverse."""
         ups = frozenset(int(j) for j in range(self.ncols)
                         if not self.in_basis[j] and self.at_upper[j])
-        return Basis(tuple(int(c) for c in self.basic), ups)
+        return Basis(tuple(int(c) for c in self.basic), ups, self.factor)
 
 
 def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) -> tuple[LpStatus, int]:
@@ -498,6 +613,25 @@ def is_fractional(value: float, tol: float = INT_TOL) -> bool:
     return abs(value - round(value)) > tol
 
 
+def _probe_workspace(model: LpModel, basis: Basis,
+                     misfit: str) -> _Workspace:
+    """`model` loaded at `basis`, shared by every probe and tableau row at
+    that pair and kept with the basis.  Its arrays are read-only, and it
+    also holds the translated reduced costs as `probe_rc`."""
+    ws = basis.probe_state
+    if ws is None or ws.model is not model:
+        ws = _Workspace(model)
+        if not ws.load_basis(basis):
+            raise LpProbeError(misfit)
+        ws.basic = tuple(ws.basic)
+        ws.probe_rc = ws.translated_rc()
+        for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN,
+                  ws.probe_rc):
+            a.setflags(write=False)
+        basis._remember("probe_state", ws)
+    return ws
+
+
 def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
                        direction: str) -> float:
     """Objective-increase estimate for one dual pivot of a branch on x_j.
@@ -512,9 +646,8 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     """
     if direction not in ("up", "down"):
         raise LpProbeError(f"bad direction {direction!r}")
-    ws = _Workspace(model)
-    if not ws.load_basis(sol.basis):
-        raise LpProbeError("solution basis does not fit the model")
+    ws = _probe_workspace(model, sol.basis,
+                          "solution basis does not fit the model")
     if j not in ws.basic:
         raise LpProbeError(f"x_{j} is nonbasic; probe needs a basic variable")
     pos = ws.basic.index(j)
@@ -524,7 +657,7 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     f_plus, f_minus = fractional_parts(value)
     frac = f_plus if direction == "up" else f_minus
     alpha = ws.tableau_row(pos)
-    rc_t = ws.translated_rc()
+    rc_t = ws.probe_rc
     want_below = direction == "up"   # an up branch leaves x_j below its new lower bound
     best = INF
     for col in range(ws.ncols):
@@ -578,7 +711,9 @@ def apply_reversal_update(model: LpModel, sol: LpSolution, j: int,
         bound = model.lower[j]
         child = model.with_bounds(j, lower=antecedent, upper=bound - 1)
         at_upper = sol.basis.at_upper | {j}
-    return child, Basis(sol.basis.basic, frozenset(at_upper))
+    # same basic set and rows, so the parent's B^-1 still holds
+    return child, Basis(sol.basis.basic, frozenset(at_upper),
+                        sol.basis.factor)
 
 
 def tableau_row_for(model: LpModel, basis: Basis, j: int):
@@ -588,9 +723,7 @@ def tableau_row_for(model: LpModel, basis: Basis, j: int):
     current value of x_j, number of structural columns).  Used by the
     straddle construction and by tests.
     """
-    ws = _Workspace(model)
-    if not ws.load_basis(basis):
-        raise LpProbeError("basis does not fit the model")
+    ws = _probe_workspace(model, basis, "basis does not fit the model")
     if j not in ws.basic:
         raise LpProbeError(f"x_{j} is not basic")
     pos = ws.basic.index(j)

@@ -22,7 +22,8 @@ class MipProblem:
     """
 
     __slots__ = ("name", "obj", "rows", "rhs", "lower", "upper",
-                 "integer_mask", "col_names", "row_names")
+                 "integer_mask", "integer_indices", "col_names", "row_names",
+                 "_lp")
 
     def __init__(self, name, obj, rows, rhs, lower, upper, integer_mask,
                  col_names=None, row_names=None):
@@ -51,12 +52,15 @@ class MipProblem:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "integer_mask", integer_mask)
+        object.__setattr__(self, "integer_indices",
+                           tuple(int(j) for j in np.flatnonzero(integer_mask)))
         object.__setattr__(self, "col_names",
                            tuple(col_names) if col_names
                            else tuple(f"C{j}" for j in range(n)))
         object.__setattr__(self, "row_names",
                            tuple(row_names) if row_names
                            else tuple(f"R{i}" for i in range(rows.shape[0])))
+        object.__setattr__(self, "_lp", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MipProblem is immutable")
@@ -85,10 +89,6 @@ class MipProblem:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def integer_indices(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.integer_mask))
-
     def is_binary(self, j: int) -> bool:
         return (self.integer_mask[j] and self.lower[j] >= 0
                 and self.upper[j] <= 1)
@@ -97,7 +97,11 @@ class MipProblem:
         return LpModel(self.obj, self.rows, self.rhs, self.lower, self.upper)
 
     def lp_with_bounds(self, lower, upper) -> LpModel:
-        return LpModel(self.obj, self.rows, self.rhs, lower, upper)
+        """The LP under node bounds; every node model shares this problem's
+        validated rows, objective and full matrix."""
+        if self._lp is None:
+            object.__setattr__(self, "_lp", self.to_lp())
+        return self._lp.with_bound_vectors(lower, upper)
 
 
 @dataclass(frozen=True)
