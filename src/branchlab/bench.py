@@ -137,11 +137,23 @@ def report_to_json(report: dict) -> str:
 
 
 def load_matrix(path: Path) -> dict[str, SolveConfig]:
-    """Strategy matrix from a JSON file of named CLI-style option sets."""
-    from branchlab.cli import config_from_options
+    """Strategy matrix from a JSON file of named CLI-style option sets.
+
+    Raises ValueError naming the config for an option `solve` lacks or a
+    value its config rejects.
+    """
+    from branchlab.cli import config_from_options, option_keys
 
     data = json.loads(Path(path).read_text())
+    known = option_keys()
     configs = {}
     for name, options in data["configs"].items():
-        configs[name] = config_from_options(options)
+        unknown = sorted(set(options) - known)
+        if unknown:
+            raise ValueError(f"config {name!r}: unknown option "
+                             f"{unknown[0]!r}")
+        try:
+            configs[name] = config_from_options(options)
+        except ValueError as err:
+            raise ValueError(f"config {name!r}: {err}") from err
     return configs

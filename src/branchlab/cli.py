@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from branchlab.costmem import AnalyticalThresholds
-from branchlab.criteria import Criterion, CriterionSpec
+from branchlab.criteria import Criterion
 from branchlab.driver import (
     ReversalConfig,
     SolveConfig,
@@ -16,21 +16,88 @@ from branchlab.driver import (
     trace_to_json,
 )
 from branchlab.lookahead import AttractConfig, LookaheadConfig
+from branchlab.lp import solve as lp_solve
+from branchlab.model import detect_fractional
 from branchlab.mps import MpsParseError, parse_mps
-from branchlab.winnow import WinnowParams
 
-_CRITERIA = {
-    "C0": Criterion.C0_CONVEX,
-    "C1": Criterion.C1_PRODUCT,
-    "C2a": Criterion.C2A,
-    "C2b": Criterion.C2B,
-    "C3": Criterion.C3_THRESHOLD,
-    "C4": Criterion.C4,
-    "C5": Criterion.C5,
-    "C6": Criterion.C6,
-    "C7": Criterion.C7,
-    "vote": Criterion.VOTE,
+# `solve` options a `bench --configs` entry may not use: the input, the
+# output, and the CList size, whose members are picked from the instance
+_CLI_ONLY = ("instance", "trace", "clist")
+
+# the config object each strategy option sets; every other option is a
+# SolveConfig field.  An option's field has its name unless renamed here.
+_GROUPS = {
+    "spec": ("criterion", "p", "lambda", "w1", "w2", "mu"),
+    "winnow": ("n0", "n1", "n2", "k2", "vlim", "clist"),
+    "lookahead": ("lookahead", "postwin", "lim", "d0", "accept",
+                  "early_exit", "d2_mode", "v", "multi_tree", "straddle"),
+    "attract": ("attract", "attract_half"),
+    "reversal": ("reversals", "beta"),
 }
+_RENAMED = {"lambda": "lam", "n2": "n2_root", "vlim": "vlim_mult",
+            "lookahead": "depth", "multi_tree": "n_trees",
+            "attract": "threshold", "attract_half": "half_tree",
+            "reversals": "enabled", "theta": "refset_theta"}
+
+
+def solve_parser() -> argparse.ArgumentParser:
+    """The `solve` options; none carries a default, so an option left out
+    keeps the default of the config field it sets."""
+    s = argparse.ArgumentParser(add_help=False,
+                                argument_default=argparse.SUPPRESS)
+    s.add_argument("instance", type=Path)
+    s.add_argument("--criterion", choices=[c.value for c in Criterion])
+    s.add_argument("--p", type=float, help="criterion exponent (C2/C5)")
+    s.add_argument("--lambda", type=float, help="C3 threshold weight")
+    s.add_argument("--w1", type=float)
+    s.add_argument("--w2", type=float)
+    s.add_argument("--mu", type=float,
+                   help="C0 convex weight on the larger evaluation")
+    s.add_argument("--lookahead", type=int, metavar="D",
+                   help="look-ahead tree depth (0 = plain branching)")
+    s.add_argument("--postwin", choices=["off", "2a", "2b", "2c"])
+    s.add_argument("--lim", type=int)
+    s.add_argument("--d0", type=int)
+    s.add_argument("--accept", choices=["first", "path"])
+    s.add_argument("--early-exit", action="store_true")
+    s.add_argument("--d2-mode", action="store_true")
+    s.add_argument("--v", type=float)
+    s.add_argument("--multi-tree", type=int, metavar="N")
+    s.add_argument("--straddle", action="store_true")
+    s.add_argument("--attract", type=float, metavar="T",
+                   help="persistent-attractiveness override threshold")
+    s.add_argument("--attract-half", action="store_true")
+    s.add_argument("--attract-restart", action="store_true",
+                   help="restart once, re-rooting on the most "
+                        "persistently attractive branch")
+    s.add_argument("--pseudo", choices=["off", "classic", "analytical"])
+    s.add_argument("--refset", action="store_true")
+    s.add_argument("--theta", type=float,
+                   help="reference-set gate mix of min/max distance")
+    s.add_argument("--reversals", action="store_true")
+    s.add_argument("--beta", type=float)
+    s.add_argument("--node-select", choices=["dfs", "dval"])
+    s.add_argument("--dval-approach", type=int, choices=[1, 2])
+    s.add_argument("--n0", type=int)
+    s.add_argument("--n1", type=int)
+    s.add_argument("--n2", type=int, help="stage-2 survivors at the root")
+    s.add_argument("--k2", type=int)
+    s.add_argument("--clist", type=int, metavar="N",
+                   help="fixed candidate list size chosen at the root")
+    s.add_argument("--vlim", type=float, metavar="M",
+                   help="early-stop multiplier m for stage-2 probes")
+    s.add_argument("--max-nodes", type=int)
+    s.add_argument("--max-time", type=float)
+    s.add_argument("--eps", type=float)
+    s.add_argument("--integral-eps", action="store_true",
+                   help="use eps = 1 for integral objectives")
+    s.add_argument("--trace", type=Path, metavar="OUT.JSON")
+    return s
+
+
+def option_keys() -> set[str]:
+    """Names a strategy option may have: the `solve` parser's dests."""
+    return {a.dest for a in solve_parser()._actions} - set(_CLI_ONLY)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,170 +106,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Instrumented branch-and-bound MIP solver for "
                     "comparing look-ahead branching strategies.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("solve", help="solve one MPS instance")
-    s.add_argument("instance", type=Path)
-    s.add_argument("--criterion", choices=sorted(_CRITERIA), default="C2a")
-    s.add_argument("--p", type=float, default=1.0,
-                   help="criterion exponent (C2/C5)")
-    s.add_argument("--lambda", dest="lam", type=float, default=0.75,
-                   help="C3 threshold weight")
-    s.add_argument("--w1", type=float, default=100.0)
-    s.add_argument("--w2", type=float, default=10.0)
-    s.add_argument("--mu", type=float, default=1 / 6,
-                   help="C0 convex weight on the larger evaluation")
-    s.add_argument("--lookahead", type=int, default=3, metavar="D",
-                   help="look-ahead tree depth (0 = plain branching); "
-                        "the default strategy looks ahead 3 levels")
-    s.add_argument("--postwin", choices=["off", "2a", "2b", "2c"],
-                   default="2a")
-    s.add_argument("--lim", type=int, default=3)
-    s.add_argument("--d0", type=int, default=2)
-    s.add_argument("--accept", choices=["first", "path"], default="first")
-    s.add_argument("--early-exit", action="store_true")
-    s.add_argument("--d2-mode", action="store_true")
-    s.add_argument("--v", type=float, default=1.0)
-    s.add_argument("--multi-tree", type=int, default=1, metavar="N")
-    s.add_argument("--straddle", action="store_true")
-    s.add_argument("--attract", type=float, default=None, metavar="T",
-                   help="persistent-attractiveness override threshold")
-    s.add_argument("--attract-half", action="store_true")
-    s.add_argument("--attract-restart", action="store_true",
-                   help="restart once, re-rooting on the most "
-                        "persistently attractive branch")
-    s.add_argument("--pseudo", choices=["off", "classic", "analytical"],
-                   default="off")
-    s.add_argument("--refset", action="store_true")
-    s.add_argument("--theta", type=float, default=0.5,
-                   help="reference-set gate mix of min/max distance")
-    s.add_argument("--reversals", action="store_true")
-    s.add_argument("--beta", type=float, default=0.5)
-    s.add_argument("--node-select", choices=["dfs", "dval"],
-                   default="dfs")
-    s.add_argument("--dval-approach", type=int, choices=[1, 2], default=1)
-    s.add_argument("--n0", type=int, default=None)
-    s.add_argument("--n1", type=int, default=None)
-    s.add_argument("--n2", type=int, default=None,
-                   help="stage-2 survivors at the root")
-    s.add_argument("--k2", type=int, default=None)
-    s.add_argument("--clist", type=int, default=None, metavar="N",
-                   help="fixed candidate list size chosen at the root")
-    s.add_argument("--vlim", type=float, default=None, metavar="M",
-                   help="early-stop multiplier m for stage-2 probes")
-    s.add_argument("--max-nodes", type=int, default=100_000)
-    s.add_argument("--max-time", type=float, default=300.0)
-    s.add_argument("--eps", type=float, default=1e-6)
-    s.add_argument("--integral-eps", action="store_true",
-                   help="use eps = 1 for integral objectives")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trace", type=Path, default=None, metavar="OUT.JSON")
+    sub.add_parser("solve", parents=[solve_parser()],
+                   help="solve one MPS instance")
 
     b = sub.add_parser("bench", help="strategy matrix over a directory")
     b.add_argument("directory", type=Path)
-    b.add_argument("--configs", type=Path, default=None,
+    b.add_argument("--configs", type=Path,
                    help="JSON file of named option sets")
-    b.add_argument("--out", type=Path, default=None,
-                   help="write the JSON report here")
+    b.add_argument("--out", type=Path, help="write the JSON report here")
     return parser
 
 
 def config_from_options(opt: dict) -> SolveConfig:
-    """SolveConfig from a dict of CLI-style option values."""
-    crit = _CRITERIA[opt.get("criterion", "C2a")]
-    spec = CriterionSpec(criterion=crit,
-                         p=opt.get("p", 1.0),
-                         lam=opt.get("lambda", 0.75),
-                         w1=opt.get("w1", 100.0),
-                         w2=opt.get("w2", 10.0),
-                         mu=opt.get("mu", 1 / 6))
-    winnow = WinnowParams(n0=opt.get("n0"), n1=opt.get("n1"),
-                          n2_root=opt.get("n2") or 4,
-                          k2=opt.get("k2"),
-                          spec=spec,
-                          vlim_mult=opt.get("vlim"))
+    """SolveConfig from a dict of CLI-style option values.
+
+    Only the options given (and not None) are passed on, so every other
+    field keeps its dataclass default.  The selection criterion is also
+    the winnowing criterion, and `clist` is the CList's member set.
+    Look-ahead is on when a nonzero depth or the d2 mode is given, and an
+    attractiveness threshold turns the override on.
+    """
+    parts = {group: {} for group in (*_GROUPS, "solve")}
+    group_of = {key: g for g, keys in _GROUPS.items() for key in keys}
+    for key, value in opt.items():
+        if value is not None:
+            parts[group_of.get(key, "solve")][_RENAMED.get(key, key)] = value
+    base = SolveConfig()
+    if "criterion" in parts["spec"]:
+        parts["spec"]["criterion"] = Criterion(parts["spec"]["criterion"])
+    spec = replace(base.criterion, **parts["spec"])
+    winnow = replace(base.winnow, spec=spec, **parts["winnow"])
+    la, attract = parts["lookahead"], parts["attract"]
+    if not la.get("depth"):
+        la.pop("depth", None)          # depth 0 is plain branching
     lookahead = None
-    depth = opt.get("lookahead", 0)
-    if depth or opt.get("d2_mode"):
-        attract_threshold = opt.get("attract")
-        lookahead = LookaheadConfig(
-            depth=depth or 2,
-            winnow=winnow,
-            postwin=opt.get("postwin", "off"),
-            lim=opt.get("lim", 3),
-            d0=opt.get("d0", 2),
-            accept=opt.get("accept", "first"),
-            early_exit=opt.get("early_exit", False),
-            n_trees=opt.get("multi_tree", 1),
-            d2_mode=opt.get("d2_mode", False),
-            v=opt.get("v", 1.0),
-            straddle=opt.get("straddle", False),
-            attract=AttractConfig(
-                enabled=attract_threshold is not None,
-                threshold=(attract_threshold
-                           if attract_threshold is not None else 3.0),
-                half_tree=opt.get("attract_half", False)))
-    return SolveConfig(
-        criterion=spec,
-        winnow=winnow,
-        lookahead=lookahead,
-        pseudo=opt.get("pseudo", "off"),
-        thresholds=AnalyticalThresholds(),
-        refset=opt.get("refset", False),
-        refset_theta=opt.get("theta", 0.5),
-        node_select=opt.get("node_select", "dfs"),
-        dval_approach=opt.get("dval_approach", 1),
-        reversal=ReversalConfig(enabled=opt.get("reversals", False),
-                                beta=opt.get("beta", 0.5)),
-        eps=1.0 if opt.get("integral_eps") else opt.get("eps", 1e-6),
-        max_nodes=opt.get("max_nodes", 100_000),
-        max_time=opt.get("max_time", 300.0),
-        seed=opt.get("seed", 0),
-        attract_restart=opt.get("attract_restart", False))
+    if "depth" in la or la.get("d2_mode"):
+        attract["enabled"] = "threshold" in attract
+        lookahead = LookaheadConfig(winnow=winnow,
+                                    attract=AttractConfig(**attract), **la)
+    solve = parts["solve"]
+    if solve.pop("integral_eps", False):
+        solve["eps"] = 1.0
+    return SolveConfig(criterion=spec, winnow=winnow, lookahead=lookahead,
+                       reversal=ReversalConfig(**parts["reversal"]), **solve)
 
 
 def run_solve(args) -> int:
+    options = vars(args)
     try:
-        problem = parse_mps(args.instance.read_text())
+        problem = parse_mps(options.pop("instance").read_text())
     except (MpsParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    opt = {
-        "criterion": args.criterion, "p": args.p, "lambda": args.lam,
-        "w1": args.w1, "w2": args.w2, "mu": args.mu,
-        "lookahead": args.lookahead, "postwin": args.postwin,
-        "lim": args.lim, "d0": args.d0, "accept": args.accept,
-        "early_exit": args.early_exit, "d2_mode": args.d2_mode,
-        "v": args.v, "multi_tree": args.multi_tree,
-        "straddle": args.straddle, "attract": args.attract,
-        "attract_half": args.attract_half,
-        "attract_restart": args.attract_restart, "pseudo": args.pseudo,
-        "refset": args.refset, "theta": args.theta,
-        "reversals": args.reversals, "beta": args.beta,
-        "node_select": args.node_select,
-        "dval_approach": args.dval_approach,
-        "n0": args.n0, "n1": args.n1, "n2": args.n2, "k2": args.k2,
-        "vlim": args.vlim, "max_nodes": args.max_nodes,
-        "max_time": args.max_time, "eps": args.eps,
-        "integral_eps": args.integral_eps, "seed": args.seed,
-    }
-    config = config_from_options(opt)
-    if args.clist is not None:
-        # the fixed candidate list is the n0 best root candidates
-        from branchlab.lp import solve as lp_solve
-        from branchlab.model import detect_fractional
-        from dataclasses import replace as dc_replace
-
+    del options["command"]
+    trace = options.pop("trace", None)
+    if "clist" in options:
+        # the fixed candidate list is the `clist` best root candidates
         root = lp_solve(problem.to_lp())
         frac = detect_fractional(root, problem)
         members = sorted(frac, key=lambda j: (abs(frac[j][1] - 0.5), j))
-        clist = frozenset(members[:args.clist])
-        config = dc_replace(config,
-                            winnow=dc_replace(config.winnow, clist=clist))
-        if config.lookahead is not None:
-            config = dc_replace(
-                config,
-                lookahead=dc_replace(config.lookahead,
-                                     winnow=config.winnow))
+        options["clist"] = frozenset(members[:options["clist"]])
+    config = config_from_options(options)
     result = solve_mip(problem, config)
     obj = "-" if result.x is None else f"{result.objective:.9g}"
     bound = "-" if not math.isfinite(result.bound) \
@@ -218,9 +182,9 @@ def run_solve(args) -> int:
             f"{name}={value:.6g}" for name, value in
             zip(problem.col_names, result.x))
         print(f"solution  {pairs}")
-    if args.trace is not None:
-        args.trace.write_text(trace_to_json(result.trace))
-        print(f"trace     {args.trace}")
+    if trace is not None:
+        trace.write_text(trace_to_json(result.trace))
+        print(f"trace     {trace}")
     return 0 if result.status in ("optimal", "feasible") else 1
 
 
@@ -231,7 +195,11 @@ def run_bench(args) -> int:
         run_benchmark,
     )
 
-    matrix = load_matrix(args.configs) if args.configs else None
+    try:
+        matrix = load_matrix(args.configs) if args.configs else None
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     report = run_benchmark(args.directory, matrix)
     if args.out is not None:
         args.out.write_text(report_to_json(report))

@@ -82,9 +82,6 @@ class CriterionSpec:
     w1: float = 100.0
     w2: float = 10.0
     mu: float = 1.0 / 6.0
-    use_max_variant: bool = False   # replace |E+ - E-|^p by Max^p in C2
-    zero_sub: float = ZERO_SUB
-    mincost_top_k: int | None = None
     flavor: Flavor | None = None    # None = implied by the criterion
 
     def __post_init__(self):
@@ -315,13 +312,11 @@ def attach_unit_costs(ev: BranchEval, node_x_o: float, f_plus: float,
     return ev
 
 
-def _mincost_sum(frac: dict, uc_lookup, top_k: int | None) -> float:
+def _mincost_sum(frac: dict, uc_lookup) -> float:
     terms = []
     for i, (fp, fm) in frac.items():
         uc_up, uc_dn = uc_lookup(i)
         terms.append(min(uc_up * fp, uc_dn * fm))
-    if top_k is not None and len(terms) > top_k:
-        terms = sorted(terms, reverse=True)[:top_k]
     return float(sum(terms))
 
 
@@ -330,7 +325,7 @@ def _fracsum(frac: dict) -> float:
 
 
 def weight_eval(ev: BranchEval, flavor: Flavor, w1: float, w2: float,
-                uc_lookup=None, top_k: int | None = None) -> BranchEval:
+                uc_lookup=None) -> BranchEval:
     """Return a copy of ev with D1/D2- or D3/D4-augmented Eval values."""
     if flavor is Flavor.PLAIN or (w1 == 0 and w2 == 0):
         return ev
@@ -340,8 +335,8 @@ def weight_eval(ev: BranchEval, flavor: Flavor, w1: float, w2: float,
     else:
         if uc_lookup is None:
             raise ValueError("cost weighting needs a unit-cost lookup")
-        up_term = _mincost_sum(ev.frac_up, uc_lookup, top_k)
-        dn_term = _mincost_sum(ev.frac_down, uc_lookup, top_k)
+        up_term = _mincost_sum(ev.frac_up, uc_lookup)
+        dn_term = _mincost_sum(ev.frac_down, uc_lookup)
     return replace(ev,
                    eval_up=ev.eval_up + w1 * up_term + w2 * ev.infeas_up,
                    eval_down=ev.eval_down + w1 * dn_term
@@ -406,8 +401,7 @@ def evaluate_candidates(model: LpModel, parent_sol: LpSolution,
         if flavor is Flavor.PLAIN:
             return plain
         lookup = uc_lookup_from(plain, parent_sol)
-        return {j: weight_eval(ev, flavor, spec.w1, spec.w2, lookup,
-                               spec.mincost_top_k)
+        return {j: weight_eval(ev, flavor, spec.w1, spec.w2, lookup)
                 for j, ev in plain.items()}
 
     evals: dict[int, BranchEval] = {}
@@ -440,15 +434,14 @@ def score(ev: BranchEval, spec: CriterionSpec) -> float:
     """Criterion score; maximized for C0-C5, minimized for C6/C7."""
     up, dn = ev.eval_up, ev.eval_down
     lo, hi = ev.min_val, ev.max_val
-    sub = spec.zero_sub
+    sub = ZERO_SUB
     c = spec.criterion
     if c is Criterion.C0_CONVEX:
         return spec.mu * hi + (1.0 - spec.mu) * lo
     if c is Criterion.C1_PRODUCT:
         return _pos(up, sub) * _pos(dn, sub)
     if c in (Criterion.C2A, Criterion.C2B):
-        spread = _pos(hi, sub) if spec.use_max_variant \
-            else _pos(abs(up - dn), sub)
+        spread = _pos(abs(up - dn), sub)
         base = _pos(up, sub) * _pos(dn, sub) if c is Criterion.C2A \
             else _pos(lo, sub)
         return base * spread ** spec.p

@@ -66,7 +66,7 @@ from branchlab.model import (
 from branchlab.winnow import CListLeafSignal, WinnowParams
 from branchlab.winnow import run as winnow_run
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 NODE_BUDGET = PivotBudget(max_pivots=50_000, max_degenerate=5_000)
 
 VOTE_PANEL = (
@@ -75,6 +75,7 @@ VOTE_PANEL = (
     CriterionSpec(criterion=Criterion.C4),
     CriterionSpec(criterion=Criterion.C5, p=0.3),
 )
+MAX_RESTARTS = 20    # signal restarts at one node before the fallback
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,17 @@ class ReversalConfig:
 class SolveConfig:
     criterion: CriterionSpec = field(default_factory=lambda: CriterionSpec(
         criterion=Criterion.C2A, p=1.0))
-    vote_panel: tuple = VOTE_PANEL
     winnow: WinnowParams = field(default_factory=WinnowParams)
     lookahead: LookaheadConfig | None = None
     pseudo: str = "off"               # off | classic | analytical
-    thresholds: AnalyticalThresholds = field(
-        default_factory=AnalyticalThresholds)
     refset: bool = False
     refset_theta: float = 0.5
-    refset_rmax: int = 10
-    refset_p: float = 0.5
     node_select: str = "dfs"          # dfs | dval
     dval_approach: int = 1
     reversal: ReversalConfig = field(default_factory=ReversalConfig)
     eps: float = 1e-6
     max_nodes: int = 100_000
     max_time: float = 300.0
-    max_restarts: int = 20
-    seed: int = 0
     dump_extended: bool = False       # include extended-tree analytics in
                                       # the trace JSON
     attract_restart: bool = False     # one restart re-rooting the search
@@ -116,8 +110,7 @@ class SolveConfig:
             raise ValueError(f"unknown pseudo mode {self.pseudo!r}")
         if self.node_select not in ("dfs", "dval"):
             raise ValueError(f"unknown node selection {self.node_select!r}")
-        if self.max_nodes <= 0 or self.max_time <= 0 or \
-                self.max_restarts <= 0:
+        if self.max_nodes <= 0 or self.max_time <= 0:
             raise ValueError("limits must be positive")
 
 
@@ -159,7 +152,6 @@ class _Search:
         self.forced_root: tuple[int, str] | None = None
         self.full_solves = 0
         self.full_pivots = 0
-        self._pending_seed = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -314,15 +306,17 @@ class _Search:
                 return self.pseudo.pseudo_eval(j, f_plus, f_minus)
             return classic
 
+        thresholds = AnalyticalThresholds()
+
         def analytical(j, f_plus, f_minus, node):
             ext_id = getattr(node, "ext_id", None)
             parent = self.ext[ext_id] if ext_id is not None else self.ext[0]
             max_depth = max((r.depth for r in self.ext.records), default=0)
             up = analytical_uc(self.ext, j, "up", parent,
-                               self.config.thresholds, max_depth,
+                               thresholds, max_depth,
                                forward_only=True)
             dn = analytical_uc(self.ext, j, "down", parent,
-                               self.config.thresholds, max_depth,
+                               thresholds, max_depth,
                                forward_only=True)
             if up is None or dn is None:
                 return None
@@ -356,7 +350,7 @@ class _Search:
             return var, direction   # rationing must not wedge the search
         spec = self.config.criterion
         subset = {j: evals[j] for j in allowed}
-        sub = vote(subset, self.config.vote_panel) \
+        sub = vote(subset, VOTE_PANEL) \
             if spec.criterion is Criterion.VOTE else select(subset, spec)
         var, direction = sub.var, sub.direction
         if not self.gate_allows(node, var, direction):
@@ -393,13 +387,13 @@ class _Search:
         f2, _, _, _ = winnow_run(model, node.solution, fractions,
                                  cfg.winnow, ctx, node.depth)
         spec = cfg.criterion
-        ranking_spec = cfg.vote_panel[0] \
+        ranking_spec = VOTE_PANEL[0] \
             if spec.criterion is Criterion.VOTE else spec
         est = self.estimator()
         evals = evaluate_candidates(
             model, node.solution, f2, ctx, ranking_spec, fractions,
             estimate=None if est is None else partial(est, node=node))
-        pick = vote(evals, cfg.vote_panel) \
+        pick = vote(evals, VOTE_PANEL) \
             if spec.criterion is Criterion.VOTE else select(evals, spec)
         var, direction = self.apply_gate(node, evals, pick)
         self.record_pseudo(evals)
@@ -408,9 +402,8 @@ class _Search:
         if ev is not None and ev.uc_up is not None:
             lookup = uc_lookup_from(evals, node.solution)
             seed = {
-                "up": (ev.eval_up, _mincost_sum(ev.frac_up, lookup, None)),
-                "down": (ev.eval_down,
-                         _mincost_sum(ev.frac_down, lookup, None)),
+                "up": (ev.eval_up, _mincost_sum(ev.frac_up, lookup)),
+                "down": (ev.eval_down, _mincost_sum(ev.frac_down, lookup)),
             }
         return [(var, direction)], seed
 
@@ -564,10 +557,11 @@ class _Search:
         sibling = kids["down" if direction == "up" else "up"]
         return preferred, sibling
 
-    def apply_plan(self, node: NodeState, plan, fractions):
+    def apply_plan(self, node: NodeState, plan, seed):
         """Create children along the accepted plan, pushing the untaken
         sibling of every step; the last preferred child joins the open set
-        and everything deeper is expanded inline."""
+        and everything deeper is expanded inline.  seed holds the first
+        step's Dval pieces per direction, or None to derive them."""
         current = node
         for step, (var, direction) in enumerate(plan):
             if var not in detect_fractional(current.solution,
@@ -575,7 +569,7 @@ class _Search:
                 break
             preferred, sibling = self.make_children(
                 current, var, direction,
-                self.seed_for(current, var) if step == 0 else None)
+                self.seed_for(current, var, seed) if step == 0 else None)
             self.push(sibling)
             last = step == len(plan) - 1
             if last:
@@ -598,9 +592,7 @@ class _Search:
                 break
             current = preferred
 
-    def seed_for(self, node: NodeState, var: int):
-        seed = self._pending_seed
-        self._pending_seed = None
+    def seed_for(self, node: NodeState, var: int, seed):
         if seed is not None:
             return seed
         sol = node.solution
@@ -636,9 +628,7 @@ class _Search:
         self.root_x = root.solution.x.copy()
         if cfg.refset:
             self.refset = ReferenceSet(root_x=self.root_x,
-                                       root_x_o=root.solution.x_o,
-                                       r_max=cfg.refset_rmax,
-                                       p=cfg.refset_p)
+                                       root_x_o=root.solution.x_o)
         self.push(root)
         expansions = 0
         while self.open:
@@ -675,44 +665,41 @@ class _Search:
                 self.trace_node(node, "integral")
                 continue
             expansions += 1
-            plan = self.decide(node, fractions)
+            plan, seed = self.decide(node, fractions)
             if plan:
                 self.trace_node(node, "branched")
-                self.apply_plan(node, plan, fractions)
+                self.apply_plan(node, plan, seed)
         if self.incumbent.x is None:
             return self.finish("infeasible")
         return self.finish("feasible" if self.incomplete else "optimal")
 
     def decide(self, node: NodeState, fractions: dict):
-        """Branch plan for one node, with the signal-restart loop."""
-        cfg = self.config
+        """(branch plan, Dval seed) for one node, with the signal-restart
+        loop; an empty plan means the node needs no branching."""
         if node.depth == 0 and self.forced_root is not None:
             var, direction = self.forced_root
             self.forced_root = None
             if var in fractions:
-                self._pending_seed = None
-                return [(var, direction)]
+                return [(var, direction)], None
         restarts = 0
         while True:
             try:
-                plan, seed = self.pick_branch(node, fractions)
-                self._pending_seed = seed
-                return plan
+                return self.pick_branch(node, fractions)
             except CompulsorySignal as sig:
                 restarts += 1
                 if not self.absorb_at(node, sig):
-                    return []
+                    return [], None
                 fractions = detect_fractional(node.solution, self.problem)
                 if not fractions:
                     self.install_incumbent(node.solution.x,
                                            node.solution.x_o, node.depth,
                                            node)
                     self.trace_node(node, "integral")
-                    return []
+                    return [], None
             except NodeInfeasibleSignal:
                 self.trace_node(node, "infeasible",
                                 reason="both branches dead")
-                return []
+                return [], None
             except IncumbentSignal as sig:
                 restarts += 1
                 self.install_incumbent(sig.solution.x, sig.solution.x_o,
@@ -720,18 +707,17 @@ class _Search:
                 if node.bound > self.incumbent.cutoff + 1e-9:
                     self.trace_node(node, "pruned",
                                     reason="incumbent cutoff")
-                    return []
+                    return [], None
             except CListLeafSignal:
                 self.incomplete = True
                 self.closed_bound = min(self.closed_bound, node.bound)
                 self.trace_node(node, "clist-leaf")
-                return []
-            if restarts > cfg.max_restarts:
+                return [], None
+            if restarts > MAX_RESTARTS:
                 j = max(fractions,
                         key=lambda i: (min(fractions[i]), -i))
                 fp, fm = fractions[j]
-                self._pending_seed = None
-                return [(j, "up" if fp < fm else "down")]
+                return [(j, "up" if fp < fm else "down")], None
 
     def do_attract_restart(self):
         """One-shot restart re-rooting on the best accumulated counter."""
@@ -783,7 +769,6 @@ class _Search:
         trace = {
             "schema": TRACE_SCHEMA,
             "instance": self.problem.name,
-            "seed": self.config.seed,
             "status": status,
             "objective": None if self.incumbent.x is None
             else round(float(self.incumbent.x_o), 9),

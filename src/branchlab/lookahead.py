@@ -51,6 +51,9 @@ from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
 from branchlab.winnow import CListLeafSignal, WinnowParams
 from branchlab.winnow import run as winnow_run
 
+# Step 3 scores sibling leaf pairs against the root objective with C2a
+LEAF_SPEC = CriterionSpec(criterion=Criterion.C2A, p=1.0)
+
 
 @dataclass(frozen=True)
 class AttractConfig:
@@ -63,9 +66,6 @@ class AttractConfig:
 class LookaheadConfig:
     depth: int = 3
     winnow: WinnowParams = field(default_factory=WinnowParams)
-    leaf_spec: CriterionSpec = field(default_factory=lambda: CriterionSpec(
-        criterion=Criterion.C2A, p=1.0))
-    frac_weight: float = 0.0          # additive leaf penalty, <= 0
     postwin: str = "off"              # off | 2a | 2b | 2c
     lim: int = 3
     d0: int = 2
@@ -75,7 +75,6 @@ class LookaheadConfig:
     v: float = 1.0                    # d2 budget ratio n2(0)/n2(1)
     straddle: bool = False
     attract: AttractConfig = field(default_factory=AttractConfig)
-    scan_order: str = "dfs"           # within-level processing order
     early_exit: bool = False          # stop once one root side owns all
                                       # carried nodes (optional shortcut)
 
@@ -88,12 +87,8 @@ class LookaheadConfig:
             raise ValueError("post-winnowing needs lim >= 1 and d0 >= 1")
         if self.accept not in ("first", "path"):
             raise ValueError(f"unknown accept mode {self.accept!r}")
-        if self.scan_order not in ("dfs", "bfs"):
-            raise ValueError(f"unknown scan order {self.scan_order!r}")
         if not 1.0 <= self.v <= 2.0:
             raise ValueError("the d2 ratio v must lie in [1, 2]")
-        if self.frac_weight > 0:
-            raise ValueError("the fractionality weight must be <= 0")
 
 
 class AttractCounters:
@@ -159,7 +154,6 @@ class BuildResult:
     total_nodes: int
     leaves: list[TreeNode]
     winner_leaf: TreeNode | None
-    root_candidates: dict
     attract: AttractCounters
     early_exit: bool = False
     overridden: bool = False
@@ -312,7 +306,10 @@ class _Builder:
                 evals = self._solve_pairs(
                     node, f2, fractions,
                     None if est is None else partial(est, node=node))
-                chosen = select(evals, self.cfg.winnow.spec)
+                # only an LP-solved pair has children to admit
+                chosen = select({j: ev for j, ev in evals.items()
+                                 if ev.uc_up is not None},
+                                self.cfg.winnow.spec)
                 for j in f2:
                     self.attract.bump(j, evals[j].direction, half)
                 ev = evals[chosen.var]
@@ -445,8 +442,7 @@ class _Builder:
                                         early_side=side,
                                         early_node=winner,
                                         early_exit=early_exit)
-            scan = sorted(carried, key=lambda k: k.path_key(),
-                          reverse=cfg.scan_order == "bfs")
+            scan = sorted(carried, key=lambda k: k.path_key())
         return self._finish(root, pairs_by_depth, cfg)
 
     def _leaf_bundles(self, pairs: list[list[TreeNode]], root: TreeNode):
@@ -461,17 +457,6 @@ class _Builder:
                      if up_node is not None else gap)
             ev_dn = (dn_node.solution.x_o - root.solution.x_o
                      if dn_node is not None else gap)
-            if self.cfg.frac_weight != 0.0:
-                for node, attr in ((up_node, "up"), (dn_node, "down")):
-                    if node is None:
-                        continue
-                    frac = detect_fractional(node.solution, self.problem)
-                    pen = self.cfg.frac_weight * sum(
-                        min(fp, fm) for fp, fm in frac.values())
-                    if attr == "up":
-                        ev_up += pen
-                    else:
-                        ev_dn += pen
             bundles[idx] = BranchEval(
                 var=idx, eval_up=ev_up, eval_down=ev_dn,
                 x_up=ev_up, x_down=ev_dn,
@@ -491,8 +476,7 @@ class _Builder:
                 var=choice_var, direction=early_side,
                 path=[(choice_var, early_side)],
                 depth_counts=self.depth_counts, total_nodes=total,
-                leaves=leaves, winner_leaf=None,
-                root_candidates={}, attract=self.attract,
+                leaves=leaves, winner_leaf=None, attract=self.attract,
                 early_exit=True, nodes=self.all_nodes)
             return result
         deepest = max((d for d, pairs in pairs_by_depth.items() if pairs),
@@ -501,7 +485,7 @@ class _Builder:
         if not pairs:
             raise NodeInfeasibleSignal(-1)
         bundles, handles = self._leaf_bundles(pairs, root)
-        pick = select(bundles, cfg.leaf_spec)
+        pick = select(bundles, LEAF_SPEC)
         up_node, dn_node = handles[pick.var]
         winner = up_node if pick.direction == "up" else dn_node
         if winner is None:
@@ -513,8 +497,7 @@ class _Builder:
             path=path if cfg.accept == "path" else [(top.var,
                                                      top.direction)],
             depth_counts=self.depth_counts, total_nodes=total,
-            leaves=leaves, winner_leaf=winner,
-            root_candidates={}, attract=self.attract,
+            leaves=leaves, winner_leaf=winner, attract=self.attract,
             pair_scores={k: pick.scores.get(k) for k in bundles},
             nodes=self.all_nodes)
 
@@ -689,7 +672,6 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                        path=[(choice.var, direction)],
                        depth_counts=counts, total_nodes=sum(counts),
                        leaves=[], winner_leaf=None,
-                       root_candidates=root_evals,
                        attract=AttractCounters(),
                        pair_scores={"n2_root": n2_0, "n2_child": n2_1})
 

@@ -142,12 +142,6 @@ class NodeState:
             up[record.var] = record.bound
         return lo, up
 
-    def clone_for_child(self, node_id, record, lower, upper):
-        return NodeState(node_id=node_id, parent_id=self.node_id,
-                         depth=self.depth + 1, branch=record,
-                         lower=lower, upper=upper,
-                         implied=[], bound=self.bound)
-
 
 def detect_fractional(sol: LpSolution, problem: MipProblem,
                       tol: float = INT_TOL) -> dict[int, tuple[float, float]]:

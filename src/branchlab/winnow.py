@@ -139,11 +139,7 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
     n1 = min(n1, len(f0))
     # single-pivot probes carry no fractional sets or infeasibility sums,
     # so criteria that want them degrade to their plain form here
-    plain_spec = CriterionSpec(criterion=params.spec.criterion,
-                               p=params.spec.p, lam=params.spec.lam,
-                               w1=0.0, w2=0.0, mu=params.spec.mu,
-                               use_max_variant=params.spec.use_max_variant)
-    f1 = _rank(evals, plain_spec, n1)
+    f1 = _rank(evals, replace(params.spec, w1=0.0, w2=0.0), n1)
     return f0, f1, evals
 
 

@@ -108,17 +108,6 @@ class TestWeightedEvals:
         out = weight_eval(e, Flavor.FRAC_WEIGHTED, w1=0.0, w2=10.0)
         assert out.eval_up == pytest.approx(4.0)
 
-    def test_top_k_cap_keeps_largest_terms(self):
-        e = ev(0, 0.0, 0.0)
-        e.frac_up = {1: (0.5, 0.5), 2: (0.5, 0.5), 3: (0.5, 0.5)}
-        ucs = {1: (2.0, 2.0), 2: (6.0, 6.0), 3: (4.0, 4.0)}
-        out_all = weight_eval(e, Flavor.COST_WEIGHTED, 1.0, 0.0,
-                              uc_lookup=lambda i: ucs[i], top_k=None)
-        out_two = weight_eval(e, Flavor.COST_WEIGHTED, 1.0, 0.0,
-                              uc_lookup=lambda i: ucs[i], top_k=2)
-        assert out_all.eval_up == pytest.approx(1.0 + 3.0 + 2.0)
-        assert out_two.eval_up == pytest.approx(3.0 + 2.0)
-
 
 class TestUnitCosts:
     def test_uc_definition_and_epsilon(self):

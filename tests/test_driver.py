@@ -286,7 +286,7 @@ class TestCli:
         assert code == 0
         assert "status    optimal" in out
         data = json.loads(trace.read_text())
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["status"] == "optimal"
 
     def test_bench_exit_code_on_empty_dir(self, tmp_path, capsys):
@@ -314,3 +314,17 @@ class TestCli:
         report = json.loads(out_json.read_text())
         assert {r["strategy"] for r in report["rows"]} == {"quick", "deep"}
         del capsys
+
+    def test_unknown_config_option_fails(self, tmp_path, capsys):
+        from branchlab.cli import main
+        from branchlab.mps import write_mps
+
+        (tmp_path / "k.mps").write_text(write_mps(knapsack()))
+        cfgfile = tmp_path / "configs.json"
+        cfgfile.write_text(json.dumps({
+            "configs": {"ok": {"lookahead": 3},
+                        "typo": {"lookahed": 3}}}))
+        code = main(["bench", str(tmp_path), "--configs", str(cfgfile)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'typo'" in err and "'lookahed'" in err

@@ -103,17 +103,6 @@ class TestStepFour:
         assert len(result.path) == 3
         assert result.path[0] == (result.var, result.direction)
 
-    def test_scan_order_does_not_change_the_choice(self):
-        p = triangle_fixture(5, seed=3)
-        a = build(p, base_cfg(depth=3, scan_order="dfs"))
-        b = build(p, base_cfg(depth=3, scan_order="bfs"))
-        assert (a.var, a.direction) == (b.var, b.direction)
-        a2 = build(p, base_cfg(depth=4, postwin="2a", lim=2, d0=2,
-                               scan_order="dfs"))
-        b2 = build(p, base_cfg(depth=4, postwin="2a", lim=2, d0=2,
-                               scan_order="bfs"))
-        assert (a2.var, a2.direction) == (b2.var, b2.direction)
-
     def test_missing_sibling_scored_at_incumbent(self):
         from branchlab.lookahead import TreeNode
 
@@ -275,8 +264,7 @@ class TestAttract:
             builder.attract.bump(1, "down", None)
         base = BuildResult(var=0, direction="down", path=[(0, "down")],
                            depth_counts=[2], total_nodes=2, leaves=[],
-                           winner_leaf=None, root_candidates={},
-                           attract=builder.attract)
+                           winner_leaf=None, attract=builder.attract)
         out = _maybe_override(base, builder, [0, 1], cfg)
         assert out.overridden
         assert (out.var, out.direction) == (1, "up")
@@ -297,8 +285,7 @@ class TestAttract:
                           root_side="up")
         base = BuildResult(var=0, direction="up", path=[(0, "up")],
                            depth_counts=[2], total_nodes=2, leaves=[],
-                           winner_leaf=winner, root_candidates={},
-                           attract=builder.attract)
+                           winner_leaf=winner, attract=builder.attract)
         out = _maybe_override(base, builder, [0, 1], cfg)
         assert not out.overridden
 

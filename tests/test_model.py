@@ -99,5 +99,3 @@ def test_node_child_bounds():
     rec = BranchRecord(var=1, direction="up", bound=2.0)
     lo, up = node.child_bounds(rec)
     assert lo[1] == 2.0 and up[1] == p.upper[1]
-    child = node.clone_for_child(1, rec, lo, up)
-    assert child.depth == 1 and child.parent_id == 0

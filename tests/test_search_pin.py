@@ -8,10 +8,11 @@ look-ahead configurations that no matrix strategy runs: estimator shortcuts
 deduplicated trees.  The bundled corpus never lets the look-ahead builder
 use an estimate, so four more rows per instance widen stage 1 to n1 = 4 and
 run a search whose estimator stands in for every even-indexed candidate.
-Those rows pin today's behaviour as it is, including the builder's
-estimator fault on lab03 and lab06 (an estimated candidate can win the
-second selection after the first winner is re-solved, which leaves the
-root with no children).  A refactor that keeps the search keeps every row.
+The look-ahead builder then selects its branch among the LP-solved pairs
+only, so every row ends optimal at the instance's one optimum (an
+estimated candidate used to win the builder's selection on lab03 and
+lab06, leaving the root with no children and closing it as infeasible).
+A refactor that keeps the search keeps every row.
 
 Regenerate the golden file (only when a change sets out to alter the
 search) with
