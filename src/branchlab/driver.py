@@ -50,6 +50,7 @@ from branchlab.lookahead import (
     build_tree,
 )
 from branchlab.lp import (
+    LpError,
     LpStatus,
     PivotBudget,
     apply_reversal_update,
@@ -152,6 +153,7 @@ class _Search:
         self.forced_root: tuple[int, str] | None = None
         self.full_solves = 0
         self.full_pivots = 0
+        self.unsolved_children: dict[int, int] = {}   # by parent node id
 
     # -- plumbing ---------------------------------------------------------
 
@@ -230,6 +232,7 @@ class _Search:
             node = self.nodes[node_id]
             if node.bound > cutoff + 1e-9:
                 self.trace_node(node, "pruned", reason="incumbent cutoff")
+                self.child_done(node)
             else:
                 kept.append((node_id, order))
         self.open = kept
@@ -474,7 +477,7 @@ class _Search:
         try:
             rev_model, warm = apply_reversal_update(
                 leaf.model, leaf.solution, j, antecedent)
-        except Exception:
+        except LpError:
             return
         rev = solve(rev_model, warm_basis=warm,
                     budget=PivotBudget(cutoff=self.incumbent.cutoff))
@@ -508,6 +511,7 @@ class _Search:
         sol = solve(self.node_model(node), warm_basis=warm, budget=budget)
         self.counters.absorb(sol)
         node.solution = sol
+        self.child_done(node)
         if sol.status is LpStatus.OPTIMAL:
             node.bound = sol.x_o
             self.full_solves += 1
@@ -519,6 +523,23 @@ class _Search:
         if sol.status is LpStatus.INFEASIBLE:
             return "infeasible"
         return "limit"
+
+    # A node's LP memo (`lp.Basis.memo`) serves solves warm-started from
+    # its basis: its own look-ahead builds and its children.  It is freed
+    # once no such solve can come: the node was closed unbranched, or both
+    # its children were solved or dropped.
+
+    def child_done(self, child: NodeState):
+        """Count a child as solved or dropped."""
+        if child.parent_id is not None:
+            self.unsolved_children[child.parent_id] -= 1
+            self.release(self.nodes[child.parent_id])
+
+    def release(self, node: NodeState):
+        """Free the memo of a solved node that has no child pending."""
+        if node.solution is not None and \
+                not self.unsolved_children.get(node.node_id):
+            node.solution.basis.forget_solves()
 
     def refresh_dval_parts(self, node: NodeState, parent):
         """Exact open-node evaluation pieces once the node LP is solved."""
@@ -553,6 +574,7 @@ class _Search:
             child.ext_id = ext_rec.node_id
             kids[rec.direction] = child
         self.counters.nodes += 2
+        self.unsolved_children[node.node_id] = 2
         preferred = kids[direction]
         sibling = kids["down" if direction == "up" else "up"]
         return preferred, sibling
@@ -563,6 +585,7 @@ class _Search:
         and everything deeper is expanded inline.  seed holds the first
         step's Dval pieces per direction, or None to derive them."""
         current = node
+        solved = []
         for step, (var, direction) in enumerate(plan):
             if var not in detect_fractional(current.solution,
                                             self.problem):
@@ -576,6 +599,7 @@ class _Search:
                 self.push(preferred)
                 break
             status = self.ensure_solved(preferred)
+            solved.append(preferred)
             if status == "cutoff":
                 self.trace_node(preferred, "pruned", reason="cutoff")
                 break
@@ -591,6 +615,8 @@ class _Search:
                 self.trace_node(preferred, "integral")
                 break
             current = preferred
+        for child in solved:
+            self.release(child)
 
     def seed_for(self, node: NodeState, var: int, seed):
         if seed is not None:
@@ -640,38 +666,45 @@ class _Search:
             node = self.select_open()
             if node.bound > self.incumbent.cutoff + 1e-9:
                 self.trace_node(node, "pruned", reason="bound")
+                self.child_done(node)
                 continue
-            status = self.ensure_solved(node)
-            if status == "cutoff":
-                self.trace_node(node, "pruned", reason="cutoff")
-                continue
-            if status == "infeasible":
-                self.trace_node(node, "infeasible")
-                continue
-            if status == "limit":
-                self.incomplete = True
-                self.closed_bound = min(self.closed_bound, node.bound)
-                self.trace_node(node, "closed", reason="solver limit")
-                continue
-            fractions = detect_fractional(node.solution, self.problem)
-            if node.branch is not None and node.parent_id is not None:
-                parent = self.nodes.get(node.parent_id)
-                if parent is not None and parent.solution is not None:
-                    self.update_taken_pseudo(parent, node)
-            if not fractions:
-                self.install_incumbent(node.solution.x,
-                                       node.solution.x_o, node.depth,
-                                       node)
-                self.trace_node(node, "integral")
-                continue
-            expansions += 1
-            plan, seed = self.decide(node, fractions)
-            if plan:
-                self.trace_node(node, "branched")
-                self.apply_plan(node, plan, seed)
+            expansions += self.visit(node)
+            self.release(node)
         if self.incumbent.x is None:
             return self.finish("infeasible")
         return self.finish("feasible" if self.incomplete else "optimal")
+
+    def visit(self, node: NodeState) -> bool:
+        """Solve an open node and close or branch it; True if it was
+        handed to branch selection."""
+        status = self.ensure_solved(node)
+        if status == "cutoff":
+            self.trace_node(node, "pruned", reason="cutoff")
+            return False
+        if status == "infeasible":
+            self.trace_node(node, "infeasible")
+            return False
+        if status == "limit":
+            self.incomplete = True
+            self.closed_bound = min(self.closed_bound, node.bound)
+            self.trace_node(node, "closed", reason="solver limit")
+            return False
+        fractions = detect_fractional(node.solution, self.problem)
+        if node.branch is not None and node.parent_id is not None:
+            parent = self.nodes.get(node.parent_id)
+            if parent is not None and parent.solution is not None:
+                self.update_taken_pseudo(parent, node)
+        if not fractions:
+            self.install_incumbent(node.solution.x,
+                                   node.solution.x_o, node.depth,
+                                   node)
+            self.trace_node(node, "integral")
+            return False
+        plan, seed = self.decide(node, fractions)
+        if plan:
+            self.trace_node(node, "branched")
+            self.apply_plan(node, plan, seed)
+        return True
 
     def decide(self, node: NodeState, fractions: dict):
         """(branch plan, Dval seed) for one node, with the signal-restart
@@ -729,6 +762,7 @@ class _Search:
         for node_id, _ in self.open:
             self.trace_node(self.nodes[node_id], "dropped",
                             reason="attract restart")
+            self.child_done(self.nodes[node_id])
         self.open = []
         fresh = self.new_node(None, None, self.problem.lower.copy(),
                               self.problem.upper.copy())

@@ -35,6 +35,15 @@ Where B^-1 comes from:
   * All single-pivot probes and tableau rows at one (model, basis) pair
     read one loaded workspace, built on the first of them and kept with
     the basis; they never write to it.
+
+Whole solves are reused too.  A warm solve's run depends only on the warm
+basis and the model; the budget decides only where it stops.  So each
+warm basis keeps a memo of the runs started from it, keyed on the model's
+`rows`, `obj` and `rhs` arrays (by identity) and its bound bytes, each
+with its solution and its path: the objective, the largest violation and
+the stall count at every iterate.  A later solve of the same key returns
+a stored solution when replaying that path through `_stop` under its own
+budget stops at the same iterate with the same status; otherwise it runs.
 """
 
 from __future__ import annotations
@@ -134,9 +143,9 @@ class Basis:
     Columns 0..n-1 are structural, n..n+m-1 are row surpluses.  `at_upper`
     holds the nonbasic columns currently sitting at their upper bound.
 
-    `factor` and `probe_state` hold work the engine has already done at
-    this basis (see the module docstring).  They are filled in on the
-    first load and are not part of the basis's value.
+    `factor`, `probe_state` and `memo` hold work the engine has already
+    done at this basis (see the module docstring).  They are filled in on
+    the first load or solve and are not part of the basis's value.
     """
 
     basic: tuple[int, ...]
@@ -144,9 +153,15 @@ class Basis:
     factor: _Factor | None = field(default=None, compare=False, repr=False)
     probe_state: _Workspace | None = field(
         default=None, init=False, compare=False, repr=False)
+    memo: dict | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def _remember(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
+
+    def forget_solves(self) -> None:
+        """Drop the memo of solves warm-started from this basis."""
+        self._remember("memo", None)
 
 
 @dataclass(frozen=True)
@@ -548,36 +563,82 @@ class _Workspace:
         return Basis(tuple(int(c) for c in self.basic), ups, self.factor)
 
 
-def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) -> tuple[LpStatus, int]:
-    pivots = 0
+def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
+          stalled: int) -> LpStatus | None:
+    """The status a run ends with at this iterate, or None to pivot on."""
+    # the cutoff is inclusive: an iterate exactly on it can still lead
+    # to an acceptable solution, so only strictly worse ones die
+    if objective > budget.cutoff + 1e-9:
+        return LpStatus.CUTOFF_INFEASIBLE
+    if viol <= FEAS_TOL:
+        return LpStatus.OPTIMAL
+    if budget.v_lim is not None and viol < budget.v_lim:
+        return LpStatus.PIVOT_LIMIT_HIT
+    if pivots >= budget.max_pivots or stalled >= budget.max_degenerate:
+        return LpStatus.PIVOT_LIMIT_HIT
+    return None
+
+
+def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
+        -> tuple[LpStatus, list[tuple[float, float, int]]]:
+    """Pivot until `_stop` or an empty ratio test ends the run.
+
+    Returns the status and the path: (objective, largest violation, stall
+    count) at each iterate, so the pivot count is len(path) - 1.
+    """
+    path = []
     stalled = 0
     while True:
-        # the cutoff is inclusive: an iterate exactly on it can still lead
-        # to an acceptable solution, so only strictly worse ones die
-        if ws.objective() > budget.cutoff + 1e-9:
-            return LpStatus.CUTOFF_INFEASIBLE, pivots
         viol, pos = ws.max_violation()
-        if viol <= FEAS_TOL:
-            return LpStatus.OPTIMAL, pivots
-        if budget.v_lim is not None and viol < budget.v_lim:
-            return LpStatus.PIVOT_LIMIT_HIT, pivots
-        if pivots >= budget.max_pivots or stalled >= budget.max_degenerate:
-            return LpStatus.PIVOT_LIMIT_HIT, pivots
+        objective = ws.objective()
+        path.append((objective, viol, stalled))
+        status = _stop(budget, objective, viol, len(path) - 1, stalled)
+        if status is not None:
+            return status, path
         found = ws.entering_column(pos)
         if found is None:
-            return LpStatus.INFEASIBLE, pivots
+            return LpStatus.INFEASIBLE, path
         enter, alpha = found
         delta = ws.pivot(pos, enter, alpha)
-        pivots += 1
         stalled = stalled + 1 if delta <= 1e-12 else 0
-        if pivots % REFACTOR_EVERY == 0:
+        if len(path) % REFACTOR_EVERY == 0:
             ws.refactorize()
+
+
+def _replays(path: list[tuple[float, float, int]], status: LpStatus,
+             budget: PivotBudget) -> bool:
+    """Whether `budget` stops a recorded run at its last iterate with
+    its status, so the run's solution is also the answer under `budget`."""
+    last = len(path) - 1
+    for pivots, (objective, viol, stalled) in enumerate(path):
+        stop = _stop(budget, objective, viol, pivots, stalled)
+        if stop is not None:
+            return pivots == last and stop is status
+    # no stop test ended the run, so its ratio test came up empty
+    return status is LpStatus.INFEASIBLE
+
+
+def _memo_key(model: LpModel) -> tuple:
+    # ids are safe: each memo entry keeps its model, hence these arrays
+    return (id(model.rows), id(model.obj), id(model.rhs),
+            model.lower.tobytes(), model.upper.tobytes())
 
 
 def solve(model: LpModel, warm_basis: Basis | None = None,
           budget: PivotBudget | None = None) -> LpSolution:
-    """Dual simplex solve; warm basis must be dual-feasible or flippable."""
+    """Dual simplex solve; warm basis must be dual-feasible or flippable.
+
+    A warm solve may be answered from the basis's memo (module
+    docstring); the solution is then shared with earlier callers, which
+    is why its arrays are read-only.
+    """
     budget = budget or PivotBudget()
+    if warm_basis is not None:
+        key = _memo_key(model)
+        runs = (warm_basis.memo or {}).get(key, ())
+        for _, path, sol in runs:
+            if _replays(path, sol.status, budget):
+                return sol
     ws = _Workspace(model)
     loaded = False
     if warm_basis is not None:
@@ -586,10 +647,12 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
         ws.load_cold()
         if not ws._restore_dual_feasibility():
             raise LpNumericError("could not construct a dual-feasible start")
-    status, pivots = _run_dual_simplex(ws, budget)
+    status, path = _run_dual_simplex(ws, budget)
     values = ws.values()
     x = values[:model.n_cols].copy()
     rc = ws.translated_rc()[:model.n_cols].copy()
+    x.setflags(write=False)
+    rc.setflags(write=False)
     infeas = 0.0 if status is LpStatus.OPTIMAL else ws.infeasibility()
     if status is LpStatus.OPTIMAL and ws.artificial:
         for j in ws.artificial:
@@ -598,9 +661,14 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
                     "optimum rests on an artificial bound; the LP is likely "
                     "unbounded below")
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
-    return LpSolution(status=status, x_o=x_o, x=x, reduced=rc,
-                      infeas=infeas, pivots=pivots,
-                      basis=ws.snapshot_basis())
+    sol = LpSolution(status=status, x_o=x_o, x=x, reduced=rc,
+                     infeas=infeas, pivots=len(path) - 1,
+                     basis=ws.snapshot_basis())
+    if warm_basis is not None:
+        if warm_basis.memo is None:
+            warm_basis._remember("memo", {})
+        warm_basis.memo.setdefault(key, []).append((model, path, sol))
+    return sol
 
 
 def fractional_parts(value: float) -> tuple[float, float]:

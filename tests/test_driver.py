@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import branchlab.driver as driver_module
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
 from branchlab.driver import (
     ReversalConfig,
@@ -15,6 +16,7 @@ from branchlab.driver import (
     trace_to_json,
 )
 from branchlab.lookahead import LookaheadConfig
+from branchlab.lp import LpModelError, LpProbeError
 from branchlab.model import MipProblem
 from branchlab.winnow import WinnowParams
 from oracles import mip_lattice_minimum
@@ -185,6 +187,31 @@ class TestReversals:
             if seen >= 3:
                 break
         assert seen >= 1
+
+    REVERSING = SolveConfig(
+        lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3)),
+        reversal=ReversalConfig(enabled=True, beta=0.5))
+
+    @pytest.mark.parametrize("error", [LpProbeError, LpModelError])
+    def test_a_reversal_the_lp_layer_rejects_is_skipped(self, monkeypatch,
+                                                        error):
+        p = random_ip(52)
+        assert solve_mip(p, self.REVERSING).trace["reversals"]
+
+        def reject(*args):
+            raise error("rejected")
+
+        monkeypatch.setattr(driver_module, "apply_reversal_update", reject)
+        res = solve_mip(p, self.REVERSING)
+        assert res.status == "optimal" and res.trace["reversals"] == []
+
+    def test_other_reversal_faults_escape_the_search(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("broken reversal")
+
+        monkeypatch.setattr(driver_module, "apply_reversal_update", broken)
+        with pytest.raises(RuntimeError, match="broken reversal"):
+            solve_mip(random_ip(52), self.REVERSING)
 
     def test_reversals_do_not_change_the_answer(self):
         base = SolveConfig(
