@@ -144,8 +144,9 @@ class Basis:
     holds the nonbasic columns currently sitting at their upper bound.
 
     `factor`, `probe_state` and `memo` hold work the engine has already
-    done at this basis (see the module docstring).  They are filled in on
-    the first load or solve and are not part of the basis's value.
+    done at this basis (see the module docstring), and `straddle_children`
+    the straddle children built at it (`straddle.StraddleDisjunction`).
+    They are filled in on first use and are not part of the basis's value.
     """
 
     basic: tuple[int, ...]
@@ -155,13 +156,17 @@ class Basis:
         default=None, init=False, compare=False, repr=False)
     memo: dict | None = field(
         default=None, init=False, compare=False, repr=False)
+    straddle_children: dict | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def _remember(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
 
     def forget_solves(self) -> None:
-        """Drop the memo of solves warm-started from this basis."""
+        """Drop the memo of solves warm-started from this basis and the
+        straddle children built at it, whose own memos go with them."""
         self._remember("memo", None)
+        self._remember("straddle_children", None)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,12 @@ def _checked_bounds(lower, upper, n: int):
         raise LpModelError("lower bounds must be < +inf, uppers > -inf")
     lower.setflags(write=False)
     upper.setflags(write=False)
-    return lower, upper
+    return lower, upper, _has_empty_box(lower, upper)
+
+
+def _has_empty_box(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether some column's lower bound exceeds its upper bound."""
+    return bool((lower > upper + FEAS_TOL).any())
 
 
 class LpModel:
@@ -198,10 +208,12 @@ class LpModel:
 
     Models derived by a bound change share their parent's validated
     `obj`, `rows` and `rhs` arrays and its full matrix [A | -I].
+    `empty_box` is set when some column's lower bound exceeds its upper
+    bound, so the model is infeasible whatever its rows.
     """
 
-    __slots__ = ("obj", "rows", "rhs", "lower", "upper", "straddle_rows",
-                 "_matrices")
+    __slots__ = ("obj", "rows", "rhs", "lower", "upper", "empty_box",
+                 "straddle_rows", "_matrices")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
         obj = np.asarray(obj, dtype=float)
@@ -219,7 +231,7 @@ class LpModel:
         if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(rows))
                 and np.all(np.isfinite(rhs))):
             raise LpModelError("coefficients must be finite")
-        lower, upper = _checked_bounds(lower, upper, n)
+        lower, upper, empty_box = _checked_bounds(lower, upper, n)
         for a in (obj, rows, rhs):
             a.setflags(write=False)
         object.__setattr__(self, "obj", obj)
@@ -227,6 +239,7 @@ class LpModel:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "empty_box", empty_box)
         # (row index, surplus column) pairs of appended straddle rows
         object.__setattr__(self, "straddle_rows", tuple(straddle_rows))
         object.__setattr__(self, "_matrices", None)
@@ -254,7 +267,8 @@ class LpModel:
             object.__setattr__(self, "_matrices", (full, cost))
         return self._matrices
 
-    def _rebound(self, lower: np.ndarray, upper: np.ndarray) -> "LpModel":
+    def _rebound(self, lower: np.ndarray, upper: np.ndarray,
+                 empty_box: bool) -> "LpModel":
         """This model under checked bound vectors, sharing everything else."""
         matrices = self.matrices()
         model = object.__new__(LpModel)
@@ -262,6 +276,7 @@ class LpModel:
             object.__setattr__(model, name, getattr(self, name))
         object.__setattr__(model, "lower", lower)
         object.__setattr__(model, "upper", upper)
+        object.__setattr__(model, "empty_box", empty_box)
         object.__setattr__(model, "_matrices", matrices)
         return model
 
@@ -281,7 +296,10 @@ class LpModel:
             raise LpModelError("lower bounds must be < +inf, uppers > -inf")
         lo.setflags(write=False)
         up.setflags(write=False)
-        return self._rebound(lo, up)
+        # only column j can have emptied its box, unless one already was
+        empty_box = bool(lo[j] > up[j] + FEAS_TOL) or \
+            (self.empty_box and _has_empty_box(lo, up))
+        return self._rebound(lo, up, empty_box)
 
     def with_row(self, coeffs, rhs_value: float,
                  straddle: bool = False) -> "LpModel":
@@ -618,7 +636,7 @@ def _replays(path: list[tuple[float, float, int]], status: LpStatus,
     return status is LpStatus.INFEASIBLE
 
 
-def _memo_key(model: LpModel) -> tuple:
+def memo_key(model: LpModel) -> tuple:
     # ids are safe: each memo entry keeps its model, hence these arrays
     return (id(model.rows), id(model.obj), id(model.rhs),
             model.lower.tobytes(), model.upper.tobytes())
@@ -630,15 +648,18 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
 
     A warm solve may be answered from the basis's memo (module
     docstring); the solution is then shared with earlier callers, which
-    is why its arrays are read-only.
+    is why its arrays are read-only.  A model with an empty column box
+    is INFEASIBLE without a pivot.
     """
     budget = budget or PivotBudget()
     if warm_basis is not None:
-        key = _memo_key(model)
+        key = memo_key(model)
         runs = (warm_basis.memo or {}).get(key, ())
         for _, path, sol in runs:
             if _replays(path, sol.status, budget):
                 return sol
+    if model.empty_box:
+        return _infeasible_box(model)
     ws = _Workspace(model)
     loaded = False
     if warm_basis is not None:
@@ -669,6 +690,17 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
             warm_basis._remember("memo", {})
         warm_basis.memo.setdefault(key, []).append((model, path, sol))
     return sol
+
+
+def _infeasible_box(model: LpModel) -> LpSolution:
+    """The answer for a model with an empty column box, at the cold basis."""
+    n, m = model.n_cols, model.n_rows
+    zeros = np.zeros(n)
+    zeros.setflags(write=False)
+    infeas = float(np.maximum(model.lower - model.upper, 0.0).sum())
+    return LpSolution(status=LpStatus.INFEASIBLE, x_o=INF, x=zeros,
+                      reduced=zeros, infeas=infeas, pivots=0,
+                      basis=Basis(tuple(range(n, n + m))))
 
 
 def fractional_parts(value: float) -> tuple[float, float]:

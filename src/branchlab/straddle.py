@@ -31,6 +31,12 @@ deriving further children.
 
 StraddleDisjunction partitions the tableau row once and derives both
 children from it, for criteria.evaluate_pair and the winnow estimates.
+The children are kept on the node's basis, keyed like its LP memo (the
+model's arrays and bounds), on x_j and on the integrality mask, until
+`Basis.forget_solves`.  So the stage-1 estimates, the stage-2 truncated
+solves and the Step-2 pair solves at that node all load one child model
+and warm basis: they share its inverse and its memo, and answer bit for
+bit as freshly built children would.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from branchlab.lp import (
     PivotBudget,
     fractional_parts,
     is_fractional,
+    memo_key,
     solve,
     tableau_row_for,
 )
@@ -220,14 +227,23 @@ class StraddleDisjunction:
 
     def __init__(self, model: LpModel, sol: LpSolution, j: int,
                  ctx: EvalContext):
-        self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
-        self.rows, up, _ = build_straddle_rows(model, sol, j,
-                                               ctx.problem.integer_mask)
-        self.slack_col = up.slack_col     # the same column for both rows
+        self.sol, self.j, self.ctx = sol, j, ctx
+        mask = ctx.problem.integer_mask
+        key = (memo_key(model), j, mask.tobytes())
+        cache = sol.basis.straddle_children
+        if cache is None:
+            cache = {}
+            sol.basis._remember("straddle_children", cache)
+        if key not in cache:
+            rows, up, _ = build_straddle_rows(model, sol, j, mask)
+            # the entry keeps `model`, so the ids in its key stay unique
+            cache[key] = model, {
+                d: _append_row(model, sol, rows[d], up.slack_col)
+                for d in ("up", "down")}
+        self.children = cache[key][1]
 
     def child(self, direction: str) -> tuple[LpModel, Basis]:
-        return _append_row(self.model, self.sol, self.rows[direction],
-                           self.slack_col)
+        return self.children[direction]
 
     def solve(self, direction: str,
               budget: PivotBudget | None = None) -> LpSolution:

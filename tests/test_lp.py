@@ -57,6 +57,29 @@ def test_contradictory_bounds_are_infeasible():
     assert sol.x_o == math.inf
 
 
+@pytest.mark.parametrize("obj", [[1.0, 1.0], [-1.0, 1.0]])
+def test_an_empty_column_box_is_infeasible(obj):
+    # 3 <= x0 <= 2: no point satisfies the bounds, whatever the rows say
+    model = LpModel(obj=obj, rows=[[1.0, 1.0]], rhs=[1.0],
+                    lower=[3.0, 0.0], upper=[2.0, 5.0])
+    boxed = model.with_bounds(0, lower=0.0)
+    warm = solve(boxed).basis
+    # the same empty box, reached through each way of setting bounds
+    for empty in (model, model.with_bounds(1, upper=4.0),
+                  boxed.with_bounds(0, lower=3.0),
+                  boxed.with_bound_vectors([3.0, 0.0], [2.0, 5.0])):
+        assert empty.empty_box
+        for start in (None, warm):
+            sol = solve(empty, warm_basis=start)
+            assert sol.status is LpStatus.INFEASIBLE
+            assert sol.x_o == math.inf
+            assert sol.pivots == 0
+    # a box empty by less than the feasibility tolerance is a point
+    flat = model.with_bounds(0, lower=2.0 + 1e-9)
+    assert not boxed.empty_box and not flat.empty_box
+    assert solve(flat).status is LpStatus.OPTIMAL
+
+
 def test_optimum_matches_vertex_oracle_on_random_instances():
     rng = np.random.default_rng(20240311)
     solved = 0

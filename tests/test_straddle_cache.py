@@ -1,0 +1,187 @@
+"""Straddle children are built once per node basis and answer as fresh ones.
+
+`StraddleDisjunction` keeps both children of x_j on the node's basis,
+keyed on the node model's arrays and bounds, on j and on the integrality
+mask.  These tests compare every solve through the kept children, in the
+order the winnow and Step 2 make them, with a solve of a freshly built
+child, bit for bit.  They check that the rows are built once per key,
+that another model at the same basis misses, that `forget_solves` frees
+the children, and that a look-ahead search reads the same with and
+without the cache and keeps no children once it ends.
+"""
+
+import numpy as np
+
+import branchlab.driver as driver
+from branchlab import straddle
+from branchlab.bench import default_matrix
+from branchlab.criteria import EvalContext
+from branchlab.lp import PivotBudget, solve
+from branchlab.model import detect_fractional
+from branchlab.straddle import (
+    StraddleDisjunction,
+    make_straddle,
+    straddle_pivot_estimate,
+)
+from test_driver import random_ip as driver_ip
+from test_lp_memo import assert_same_answer, stored
+from test_straddle import fractional_instance
+
+
+def nodes(rng):
+    """A fractional root and the fractional straddle and bound children
+    below it, as (model, solution, fractions) triples."""
+    p, sol, frac = fractional_instance(rng, n=5, m=3)
+    model = p.to_lp()
+    out = [(model, sol, frac)]
+    j = min(frac)
+    for d in ("up", "down"):
+        child, warm, _ = make_straddle(model, sol, j, d, p.integer_mask)
+        bound = (model.with_bounds(j, lower=np.ceil(sol.x[j])) if d == "up"
+                 else model.with_bounds(j, upper=np.floor(sol.x[j])))
+        for kid, start in ((child, warm), (bound, sol.basis)):
+            ksol = solve(kid, warm_basis=start)
+            kfrac = detect_fractional(ksol, p) if ksol.is_optimal else {}
+            if kfrac:
+                out.append((kid, ksol, kfrac))
+    return p, out
+
+
+def fresh_solve(model, sol, j, d, mask, budget):
+    child, warm, _ = make_straddle(model, sol, j, d, mask)
+    return solve(child, warm_basis=warm, budget=budget)
+
+
+def test_kept_children_answer_as_fresh_ones():
+    rng = np.random.default_rng(707)
+    compared = hits = shared = 0
+    for draw in range(25):
+        p, found = nodes(rng)
+        mask = p.integer_mask
+        for model, sol, frac in found:
+            cutoff = np.inf if draw % 2 else sol.x_o + 0.5
+            ctx = EvalContext(problem=p, check_incumbent=False,
+                              cutoff=cutoff)
+            probe = PivotBudget(max_pivots=1, cutoff=cutoff)
+            # winnow order: every estimate, then every truncated solve,
+            # then every full solve, each through a new disjunction
+            for stage in ("estimate", "truncated", "full"):
+                budget = {"estimate": probe,
+                          "truncated": ctx.branch_budget(pivot_limit=2),
+                          "full": ctx.branch_budget()}[stage]
+                for j in sorted(frac):
+                    disj = StraddleDisjunction(model, sol, j, ctx)
+                    for d in ("up", "down"):
+                        child, warm = disj.child(d)
+                        if stage == "estimate":
+                            fc, fw, _ = make_straddle(model, sol, j, d, mask)
+                            assert disj.estimate(d) == \
+                                straddle_pivot_estimate(fc, fw, sol, ctx)
+                        before = stored(warm)
+                        got = solve(child, warm_basis=warm, budget=budget)
+                        want = fresh_solve(model, sol, j, d, mask, budget)
+                        assert_same_answer(got, want)
+                        compared += 1
+                        hits += id(got) in before
+                        again = StraddleDisjunction(model, sol, j, ctx)
+                        a_child, a_warm = again.child(d)
+                        shared += a_child is child and a_warm is warm
+    assert compared >= 500
+    assert shared == compared
+    assert hits >= compared // 3
+
+
+def test_rows_are_built_once_per_key(monkeypatch):
+    calls = []
+    real = straddle.build_straddle_rows
+
+    def counted(model, sol, j, mask):
+        out = real(model, sol, j, mask)
+        calls.append((model, sol.basis, j, out[0]))
+        return out
+
+    monkeypatch.setattr(straddle, "build_straddle_rows", counted)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        p, found = nodes(rng)
+        for model, sol, frac in found:
+            ctx = EvalContext(problem=p, check_incumbent=False)
+            calls.clear()
+            for _ in range(3):
+                for j in sorted(frac):
+                    disj = StraddleDisjunction(model, sol, j, ctx)
+                    for d in ("up", "down"):
+                        disj.estimate(d)
+                        disj.solve(d)
+            assert [c[2] for c in calls] == sorted(frac)
+            for built_model, basis, j, rows in calls:
+                assert built_model is model and basis is sol.basis
+                disj = StraddleDisjunction(model, sol, j, ctx)
+                slack = model.n_cols + model.n_rows
+                for d in ("up", "down"):
+                    child, warm = disj.child(d)
+                    w, rhs = rows[d]
+                    assert child.rows[-1].tobytes() == w.tobytes()
+                    assert child.rhs[-1] == rhs
+                    assert warm.basic == sol.basis.basic + (slack,)
+
+
+def one_node():
+    p, sol, frac = fractional_instance(np.random.default_rng(5), n=5, m=3)
+    ctx = EvalContext(problem=p, check_incumbent=False)
+    return p, p.to_lp(), sol, min(frac), ctx
+
+
+def test_a_bound_sibling_at_the_same_basis_misses():
+    p, model, sol, j, ctx = one_node()
+    first = StraddleDisjunction(model, sol, j, ctx)
+    # x_j is basic, so a wider upper bound keeps its value and the rows
+    sibling = model.with_bounds(j, upper=model.upper[j] + 1.0)
+    other = StraddleDisjunction(sibling, sol, j, ctx)
+    assert len(sol.basis.straddle_children) == 2
+    for d in ("up", "down"):
+        mine, theirs = first.child(d)[0], other.child(d)[0]
+        assert theirs is not mine
+        assert theirs.upper.tobytes() == sibling.upper.tobytes()
+        assert mine.upper.tobytes() == model.upper.tobytes()
+        assert_same_answer(
+            solve(*other.child(d)),
+            fresh_solve(sibling, sol, j, d, p.integer_mask, None))
+
+
+def test_forget_solves_frees_the_children():
+    p, model, sol, j, ctx = one_node()
+    disj = StraddleDisjunction(model, sol, j, ctx)
+    child, warm = disj.child("up")
+    kept = solve(child, warm_basis=warm)
+    assert sol.basis.straddle_children
+    sol.basis.forget_solves()
+    assert sol.basis.straddle_children is None and sol.basis.memo is None
+    again = StraddleDisjunction(model, sol, j, ctx).child("up")
+    assert again[0] is not child and again[1] is not warm
+    assert_same_answer(solve(*again), kept)
+
+
+LA_STRADDLE = default_matrix()["la-straddle"]
+BRANCHING = (74, 75, 89, 93)      # seeds whose searches build many rows
+
+
+def test_a_search_reads_the_same_without_the_cache(monkeypatch):
+    problems = [driver_ip(seed, n=8, m=3, hi=6) for seed in BRANCHING]
+    kept = [driver.solve_mip(p, LA_STRADDLE) for p in problems]
+    # a key that never repeats rebuilds every child, as before the cache
+    monkeypatch.setattr(straddle, "memo_key", lambda model: object())
+    for p, a in zip(problems, kept):
+        b = driver.solve_mip(p, LA_STRADDLE)
+        assert driver.trace_to_json(a.trace) == driver.trace_to_json(b.trace)
+        assert a.counters == b.counters
+        assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_children_do_not_outlive_a_search():
+    for seed in BRANCHING:
+        search = driver._Search(driver_ip(seed, n=8, m=3, hi=6), LA_STRADDLE)
+        assert search.run().status == "optimal"
+        assert not any(node.solution.basis.straddle_children
+                       for node in search.nodes.values()
+                       if node.solution is not None)
