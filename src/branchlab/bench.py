@@ -25,9 +25,10 @@ REPORT_SCHEMA = 1
 
 
 def default_matrix() -> dict[str, SolveConfig]:
-    """The strategy configurations compared out of the box."""
-    la = LookaheadConfig(depth=3, winnow=WinnowParams(k2=5),
-                         postwin="2a", lim=3, d0=2)
+    """The strategy configurations compared out of the box; the look-ahead
+    entries winnow with k2 = 5 and rank and pick by C1."""
+    base = SolveConfig(criterion=CriterionSpec(), winnow=WinnowParams(k2=5))
+    la = LookaheadConfig(depth=3, postwin="2a")
     return {
         "plain-c1": SolveConfig(
             criterion=CriterionSpec(criterion=Criterion.C1_PRODUCT)),
@@ -42,15 +43,15 @@ def default_matrix() -> dict[str, SolveConfig]:
                                     w2=1.0)),
         "vote": SolveConfig(
             criterion=CriterionSpec(criterion=Criterion.VOTE)),
-        "la-d3-2a": SolveConfig(lookahead=la),
-        "la-d3-2b": SolveConfig(lookahead=replace(la, postwin="2b")),
-        "la-d2-mode": SolveConfig(lookahead=LookaheadConfig(
-            depth=2, winnow=WinnowParams(k2=1), d2_mode=True, v=1.0)),
-        "la-straddle": SolveConfig(lookahead=replace(la, straddle=True)),
-        "la-attract": SolveConfig(lookahead=replace(
+        "la-d3-2a": replace(base, lookahead=la),
+        "la-d3-2b": replace(base, lookahead=replace(la, postwin="2b")),
+        "la-d2-mode": SolveConfig(criterion=CriterionSpec(),
+                                  lookahead=LookaheadConfig(d2_mode=True)),
+        "la-straddle": replace(base, lookahead=replace(la, straddle=True)),
+        "la-attract": replace(base, lookahead=replace(
             la, attract=AttractConfig(enabled=True, threshold=3.0))),
-        "la-reversals": SolveConfig(
-            lookahead=replace(la, postwin="off"),
+        "la-reversals": replace(
+            base, lookahead=replace(la, postwin="off"),
             reversal=ReversalConfig(enabled=True, beta=0.5)),
         "pseudo-classic": SolveConfig(pseudo="classic"),
         "pseudo-analytical": SolveConfig(pseudo="analytical"),

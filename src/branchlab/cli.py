@@ -10,6 +10,7 @@ from pathlib import Path
 
 from branchlab.criteria import Criterion
 from branchlab.driver import (
+    VOTE_PANEL,
     ReversalConfig,
     SolveConfig,
     solve_mip,
@@ -121,10 +122,12 @@ def config_from_options(opt: dict) -> SolveConfig:
     """SolveConfig from a dict of CLI-style option values.
 
     Only the options given (and not None) are passed on, so every other
-    field keeps its dataclass default.  The selection criterion is also
-    the winnowing criterion, and `clist` is the CList's member set.
-    Look-ahead is on when a nonzero depth or the d2 mode is given, and an
-    attractiveness threshold turns the override on.
+    field keeps its dataclass default.  The selection criterion also
+    ranks the winnow; vote, with no score of its own, ranks it by its
+    panel's first criterion.  `clist` is the CList's member set.
+    Look-ahead is on when a nonzero depth or the d2 mode is given, other
+    look-ahead options need it, and an attractiveness threshold turns
+    the override on.
     """
     parts = {group: {} for group in (*_GROUPS, "solve")}
     group_of = {key: g for g, keys in _GROUPS.items() for key in keys}
@@ -135,15 +138,18 @@ def config_from_options(opt: dict) -> SolveConfig:
     if "criterion" in parts["spec"]:
         parts["spec"]["criterion"] = Criterion(parts["spec"]["criterion"])
     spec = replace(base.criterion, **parts["spec"])
-    winnow = replace(base.winnow, spec=spec, **parts["winnow"])
+    ranking = VOTE_PANEL[0] if spec.criterion is Criterion.VOTE else spec
+    winnow = replace(base.winnow, spec=ranking, **parts["winnow"])
     la, attract = parts["lookahead"], parts["attract"]
     if not la.get("depth"):
         la.pop("depth", None)          # depth 0 is plain branching
     lookahead = None
     if "depth" in la or la.get("d2_mode"):
         attract["enabled"] = "threshold" in attract
-        lookahead = LookaheadConfig(winnow=winnow,
-                                    attract=AttractConfig(**attract), **la)
+        lookahead = LookaheadConfig(attract=AttractConfig(**attract), **la)
+    elif la.keys() - {"d2_mode"} or attract:
+        raise ValueError("look-ahead options need a nonzero lookahead "
+                         "depth or d2_mode")
     solve = parts["solve"]
     if solve.pop("integral_eps", False):
         solve["eps"] = 1.0
@@ -166,7 +172,11 @@ def run_solve(args) -> int:
         frac = detect_fractional(root, problem)
         members = sorted(frac, key=lambda j: (abs(frac[j][1] - 0.5), j))
         options["clist"] = frozenset(members[:options["clist"]])
-    config = config_from_options(options)
+    try:
+        config = config_from_options(options)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     result = solve_mip(problem, config)
     obj = "-" if result.x is None else f"{result.objective:.9g}"
     bound = "-" if not math.isfinite(result.bound) \

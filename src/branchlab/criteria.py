@@ -30,6 +30,7 @@ back into its node.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -463,34 +464,43 @@ class Selection:
     scores: dict
 
 
-def select(evals, spec: CriterionSpec) -> Selection:
-    """Winner and direction under one criterion.
-
-    C3 restricts candidates to Min_j >= T(lambda) and falls back to the
-    MaxMin variable when floating point leaves the eligible set empty.
-    """
+def _ranked(evals, spec: CriterionSpec) -> tuple[dict, list[int], dict]:
+    """(evals keyed by variable, best-first order, scores)."""
     evals = {ev.var: ev for ev in evals} if not isinstance(evals, dict) \
         else evals
     if not evals:
-        raise ValueError("no evaluations to select from")
+        raise ValueError("no evaluations to rank")
     if spec.criterion is Criterion.VOTE:
         raise ValueError("vote() handles the vote pseudo-criterion")
     scores = {j: score(ev, spec) for j, ev in sorted(evals.items())}
     if spec.criterion is Criterion.C3_THRESHOLD:
         mins = {j: ev.min_val for j, ev in evals.items()}
-        lo = min(mins.values())
-        hi = max(mins.values())
+        lo, hi = min(mins.values()), max(mins.values())
         threshold = lo + spec.lam * (hi - lo)
-        eligible = [j for j in sorted(evals) if mins[j] >= threshold]
-        if not eligible:
-            winner = max(sorted(evals), key=lambda j: (mins[j], -j))
+        if hi >= threshold:
+            order = sorted(evals, key=lambda j: (mins[j] < threshold,
+                                                 -scores[j], j))
         else:
-            winner = max(eligible, key=lambda j: (scores[j], -j))
+            order = sorted(evals, key=lambda j: (-mins[j], j))
     elif spec.criterion in (Criterion.C6, Criterion.C7):
-        winner = min(sorted(evals), key=lambda j: (scores[j], j))
+        order = sorted(evals, key=lambda j: (scores[j], j))
     else:
-        winner = max(sorted(evals), key=lambda j: (scores[j], -j))
-    return Selection(var=winner, direction=evals[winner].direction,
+        order = sorted(evals, key=lambda j: (-scores[j], j))
+    return evals, order, scores
+
+
+def rank(evals, spec: CriterionSpec, keep: int | None = None) -> list[int]:
+    """Variable indices of the `keep` best evaluations, best first: by
+    descending score (ascending for C6/C7), ties to the lower index.  C3
+    puts Min_j >= T(lambda) first, or ranks by descending Min_j when
+    floating point leaves that set empty."""
+    return _ranked(evals, spec)[1][:keep]
+
+
+def select(evals, spec: CriterionSpec) -> Selection:
+    """Winner and direction under one criterion: the head of rank()."""
+    evals, order, scores = _ranked(evals, spec)
+    return Selection(var=order[0], direction=evals[order[0]].direction,
                      scores=scores)
 
 
@@ -507,21 +517,15 @@ def vote(evals, specs) -> Selection:
     evals = {ev.var: ev for ev in evals} if not isinstance(evals, dict) \
         else evals
     picks = [select(evals, s) for s in specs]
-    tally: dict[int, int] = {}
-    for pick in picks:
-        tally[pick.var] = tally.get(pick.var, 0) + 1
+    tally = Counter(p.var for p in picks)
     best = max(tally.values())
     winner = min(j for j, n in tally.items() if n == best)
-    dirs = [p.direction for p in picks if p.var == winner]
-    ups = sum(1 for d in dirs if d == "up")
-    downs = len(dirs) - ups
-    if ups > downs:
-        direction = "up"
-    elif downs > ups:
-        direction = "down"
-    else:
+    ups = sum(1 for p in picks if p.var == winner and p.direction == "up")
+    downs = tally[winner] - ups
+    if ups == downs:
         direction = evals[winner].direction
-    merged: dict = {}
-    for s, pick in zip(specs, picks):
-        merged[s.criterion.value] = pick.var
-    return Selection(var=winner, direction=direction, scores=merged)
+    else:
+        direction = "up" if ups > downs else "down"
+    return Selection(var=winner, direction=direction,
+                     scores={s.criterion.value: p.var
+                             for s, p in zip(specs, picks)})

@@ -87,6 +87,7 @@ class ReversalConfig:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    # picks the branch, plain or look-ahead; winnow.spec ranks the winnow
     criterion: CriterionSpec = field(default_factory=lambda: CriterionSpec(
         criterion=Criterion.C2A, p=1.0))
     winnow: WinnowParams = field(default_factory=WinnowParams)
@@ -113,6 +114,8 @@ class SolveConfig:
             raise ValueError(f"unknown node selection {self.node_select!r}")
         if self.max_nodes <= 0 or self.max_time <= 0:
             raise ValueError("limits must be positive")
+        if self.lookahead and self.criterion.criterion is Criterion.VOTE:
+            raise ValueError("vote is for plain branching, not look-ahead")
 
 
 @dataclass
@@ -371,15 +374,15 @@ class _Search:
             la = cfg.lookahead
             if la.d2_mode:
                 result = build_d2_tree(self.problem, model, node.solution,
-                                       la, ctx)
+                                       cfg, ctx)
             elif la.n_trees > 1:
                 result = build_multi_trees(
-                    self.problem, model, node.solution, la, ctx,
+                    self.problem, model, node.solution, cfg, ctx,
                     estimator=self.estimator(), ext_tree=self.ext,
                     ext_root=node.ext_id)
             else:
                 result = build_tree(
-                    self.problem, model, node.solution, la, ctx,
+                    self.problem, model, node.solution, cfg, ctx,
                     estimator=self.estimator(), ext_tree=self.ext,
                     ext_root=node.ext_id)
             if cfg.reversal.enabled and result.leaves:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 from branchlab.criteria import (
     BoundDisjunction,
@@ -41,6 +42,7 @@ from branchlab.criteria import (
     NodeInfeasibleSignal,
     absorb_compulsory,
     evaluate_candidates,
+    rank,
     score,
     select,
     weight_eval,
@@ -48,8 +50,11 @@ from branchlab.criteria import (
 from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
 from branchlab.model import BranchRecord, MipProblem, detect_fractional
 from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
-from branchlab.winnow import CListLeafSignal, WinnowParams
+from branchlab.winnow import CListLeafSignal
 from branchlab.winnow import run as winnow_run
+
+if TYPE_CHECKING:
+    from branchlab.driver import SolveConfig
 
 # Step 3 scores sibling leaf pairs against the root objective with C2a
 LEAF_SPEC = CriterionSpec(criterion=Criterion.C2A, p=1.0)
@@ -65,7 +70,6 @@ class AttractConfig:
 @dataclass(frozen=True)
 class LookaheadConfig:
     depth: int = 3
-    winnow: WinnowParams = field(default_factory=WinnowParams)
     postwin: str = "off"              # off | 2a | 2b | 2c
     lim: int = 3
     d0: int = 2
@@ -171,15 +175,17 @@ class _Proposal:
 
 
 class _Builder:
-    def __init__(self, problem: MipProblem, cfg: LookaheadConfig,
+    def __init__(self, problem: MipProblem, config: SolveConfig,
                  ctx: EvalContext, estimator=None, ext_tree=None):
         self.problem = problem
-        self.cfg = cfg
+        self.cfg = cfg = config.lookahead
+        self.winnow = config.winnow
+        self.spec = config.criterion
         self.ctx = ctx
         self.disjunction = StraddleDisjunction if cfg.straddle \
             else BoundDisjunction
-        # Step-2 pairs are scored unweighted whatever the winnow flavor
-        self.pair_spec = replace(cfg.winnow.spec, flavor=Flavor.PLAIN)
+        # Step-2 pairs are scored unweighted whatever the criterion flavor
+        self.pair_spec = replace(self.spec, flavor=Flavor.PLAIN)
         self.estimator = estimator
         self.ext = ext_tree
         self.counter = 0
@@ -212,7 +218,7 @@ class _Builder:
 
     def _winnow(self, node: TreeNode, fractions: dict):
         return winnow_run(node.model, node.solution, fractions,
-                          self.cfg.winnow, self.ctx, node.depth,
+                          self.winnow, self.ctx, node.depth,
                           self.disjunction)
 
     def _reduce_straddle(self, node: TreeNode) -> None:
@@ -298,7 +304,7 @@ class _Builder:
                     j = f2[0]
                     # the pair itself is solved only if this proposal
                     # survives post-winnow gating
-                    sel = score(s2[j], self.cfg.winnow.spec)
+                    sel = score(s2[j], self.spec)
                     self.attract.bump(j, s2[j].direction, half)
                     return _Proposal(parent=node, var=j, sel_score=sel,
                                      stage_eval=s2[j])
@@ -308,13 +314,12 @@ class _Builder:
                     None if est is None else partial(est, node=node))
                 # only an LP-solved pair has children to admit
                 chosen = select({j: ev for j, ev in evals.items()
-                                 if ev.uc_up is not None},
-                                self.cfg.winnow.spec)
+                                 if ev.uc_up is not None}, self.spec)
                 for j in f2:
                     self.attract.bump(j, evals[j].direction, half)
                 ev = evals[chosen.var]
                 return _Proposal(parent=node, var=chosen.var,
-                                 sel_score=score(ev, self.cfg.winnow.spec),
+                                 sel_score=score(ev, self.spec),
                                  stage_eval=ev, solved=ev)
             except CompulsorySignal as sig:
                 if node.depth == 0:
@@ -398,7 +403,7 @@ class _Builder:
                                                forced_root_var]
                     proposals.append(_Proposal(
                         parent=node, var=forced_root_var,
-                        sel_score=score(ev, cfg.winnow.spec),
+                        sel_score=score(ev, self.spec),
                         stage_eval=ev, solved=ev))
                     continue
                 prop = self._propose(node)
@@ -425,10 +430,10 @@ class _Builder:
                 break
             if gated and d > cfg.d0:
                 carried = post_winnow(pairs, cfg.postwin, cfg.lim,
-                                      cfg.winnow.spec)
+                                      self.spec)
             elif gated and d == cfg.d0:
                 carried = post_winnow(pairs, cfg.postwin, cfg.lim,
-                                      cfg.winnow.spec, already_capped=True)
+                                      self.spec, already_capped=True)
             else:
                 carried = [k for pair in pairs for k in pair]
             if cfg.early_exit and cfg.postwin != "off" and d >= cfg.d0 \
@@ -540,16 +545,15 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
     return out
 
 
-def _maybe_override(result: BuildResult, builder: _Builder,
-                    root_f2: list[int], cfg: LookaheadConfig) -> BuildResult:
-    att = cfg.attract
-    if not att.enabled or not root_f2:
+def _maybe_override(result: BuildResult, builder: _Builder) -> BuildResult:
+    att = builder.cfg.attract
+    if not att.enabled or not builder.root_f2:
         return result
     half = None
     if att.half_tree and result.winner_leaf is not None:
         half = result.winner_leaf.root_side
     best_j, best_val, best_dir = None, -1.0, "up"
-    for j in sorted(root_f2):
+    for j in sorted(builder.root_f2):
         val, direction = builder.attract.value(j, half)
         if val > best_val:
             best_j, best_val, best_dir = j, val, direction
@@ -567,37 +571,36 @@ def _root_node(problem: MipProblem, model: LpModel, sol: LpSolution,
 
 
 def build_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
-               cfg: LookaheadConfig, ctx: EvalContext, estimator=None,
+               config: SolveConfig, ctx: EvalContext, estimator=None,
                ext_tree=None, ext_root: int | None = None) -> BuildResult:
     """One look-ahead tree; probe signals propagate to the caller."""
-    builder = _Builder(problem, cfg, ctx, estimator, ext_tree)
+    builder = _Builder(problem, config, ctx, estimator, ext_tree)
     root = _root_node(problem, model, sol, ext_root)
-    fractions = detect_fractional(sol, problem)
-    if not fractions:
+    if not detect_fractional(sol, problem):
         raise IncumbentSignal(sol)
-    result = builder.build(root)
-    return _maybe_override(result, builder, builder.root_f2, cfg)
+    return _maybe_override(builder.build(root), builder)
 
 
 def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
-                  cfg: LookaheadConfig, ctx: EvalContext) -> BuildResult:
+                  config: SolveConfig, ctx: EvalContext) -> BuildResult:
     """Simplified two-level strategy with |F|-proportioned pair budgets.
 
     Solves 2*n2(0) LPs at the root and 2*n2(1) at each depth-1 child; the
     depth-2 sibling pairs are scored with unit-cost weighted (second
     order) evaluations, pricing each leaf fractional by probes from the
     d=1 parent first, the root's probes second, and the root's reduced
-    costs last.
+    costs last.  The depth is 2 whatever config.lookahead.depth says.
     """
     fractions = detect_fractional(sol, problem)
     if not fractions:
         raise IncumbentSignal(sol)
     f_size = len(fractions)
-    n2_1 = max(1, round(f_size / (cfg.v + 2.0)))
-    n2_0 = max(1, round(cfg.v * f_size / (cfg.v + 2.0)))
-    params = replace(cfg.winnow, n0=None, n1=None, k2=1,
+    v = config.lookahead.v
+    n2_1 = max(1, round(f_size / (v + 2.0)))
+    n2_0 = max(1, round(v * f_size / (v + 2.0)))
+    params = replace(config.winnow, n0=None, n1=None, k2=1,
                      n2_root=n2_0, n2_mid=n2_1)
-    spec = params.spec
+    spec = config.criterion
     # root scan
     f2, _, _, _ = winnow_run(model, sol, fractions, params, ctx, 0)
     root_evals = evaluate_candidates(model, sol, f2, ctx, spec, fractions)
@@ -677,7 +680,7 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
 
 
 def build_multi_trees(problem: MipProblem, model: LpModel,
-                      sol: LpSolution, cfg: LookaheadConfig,
+                      sol: LpSolution, config: SolveConfig,
                       ctx: EvalContext, estimator=None,
                       ext_tree=None, ext_root: int | None = None) -> BuildResult:
     """Lexicographically deduplicated trees from the top root candidates.
@@ -686,28 +689,24 @@ def build_multi_trees(problem: MipProblem, model: LpModel,
     branch anywhere on a better-ranked candidate, so no two trees can
     generate the same node.  The best leaf across trees decides.
     """
-    if cfg.n_trees < 2:
-        return build_tree(problem, model, sol, cfg, ctx, estimator,
+    n_trees = config.lookahead.n_trees
+    if n_trees < 2:
+        return build_tree(problem, model, sol, config, ctx, estimator,
                           ext_tree, ext_root)
     fractions = detect_fractional(sol, problem)
     if not fractions:
         raise IncumbentSignal(sol)
-    f2, s2, _, _ = winnow_run(model, sol, fractions, cfg.winnow, ctx, 0)
-    if cfg.n_trees >= len(f2) + 1 and len(f2) < 2:
-        return build_tree(problem, model, sol, cfg, ctx, estimator,
+    f2, _, _, _ = winnow_run(model, sol, fractions, config.winnow, ctx, 0)
+    if n_trees >= len(f2) + 1 and len(f2) < 2:
+        return build_tree(problem, model, sol, config, ctx, estimator,
                           ext_tree, ext_root)
-    root_evals = evaluate_candidates(model, sol, f2, ctx, cfg.winnow.spec,
+    root_evals = evaluate_candidates(model, sol, f2, ctx, config.criterion,
                                      fractions)
-    minimize = cfg.winnow.spec.criterion in (Criterion.C6, Criterion.C7)
-    ranked = sorted(
-        root_evals,
-        key=lambda j: (score(root_evals[j], cfg.winnow.spec)
-                       * (1 if minimize else -1), j))
-    ranked = ranked[:min(cfg.n_trees, len(ranked))]
+    ranked = rank(root_evals, config.criterion, n_trees)
     best: tuple[float, BuildResult] | None = None
-    for rank, var in enumerate(ranked):
-        builder = _Builder(problem, cfg, ctx, estimator, ext_tree)
-        builder.excluded = frozenset(ranked[:rank])
+    for k, var in enumerate(ranked):
+        builder = _Builder(problem, config, ctx, estimator, ext_tree)
+        builder.excluded = frozenset(ranked[:k])
         root = _root_node(problem, model, sol, ext_root)
         try:
             result = builder.build(root, forced_root_var=var)

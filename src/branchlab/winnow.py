@@ -22,12 +22,11 @@ from branchlab.criteria import (
     BranchEval,
     BranchSignal,
     CompulsorySignal,
-    Criterion,
     CriterionSpec,
     EvalContext,
     NodeInfeasibleSignal,
     evaluate_candidates,
-    score,
+    rank,
 )
 from branchlab.lp import LpModel, LpSolution
 
@@ -42,7 +41,8 @@ class WinnowParams:
 
     n0 defaults to |F| (admit everything), n1 to ceil(|F|/4), k2 to one
     sixth of the running average pivots per full solve.  n2 is depth
-    indexed: n2_root at d=0, n2_mid at d=1, n2_deep at d>=2.
+    indexed: n2_root at d=0, n2_mid at d=1, n2_deep at d>=2.  spec ranks
+    the survivors of both stages, not the branch.
     """
 
     n0: int | None = None
@@ -70,27 +70,6 @@ class WinnowParams:
         if depth == 1:
             return self.n2_mid
         return self.n2_deep
-
-
-def _rank(evals: dict[int, BranchEval], spec: CriterionSpec,
-          keep: int) -> list[int]:
-    """Variable indices of the `keep` best evaluations under the criterion."""
-    minimize = spec.criterion in (Criterion.C6, Criterion.C7)
-    if spec.criterion is Criterion.C3_THRESHOLD:
-        # C3 ranks by spread among threshold-eligible candidates, falling
-        # back to the plain spread order when the threshold empties it
-        mins = {j: ev.min_val for j, ev in evals.items()}
-        lo, hi = min(mins.values()), max(mins.values())
-        threshold = lo + spec.lam * (hi - lo)
-        ordered = sorted(
-            evals,
-            key=lambda j: (mins[j] < threshold, -score(evals[j], spec), j))
-        return ordered[:keep]
-    ordered = sorted(
-        evals,
-        key=lambda j: (score(evals[j], spec) if minimize
-                       else -score(evals[j], spec), j))
-    return ordered[:keep]
 
 
 def v_lim_for(fractions: dict, mult: float | None) -> float | None:
@@ -139,7 +118,7 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
     n1 = min(n1, len(f0))
     # single-pivot probes carry no fractional sets or infeasibility sums,
     # so criteria that want them degrade to their plain form here
-    f1 = _rank(evals, replace(params.spec, w1=0.0, w2=0.0), n1)
+    f1 = rank(evals, replace(params.spec, w1=0.0, w2=0.0), n1)
     return f0, f1, evals
 
 
@@ -158,7 +137,7 @@ def stage2(model: LpModel, sol: LpSolution, f1: list[int], fractions: dict,
     scored = evaluate_candidates(model, sol, f1, ctx, params.spec, fractions,
                                  disjunction, budget)
     n2 = min(params.n2_for(depth), len(f1))
-    f2 = _rank(scored, params.spec, n2)
+    f2 = rank(scored, params.spec, n2)
     return f2, scored
 
 

@@ -101,7 +101,9 @@ def test_criterion_2_tree_count_identities():
     def counts(n_tri, **kw):
         p = triangle_fixture(n_tri)
         sol = solve(p.to_lp())
-        cfg = LookaheadConfig(winnow=WinnowParams(k2=3), **kw)
+        cfg = SolveConfig(criterion=CriterionSpec(),
+                          winnow=WinnowParams(k2=3),
+                          lookahead=LookaheadConfig(**kw))
         ctx = EvalContext(problem=p, check_incumbent=False)
         return build_tree(p, p.to_lp(), sol, cfg, ctx).total_nodes
 
@@ -316,15 +318,17 @@ def test_criterion_8_symdif_floor():
         p = triangle_fixture(6, seed=seed)
         sol = solve(p.to_lp())
         tree = ExtendedTree()
-        cfg = LookaheadConfig(depth=3,
-                              winnow=WinnowParams(k2=3, n2_root=3,
-                                                  n2_mid=2, n2_deep=2))
+        cfg = SolveConfig(criterion=CriterionSpec(),
+                          winnow=WinnowParams(k2=3, n2_root=3, n2_mid=2,
+                                              n2_deep=2),
+                          lookahead=LookaheadConfig(depth=3))
         ctx = EvalContext(problem=p, check_incumbent=False)
         build_tree(p, p.to_lp(), sol, cfg, ctx, ext_tree=tree, ext_root=0)
         observed.extend(collect_symdif_pairs(tree))
     # plus full solves over corpus instances
-    cfg = SolveConfig(lookahead=LookaheadConfig(
-        depth=2, winnow=WinnowParams(k2=3, n2_root=3, n2_mid=2)))
+    cfg = SolveConfig(criterion=CriterionSpec(),
+                      winnow=WinnowParams(k2=3, n2_root=3, n2_mid=2),
+                      lookahead=LookaheadConfig(depth=2))
     for path in corpus_paths()[:10]:
         problem = parse_mps(path.read_text())
         res = solve_mip(problem, cfg)
@@ -365,9 +369,9 @@ def test_criterion_9_reference_set_arithmetic():
 def test_criterion_10_trace_determinism():
     configs = {
         "plain": SolveConfig(),
-        "lookahead": SolveConfig(lookahead=LookaheadConfig(
-            depth=3, winnow=WinnowParams(k2=3), postwin="2a", lim=3,
-            d0=2)),
+        "lookahead": SolveConfig(
+            criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
+            lookahead=LookaheadConfig(depth=3, postwin="2a", lim=3, d0=2)),
         "analytical": SolveConfig(pseudo="analytical",
                                   dump_extended=True),
     }

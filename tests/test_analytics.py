@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from branchlab.costmem import ExtendedTree, uc_error_report
+from branchlab.criteria import CriterionSpec
 from branchlab.driver import ReversalConfig, SolveConfig, solve_mip
 from branchlab.lookahead import AttractConfig, LookaheadConfig
 from branchlab.model import MipProblem
@@ -55,7 +56,8 @@ class TestUcErrorReport:
 class TestReversalSafety:
     def test_reversed_region_stays_inside_the_owning_node(self):
         cfg = SolveConfig(
-            lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3)),
+            criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
+            lookahead=LookaheadConfig(depth=3),
             reversal=ReversalConfig(enabled=True, beta=0.5))
         checked = 0
         for seed in range(90, 120):
@@ -84,9 +86,10 @@ class TestReversalSafety:
 class TestAttractRestart:
     def test_restart_preserves_exactness_and_logs_drop(self):
         la = LookaheadConfig(
-            depth=2, winnow=WinnowParams(k2=3),
-            attract=AttractConfig(enabled=True, threshold=2.0))
-        cfg = SolveConfig(lookahead=la, attract_restart=True)
+            depth=2, attract=AttractConfig(enabled=True, threshold=2.0))
+        cfg = SolveConfig(criterion=CriterionSpec(),
+                          winnow=WinnowParams(k2=3), lookahead=la,
+                          attract_restart=True)
         restarted = 0
         for seed in range(130, 150):
             p = random_ip(seed)

@@ -10,10 +10,13 @@ from Python only.
 import argparse
 from dataclasses import fields, is_dataclass
 
+import pytest
+
 from branchlab import cli
+from branchlab.bench import default_matrix
 from branchlab.cli import config_from_options, option_keys, solve_parser
-from branchlab.criteria import CriterionSpec
-from branchlab.driver import SolveConfig, solve_mip
+from branchlab.criteria import Criterion, CriterionSpec
+from branchlab.driver import VOTE_PANEL, SolveConfig, solve_mip
 from branchlab.lookahead import LookaheadConfig
 from branchlab.model import MipProblem
 from branchlab.mps import write_mps
@@ -103,3 +106,46 @@ def test_every_field_is_set_by_an_option_or_python_only():
         for f in fields(cls):
             name = f"{cls.__name__}.{f.name}"
             assert (name in reached) != (name in PYTHON_ONLY), name
+
+
+# every look-ahead entry of the default matrix, as a `solve` option set
+_LA_D3 = {"criterion": "C1", "lookahead": 3, "k2": 5}
+LOOKAHEAD_ENTRIES = {
+    "la-d3-2a": {**_LA_D3, "postwin": "2a"},
+    "la-d3-2b": {**_LA_D3, "postwin": "2b"},
+    "la-d2-mode": {"criterion": "C1", "d2_mode": True},
+    "la-straddle": {**_LA_D3, "postwin": "2a", "straddle": True},
+    "la-attract": {**_LA_D3, "postwin": "2a", "attract": 3.0},
+    "la-reversals": {**_LA_D3, "reversals": True},
+}
+
+
+def test_the_lookahead_matrix_is_reachable_from_the_command_line():
+    matrix = default_matrix()
+    assert set(LOOKAHEAD_ENTRIES) == {
+        name for name, config in matrix.items()
+        if config.lookahead is not None}
+    for name, options in LOOKAHEAD_ENTRIES.items():
+        assert config_from_options(options) == matrix[name], name
+
+
+def test_vote_ranks_the_winnow_by_the_first_panel_criterion():
+    config = config_from_options({"criterion": "vote"})
+    assert config == default_matrix()["vote"]
+    assert config.winnow.spec == VOTE_PANEL[0]
+
+
+def test_vote_is_a_plain_branching_criterion():
+    vote = CriterionSpec(criterion=Criterion.VOTE)
+    with pytest.raises(ValueError, match="vote"):
+        SolveConfig(criterion=vote, lookahead=LookaheadConfig())
+    with pytest.raises(ValueError, match="vote"):
+        config_from_options({"criterion": "vote", "lookahead": 3})
+
+
+@pytest.mark.parametrize("options", [
+    {"postwin": "2a"}, {"lookahead": 0, "straddle": True},
+    {"attract": 2.0}, {"early_exit": True}])
+def test_lookahead_options_without_lookahead_are_rejected(options):
+    with pytest.raises(ValueError, match="need a nonzero lookahead"):
+        config_from_options(options)

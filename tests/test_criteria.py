@@ -14,6 +14,7 @@ from branchlab.criteria import (
     attach_unit_costs,
     evaluate_candidates,
     make_eval,
+    rank,
     score,
     select,
     uc_lookup_from,
@@ -214,6 +215,86 @@ class TestSelect:
         evals = [ev(0, 5.0, 6.0), ev(1, 2.0, 9.0)]
         out = select(evals, CriterionSpec(criterion=Criterion.C6))
         assert out.var == 1
+
+
+class TestRank:
+    SPECS = [CriterionSpec(criterion=c) for c in Criterion
+             if c is not Criterion.VOTE] + [
+        CriterionSpec(criterion=Criterion.C0_CONVEX, mu=0.5),
+        CriterionSpec(criterion=Criterion.C2B, p=2.0),
+        CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=0.25),
+        CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=1.0),
+        CriterionSpec(criterion=Criterion.C5, p=0.3),
+    ]
+
+    @staticmethod
+    def reference_pick(evals: dict, spec) -> int:
+        """The selection rule written out on its own: best score, ties to
+        the lower index; C3 among Min_j >= T, else the MaxMin variable."""
+        scores = {j: score(e, spec) for j, e in evals.items()}
+        if spec.criterion is Criterion.C3_THRESHOLD:
+            mins = {j: e.min_val for j, e in evals.items()}
+            lo, hi = min(mins.values()), max(mins.values())
+            eligible = [j for j in sorted(evals)
+                        if mins[j] >= lo + spec.lam * (hi - lo)]
+            if not eligible:
+                return max(sorted(evals), key=lambda j: (mins[j], -j))
+            return max(eligible, key=lambda j: (scores[j], -j))
+        if spec.criterion in (Criterion.C6, Criterion.C7):
+            return min(sorted(evals), key=lambda j: (scores[j], j))
+        return max(sorted(evals), key=lambda j: (scores[j], -j))
+
+    def test_head_is_the_selection_on_random_evals(self):
+        rng = np.random.default_rng(45)
+        # a few repeated values make ties and equal Min_j common
+        values = [0.0, 0.1, 0.5, 1.0, 2.0]
+        for _ in range(400):
+            k = int(rng.integers(1, 8))
+            evals = {}
+            for j in range(k):
+                pair = [float(rng.choice(values)) if rng.random() < 0.5
+                        else float(rng.uniform(0.0, 5.0)) for _ in range(2)]
+                evals[j] = ev(j, *pair)
+            for spec in self.SPECS:
+                order = rank(evals, spec)
+                assert sorted(order) == sorted(evals)
+                assert order[0] == select(evals, spec).var
+                assert order[0] == self.reference_pick(evals, spec)
+                assert rank(list(evals.values()), spec, 2) == order[:2]
+
+    def test_order_follows_the_scores(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            evals = {j: ev(j, float(rng.uniform(0, 5)),
+                           float(rng.uniform(0, 5))) for j in range(6)}
+            for spec in self.SPECS:
+                if spec.criterion is Criterion.C3_THRESHOLD:
+                    continue
+                got = [score(evals[j], spec) for j in rank(evals, spec)]
+                if spec.criterion in (Criterion.C6, Criterion.C7):
+                    assert got == sorted(got)
+                else:
+                    assert got == sorted(got, reverse=True)
+
+    def test_c3_puts_the_eligible_first(self):
+        evals = {0: ev(0, 1.0, 9.0), 1: ev(1, 2.0, 8.0), 2: ev(2, 5.0, 6.0),
+                 3: ev(3, 4.5, 9.5)}
+        spec = CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=0.75)
+        # T = 1 + 0.75 * (5 - 1) = 4: vars 3 and 2 are eligible, by spread
+        assert rank(evals, spec) == [3, 2, 0, 1]
+
+    def test_c3_threshold_above_every_min_falls_back_to_min_order(self):
+        evals = {0: ev(0, 0.03, 5.0), 1: ev(1, 0.3, 0.35),
+                 2: ev(2, 0.2, 0.2)}
+        spec = CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=1.0)
+        # T = 0.03 + 1.0 * (0.3 - 0.03) rounds to 0.30000000000000004
+        assert 0.03 + 1.0 * (0.3 - 0.03) > 0.3
+        assert rank(evals, spec) == [1, 2, 0]
+        assert select(evals, spec).var == 1
+
+    def test_vote_has_no_ranking(self):
+        with pytest.raises(ValueError):
+            rank([ev(0, 1.0, 2.0)], CriterionSpec(criterion=Criterion.VOTE))
 
 
 class TestVote:

@@ -8,6 +8,7 @@ import pytest
 
 import branchlab.driver as driver_module
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
+from branchlab.criteria import CriterionSpec
 from branchlab.driver import (
     ReversalConfig,
     SolveConfig,
@@ -15,6 +16,7 @@ from branchlab.driver import (
     solve_mip,
     trace_to_json,
 )
+from branchlab.instances import corpus_dir
 from branchlab.lookahead import LookaheadConfig
 from branchlab.lp import LpModelError, LpProbeError
 from branchlab.model import MipProblem
@@ -45,8 +47,8 @@ def knapsack():
 CONFIGS = {
     "plain": SolveConfig(),
     "lookahead": SolveConfig(
-        lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3),
-                                  postwin="2a", lim=3, d0=2)),
+        criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
+        lookahead=LookaheadConfig(depth=3, postwin="2a", lim=3, d0=2)),
     "dval": SolveConfig(node_select="dval"),
     "pseudo": SolveConfig(pseudo="classic"),
     "refset": SolveConfig(refset=True),
@@ -173,7 +175,8 @@ class TestReversals:
 
     def test_reversal_log_and_improvement_bound(self):
         cfg = SolveConfig(
-            lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3)),
+            criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
+            lookahead=LookaheadConfig(depth=3),
             reversal=ReversalConfig(enabled=True, beta=0.5))
         seen = 0
         for seed in range(50, 70):
@@ -189,7 +192,8 @@ class TestReversals:
         assert seen >= 1
 
     REVERSING = SolveConfig(
-        lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3)),
+        criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
+        lookahead=LookaheadConfig(depth=3),
         reversal=ReversalConfig(enabled=True, beta=0.5))
 
     @pytest.mark.parametrize("error", [LpProbeError, LpModelError])
@@ -214,8 +218,9 @@ class TestReversals:
             solve_mip(random_ip(52), self.REVERSING)
 
     def test_reversals_do_not_change_the_answer(self):
-        base = SolveConfig(
-            lookahead=LookaheadConfig(depth=3, winnow=WinnowParams(k2=3)))
+        base = SolveConfig(criterion=CriterionSpec(),
+                           winnow=WinnowParams(k2=3),
+                           lookahead=LookaheadConfig(depth=3))
         with_rev = replace(base,
                            reversal=ReversalConfig(enabled=True, beta=0.5))
         for seed in (50, 51, 52):
@@ -315,6 +320,38 @@ class TestCli:
         data = json.loads(trace.read_text())
         assert data["schema"] == 2
         assert data["status"] == "optimal"
+
+    def test_solve_and_bench_run_vote(self, tmp_path, capsys):
+        from branchlab.cli import main
+
+        lab03 = str(corpus_dir() / "lab03.mps")
+        assert main(["solve", lab03, "--criterion", "vote"]) == 0
+        assert "status    optimal" in capsys.readouterr().out
+        (tmp_path / "lab03.mps").write_text(Path(lab03).read_text())
+        cfgfile = tmp_path / "configs.json"
+        cfgfile.write_text(json.dumps({"configs": {
+            "vote": {"criterion": "vote"}}}))
+        out_json = tmp_path / "report.json"
+        assert main(["bench", str(tmp_path), "--configs", str(cfgfile),
+                     "--out", str(out_json)]) == 0
+        (row,) = json.loads(out_json.read_text())["rows"]
+        assert row["status"] == "optimal"
+
+    @pytest.mark.parametrize("options", [
+        ["--n1", "0"],
+        ["--lookahead", "3", "--postwin", "2a", "--lim", "0"],
+        ["--postwin", "2a", "--lim", "0"],
+        ["--criterion", "vote", "--lookahead", "3"]])
+    def test_solve_rejects_bad_options_with_exit_2(self, tmp_path, capsys,
+                                                   options):
+        from branchlab.cli import main
+        from branchlab.mps import write_mps
+
+        inst = tmp_path / "k.mps"
+        inst.write_text(write_mps(knapsack()))
+        assert main(["solve", str(inst), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
     def test_bench_exit_code_on_empty_dir(self, tmp_path, capsys):
         from branchlab.cli import main

@@ -1,9 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from branchlab.criteria import EvalContext, IncumbentSignal
+from branchlab import lookahead, winnow
+from branchlab.criteria import (
+    Criterion,
+    CriterionSpec,
+    EvalContext,
+    IncumbentSignal,
+    evaluate_candidates,
+    score,
+    select,
+)
+from branchlab.driver import SolveConfig
 from branchlab.lookahead import (
     AttractConfig,
     AttractCounters,
@@ -43,11 +54,10 @@ def make_ctx(problem):
     return EvalContext(problem=problem, check_incumbent=False)
 
 
-def base_cfg(**kw):
-    params = WinnowParams(k2=3)
-    defaults = dict(depth=3, winnow=params)
-    defaults.update(kw)
-    return LookaheadConfig(**defaults)
+def base_cfg(winnow=WinnowParams(k2=3), **kw):
+    """Look-ahead that ranks the winnow and picks its branches by C1."""
+    return SolveConfig(criterion=CriterionSpec(), winnow=winnow,
+                       lookahead=LookaheadConfig(**{"depth": 3, **kw}))
 
 
 def build(problem, cfg):
@@ -129,8 +139,8 @@ class TestEarlyExit:
         for seed in range(6):
             p = triangle_fixture(7, seed=seed)
             gated = base_cfg(depth=5, postwin="2a", lim=1, d0=2)
-            quick = build(p, LookaheadConfig(
-                **{**gated.__dict__, "early_exit": True}))
+            quick = build(p, replace(gated, lookahead=replace(
+                gated.lookahead, early_exit=True)))
             if not quick.early_exit:
                 continue
             fired += 1
@@ -231,6 +241,65 @@ class TestMultiTree:
         out = build_multi_trees(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert out.var is not None
 
+    def test_c3_roots_the_first_tree_at_the_selection(self, monkeypatch):
+        p = triangle_fixture(5, seed=2)
+        sol = solve(p.to_lp())
+        c3 = CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=0.75)
+        cfg = replace(base_cfg(depth=2, n_trees=2,
+                               winnow=WinnowParams(k2=3, n2_root=4)),
+                      criterion=c3)
+        ctx = make_ctx(p)
+        frac = detect_fractional(sol, p)
+        f2, _, _, _ = winnow.run(p.to_lp(), sol, frac, cfg.winnow, ctx, 0)
+        evals = evaluate_candidates(p.to_lp(), sol, f2, ctx, c3, frac)
+        pick = select(evals, c3).var
+        # the widest spread fails the threshold here, so a plain spread
+        # order would root the first tree elsewhere
+        assert pick != min(evals, key=lambda j: (-score(evals[j], c3), j))
+        roots = []
+        real = lookahead._Builder.build
+
+        def record(self, root, forced_root_var=None):
+            roots.append(forced_root_var)
+            return real(self, root, forced_root_var)
+
+        monkeypatch.setattr(lookahead._Builder, "build", record)
+        build_multi_trees(p, p.to_lp(), sol, cfg, make_ctx(p))
+        assert roots[0] == pick and len(roots) == 2
+
+
+class TestCriterionHome:
+    def test_builders_winnow_and_pick_by_the_solve_config(self,
+                                                          monkeypatch):
+        # C3 picks, C1 ranks the winnow; C2a scores the depth-D leaf pairs
+        # and C7 the d2 leaf pairs, whatever the criterion
+        seen = {lookahead: set(), winnow: set()}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(evals, spec, *args, **kw):
+                seen[module].add(spec.criterion)
+                return real(evals, spec, *args, **kw)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("select", "score", "rank"):
+            spy(lookahead, name)
+        spy(winnow, "rank")
+        p = triangle_fixture(5, seed=2)
+        sol = solve(p.to_lp())
+        c3 = CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=0.5)
+        for la in (dict(postwin="2a", lim=1, d0=1), dict(depth=2, n_trees=2),
+                   dict(d2_mode=True)):
+            cfg = replace(base_cfg(**la), criterion=c3)
+            build = build_d2_tree if cfg.lookahead.d2_mode \
+                else build_multi_trees
+            build(p, p.to_lp(), sol, cfg, make_ctx(p))
+        assert seen[winnow] == {Criterion.C1_PRODUCT}
+        assert seen[lookahead] == {Criterion.C3_THRESHOLD, Criterion.C2A,
+                                   Criterion.C7}
+
 
 class TestAttract:
     def test_counters_accumulate_and_pick_majority(self):
@@ -265,7 +334,8 @@ class TestAttract:
         base = BuildResult(var=0, direction="down", path=[(0, "down")],
                            depth_counts=[2], total_nodes=2, leaves=[],
                            winner_leaf=None, attract=builder.attract)
-        out = _maybe_override(base, builder, [0, 1], cfg)
+        builder.root_f2 = [0, 1]
+        out = _maybe_override(base, builder)
         assert out.overridden
         assert (out.var, out.direction) == (1, "up")
 
@@ -286,7 +356,8 @@ class TestAttract:
         base = BuildResult(var=0, direction="up", path=[(0, "up")],
                            depth_counts=[2], total_nodes=2, leaves=[],
                            winner_leaf=winner, attract=builder.attract)
-        out = _maybe_override(base, builder, [0, 1], cfg)
+        builder.root_f2 = [0, 1]
+        out = _maybe_override(base, builder)
         assert not out.overridden
 
 

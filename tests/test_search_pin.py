@@ -4,10 +4,11 @@ The golden file `search_pin.json` holds, per bundled instance and strategy,
 the status, the objective rounded to 9 digits, and the node, LP, pivot and
 probe counters.  The strategies are the default `bench` matrix plus four
 look-ahead configurations that no matrix strategy runs: estimator shortcuts
-(classic and analytical), a cost-weighted winnow criterion, and two
-deduplicated trees.  The bundled corpus never lets the look-ahead builder
-use an estimate, so four more rows per instance widen stage 1 to n1 = 4 and
-run a search whose estimator stands in for every even-indexed candidate.
+(classic and analytical), the cost-weighted criterion C7 ranking the
+winnow and picking the branch, and two deduplicated trees.  The bundled
+corpus never lets the look-ahead builder use an estimate, so four more
+rows per instance widen stage 1 to n1 = 4 and run a search whose
+estimator stands in for every even-indexed candidate.
 The look-ahead builder then selects its branch among the LP-solved pairs
 only, so every row ends optimal at the instance's one optimum (an
 estimated candidate used to win the builder's selection on lab03 and
@@ -50,8 +51,8 @@ def pinned_matrix() -> dict:
     base = matrix["la-d3-2a"]
     la = base.lookahead
     c7 = CriterionSpec(criterion=Criterion.C7, w1=1.0, w2=1.0)
-    winnow_c7 = replace(base, lookahead=replace(
-        la, winnow=replace(la.winnow, spec=c7)))
+    winnow_c7 = replace(base, criterion=c7,
+                        winnow=replace(base.winnow, spec=c7))
     matrix.update({
         "la-d3-2a/pseudo-classic": replace(base, pseudo="classic"),
         "la-d3-2a/pseudo-analytical": replace(base, pseudo="analytical"),
@@ -59,15 +60,12 @@ def pinned_matrix() -> dict:
         "la-d3-2a/2-trees": replace(base, lookahead=replace(la, n_trees=2)),
     })
     pinned = {name: (config, _Search) for name, config in matrix.items()}
-    plain = matrix["plain-c7"]
-    pinned["plain-c7/half-estimated"] = (
-        replace(plain, winnow=replace(plain.winnow, n1=4)), _HalfEstimated)
-    for name in ("la-d3-2a", "la-d3-2a/winnow-c7", "la-straddle"):
+    for name in ("plain-c7", "la-d3-2a", "la-d3-2a/winnow-c7",
+                 "la-straddle"):
         config = matrix[name]
-        wide = replace(config.lookahead, winnow=replace(
-            config.lookahead.winnow, n1=4))
         pinned[f"{name}/half-estimated"] = (
-            replace(config, lookahead=wide), _HalfEstimated)
+            replace(config, winnow=replace(config.winnow, n1=4)),
+            _HalfEstimated)
     return pinned
 
 
