@@ -180,10 +180,10 @@ class EvalContext:
     k2_default: int | None = None    # driver-calibrated stage-2 budget
 
     def branch_budget(self, pivot_limit: int | None = None) -> PivotBudget:
-        b = replace(self.budget, cutoff=self.cutoff)
-        if pivot_limit is not None:
-            b = replace(b, max_pivots=pivot_limit)
-        return b
+        if pivot_limit is None:
+            return replace(self.budget, cutoff=self.cutoff)
+        return replace(self.budget, cutoff=self.cutoff,
+                       max_pivots=pivot_limit)
 
 
 def solve_warm(child: LpModel, warm: Basis, ctx: EvalContext,

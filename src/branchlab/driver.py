@@ -116,6 +116,12 @@ class SolveConfig:
             raise ValueError("limits must be positive")
         if self.lookahead and self.criterion.criterion is Criterion.VOTE:
             raise ValueError("vote is for plain branching, not look-ahead")
+        # both act on look-ahead trees only: reversals at their leaves, the
+        # restart on the attractiveness counts they collect
+        if self.lookahead is None and (self.reversal.enabled
+                                       or self.attract_restart):
+            raise ValueError("reversals and the attract restart need "
+                             "look-ahead")
 
 
 @dataclass

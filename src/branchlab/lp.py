@@ -43,7 +43,12 @@ warm basis keeps a memo of the runs started from it, keyed on the model's
 with its solution and its path: the objective, the largest violation and
 the stall count at every iterate.  A later solve of the same key returns
 a stored solution when replaying that path through `_stop` under its own
-budget stops at the same iterate with the same status; otherwise it runs.
+budget stops at the same iterate with the same status.  A run that hit
+its pivot limit also keeps its workspace, and a later solve whose budget
+stops that path nowhere continues it from its last iterate instead of
+pivoting from the warm basis again; the continuation takes the
+workspace, so each truncated run is continued at most once.  Otherwise
+the solve runs from the warm basis.
 """
 
 from __future__ import annotations
@@ -343,6 +348,7 @@ class _Workspace:
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         self.factor: _Factor | None = None
         self._objective: float | None = None
+        self.path: list[tuple[float, float, int]] = []   # of its last run
 
     # -- basis management ------------------------------------------------
 
@@ -602,10 +608,15 @@ def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
     """Pivot until `_stop` or an empty ratio test ends the run.
 
     Returns the status and the path: (objective, largest violation, stall
-    count) at each iterate, so the pivot count is len(path) - 1.
+    count) at each iterate, so the pivot count is len(path) - 1.  A
+    workspace that has run before continues from its last iterate, on a
+    copy of its path: that iterate is tested again under `budget`, and
+    the stall count and the refactor cadence go on from the path, so the
+    continued run is the run a fresh start would make.
     """
-    path = []
-    stalled = 0
+    path = ws.path[:-1]
+    stalled = ws.path[-1][2] if ws.path else 0
+    ws.path = path
     while True:
         viol, pos = ws.max_violation()
         objective = ws.objective()
@@ -623,17 +634,15 @@ def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
             ws.refactorize()
 
 
-def _replays(path: list[tuple[float, float, int]], status: LpStatus,
-             budget: PivotBudget) -> bool:
-    """Whether `budget` stops a recorded run at its last iterate with
-    its status, so the run's solution is also the answer under `budget`."""
-    last = len(path) - 1
+def _first_stop(path: list[tuple[float, float, int]],
+                budget: PivotBudget) -> tuple[int, LpStatus] | None:
+    """The first iterate of a recorded path at which `budget` ends a run,
+    with the status it ends with there, or None when it ends at none."""
     for pivots, (objective, viol, stalled) in enumerate(path):
         stop = _stop(budget, objective, viol, pivots, stalled)
         if stop is not None:
-            return pivots == last and stop is status
-    # no stop test ended the run, so its ratio test came up empty
-    return status is LpStatus.INFEASIBLE
+            return pivots, stop
+    return None
 
 
 def memo_key(model: LpModel) -> tuple:
@@ -646,28 +655,44 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
           budget: PivotBudget | None = None) -> LpSolution:
     """Dual simplex solve; warm basis must be dual-feasible or flippable.
 
-    A warm solve may be answered from the basis's memo (module
-    docstring); the solution is then shared with earlier callers, which
-    is why its arrays are read-only.  A model with an empty column box
-    is INFEASIBLE without a pivot.
+    A warm solve may be answered from the basis's memo, or continue a
+    truncated run kept there (module docstring); a memo answer is shared
+    with earlier callers, which is why a solution's arrays are read-only.
+    A model with an empty column box is INFEASIBLE without a pivot.
     """
+    if model.empty_box:
+        return _infeasible_box(model)
     budget = budget or PivotBudget()
+    ws = None
     if warm_basis is not None:
         key = memo_key(model)
         runs = (warm_basis.memo or {}).get(key, ())
-        for _, path, sol in runs:
-            if _replays(path, sol.status, budget):
+        resume = None
+        for i, (_, path, sol, kept) in enumerate(runs):
+            stop = _first_stop(path, budget)
+            if stop == (len(path) - 1, sol.status):
                 return sol
-    if model.empty_box:
-        return _infeasible_box(model)
-    ws = _Workspace(model)
-    loaded = False
-    if warm_basis is not None:
-        loaded = ws.load_basis(warm_basis)
-    if not loaded:
-        ws.load_cold()
-        if not ws._restore_dual_feasibility():
-            raise LpNumericError("could not construct a dual-feasible start")
+            if stop is None:
+                # no stop test ended the run, so its ratio test came up
+                # empty, or its budget ended it before this one would
+                if sol.status is LpStatus.INFEASIBLE:
+                    return sol
+                if kept is not None:
+                    resume = i
+        if resume is not None:
+            # the workspace moves on with this run, so its entry lets go
+            *entry, ws = runs[resume]
+            runs[resume] = (*entry, None)
+    if ws is None:
+        ws = _Workspace(model)
+        loaded = False
+        if warm_basis is not None:
+            loaded = ws.load_basis(warm_basis)
+        if not loaded:
+            ws.load_cold()
+            if not ws._restore_dual_feasibility():
+                raise LpNumericError(
+                    "could not construct a dual-feasible start")
     status, path = _run_dual_simplex(ws, budget)
     values = ws.values()
     x = values[:model.n_cols].copy()
@@ -688,7 +713,8 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
     if warm_basis is not None:
         if warm_basis.memo is None:
             warm_basis._remember("memo", {})
-        warm_basis.memo.setdefault(key, []).append((model, path, sol))
+        kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
+        warm_basis.memo.setdefault(key, []).append((model, path, sol, kept))
     return sol
 
 

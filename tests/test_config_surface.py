@@ -16,7 +16,7 @@ from branchlab import cli
 from branchlab.bench import default_matrix
 from branchlab.cli import config_from_options, option_keys, solve_parser
 from branchlab.criteria import Criterion, CriterionSpec
-from branchlab.driver import VOTE_PANEL, SolveConfig, solve_mip
+from branchlab.driver import VOTE_PANEL, ReversalConfig, SolveConfig, solve_mip
 from branchlab.lookahead import LookaheadConfig
 from branchlab.model import MipProblem
 from branchlab.mps import write_mps
@@ -149,3 +149,20 @@ def test_vote_is_a_plain_branching_criterion():
 def test_lookahead_options_without_lookahead_are_rejected(options):
     with pytest.raises(ValueError, match="need a nonzero lookahead"):
         config_from_options(options)
+
+
+@pytest.mark.parametrize("options", [
+    {"reversals": True}, {"attract_restart": True},
+    {"lookahead": 0, "reversals": True, "attract_restart": True}])
+def test_reversals_and_the_attract_restart_need_lookahead(options):
+    with pytest.raises(ValueError, match="need look-ahead"):
+        config_from_options(options)
+    config_from_options({**options, "lookahead": 2})
+
+
+def test_solve_config_rejects_look_ahead_only_actions_without_it():
+    for config in ({"reversal": ReversalConfig(enabled=True)},
+                   {"attract_restart": True}):
+        with pytest.raises(ValueError, match="need look-ahead"):
+            SolveConfig(**config)
+        SolveConfig(lookahead=LookaheadConfig(), **config)

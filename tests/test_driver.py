@@ -341,7 +341,9 @@ class TestCli:
         ["--n1", "0"],
         ["--lookahead", "3", "--postwin", "2a", "--lim", "0"],
         ["--postwin", "2a", "--lim", "0"],
-        ["--criterion", "vote", "--lookahead", "3"]])
+        ["--criterion", "vote", "--lookahead", "3"],
+        ["--reversals"],
+        ["--attract-restart"]])
     def test_solve_rejects_bad_options_with_exit_2(self, tmp_path, capsys,
                                                    options):
         from branchlab.cli import main
@@ -352,6 +354,22 @@ class TestCli:
         assert main(["solve", str(inst), *options]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+
+    def test_bench_rejects_reversals_without_lookahead(self, tmp_path,
+                                                        capsys):
+        from branchlab.cli import main
+        from branchlab.mps import write_mps
+
+        (tmp_path / "k.mps").write_text(write_mps(knapsack()))
+        cfgfile = tmp_path / "configs.json"
+        cfgfile.write_text(json.dumps({"configs": {
+            "plain-rev": {"reversals": True},
+            "la-rev": {"lookahead": 2, "reversals": True}}}))
+        assert main(["bench", str(tmp_path), "--configs",
+                     str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config 'plain-rev'")
+        assert "need look-ahead" in err
 
     def test_bench_exit_code_on_empty_dir(self, tmp_path, capsys):
         from branchlab.cli import main

@@ -31,7 +31,7 @@ def bare(basis):
 def stored(basis):
     """Every solution in a basis's memo, by identity."""
     return {id(sol) for runs in (basis.memo or {}).values()
-            for _, _, sol in runs}
+            for _, _, sol, _ in runs}
 
 
 def assert_same_answer(a, b):
@@ -48,7 +48,7 @@ def path_of(model, basis):
     """The path of an unbudgeted run from a copy of `basis`."""
     probe = bare(basis)
     solve(model, warm_basis=probe)
-    [[(_, path, _)]] = probe.memo.values()
+    [[(_, path, _, _)]] = probe.memo.values()
     return path
 
 
