@@ -16,8 +16,13 @@ from pathlib import Path
 
 from branchlab.costmem import uc_error_report
 from branchlab.criteria import Criterion, CriterionSpec
-from branchlab.driver import ReversalConfig, SolveConfig, solve_mip
-from branchlab.lookahead import AttractConfig, LookaheadConfig
+from branchlab.driver import SolveConfig, solve_mip
+from branchlab.lookahead import (
+    AttractConfig,
+    D2Config,
+    LookaheadConfig,
+    PostWinnow,
+)
 from branchlab.mps import MpsParseError, parse_mps
 from branchlab.winnow import WinnowParams
 
@@ -28,7 +33,7 @@ def default_matrix() -> dict[str, SolveConfig]:
     """The strategy configurations compared out of the box; the look-ahead
     entries winnow with k2 = 5 and rank and pick by C1."""
     base = SolveConfig(criterion=CriterionSpec(), winnow=WinnowParams(k2=5))
-    la = LookaheadConfig(depth=3, postwin="2a")
+    la = LookaheadConfig(depth=3, postwin=PostWinnow("2a"))
     return {
         "plain-c1": SolveConfig(
             criterion=CriterionSpec(criterion=Criterion.C1_PRODUCT)),
@@ -44,19 +49,19 @@ def default_matrix() -> dict[str, SolveConfig]:
         "vote": SolveConfig(
             criterion=CriterionSpec(criterion=Criterion.VOTE)),
         "la-d3-2a": replace(base, lookahead=la),
-        "la-d3-2b": replace(base, lookahead=replace(la, postwin="2b")),
+        "la-d3-2b": replace(base, lookahead=replace(
+            la, postwin=PostWinnow("2b"))),
         "la-d2-mode": SolveConfig(criterion=CriterionSpec(),
-                                  lookahead=LookaheadConfig(d2_mode=True)),
+                                  lookahead=D2Config()),
         "la-straddle": replace(base, lookahead=replace(la, straddle=True)),
         "la-attract": replace(base, lookahead=replace(
-            la, attract=AttractConfig(enabled=True, threshold=3.0))),
+            la, attract=AttractConfig(threshold=3.0))),
         "la-reversals": replace(
-            base, lookahead=replace(la, postwin="off"),
-            reversal=ReversalConfig(enabled=True, beta=0.5)),
+            base, lookahead=replace(la, postwin=None), reversal_beta=0.5),
         "pseudo-classic": SolveConfig(pseudo="classic"),
         "pseudo-analytical": SolveConfig(pseudo="analytical"),
-        "dval-select": SolveConfig(node_select="dval", dval_approach=1),
-        "refset": SolveConfig(refset=True),
+        "dval-select": SolveConfig(dval_approach=1),
+        "refset": SolveConfig(refset_theta=0.5),
     }
 
 

@@ -9,14 +9,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from branchlab.criteria import Criterion
-from branchlab.driver import (
-    VOTE_PANEL,
-    ReversalConfig,
-    SolveConfig,
-    solve_mip,
-    trace_to_json,
+from branchlab.driver import VOTE_PANEL, SolveConfig, solve_mip, trace_to_json
+from branchlab.lookahead import (
+    AttractConfig,
+    D2Config,
+    LookaheadConfig,
+    PostWinnow,
 )
-from branchlab.lookahead import AttractConfig, LookaheadConfig
 from branchlab.lp import solve as lp_solve
 from branchlab.model import detect_fractional
 from branchlab.mps import MpsParseError, parse_mps
@@ -27,18 +26,25 @@ _CLI_ONLY = ("instance", "trace", "clist")
 
 # the config object each strategy option sets; every other option is a
 # SolveConfig field.  An option's field has its name unless renamed here.
+# The first option of an optional object's group switches it on: without
+# it the object is None, and the group's other options are rejected.
 _GROUPS = {
     "spec": ("criterion", "p", "lambda", "w1", "w2", "mu"),
     "winnow": ("n0", "n1", "n2", "k2", "vlim", "clist"),
-    "lookahead": ("lookahead", "postwin", "lim", "d0", "accept",
-                  "early_exit", "d2_mode", "v", "multi_tree", "straddle"),
-    "attract": ("attract", "attract_half"),
-    "reversal": ("reversals", "beta"),
+    "lookahead": ("lookahead", "accept", "multi_tree", "straddle"),
+    "postwin": ("postwin", "lim", "d0", "early_exit"),
+    "attract": ("attract", "attract_half", "attract_restart"),
+    "d2": ("d2",),
 }
+_OPTIONAL = {"lookahead": LookaheadConfig, "postwin": PostWinnow,
+             "attract": AttractConfig, "d2": D2Config}
 _RENAMED = {"lambda": "lam", "n2": "n2_root", "vlim": "vlim_mult",
-            "lookahead": "depth", "multi_tree": "n_trees",
+            "lookahead": "depth", "multi_tree": "n_trees", "postwin": "mode",
             "attract": "threshold", "attract_half": "half_tree",
-            "reversals": "enabled", "theta": "refset_theta"}
+            "attract_restart": "restart", "d2": "v",
+            "refset": "refset_theta", "reversals": "reversal_beta",
+            "dval": "dval_approach"}
+_OPTION = {field: option for option, field in _RENAMED.items()}
 
 
 def solve_parser() -> argparse.ArgumentParser:
@@ -56,29 +62,28 @@ def solve_parser() -> argparse.ArgumentParser:
                    help="C0 convex weight on the larger evaluation")
     s.add_argument("--lookahead", type=int, metavar="D",
                    help="look-ahead tree depth (0 = plain branching)")
-    s.add_argument("--postwin", choices=["off", "2a", "2b", "2c"])
-    s.add_argument("--lim", type=int)
-    s.add_argument("--d0", type=int)
     s.add_argument("--accept", choices=["first", "path"])
-    s.add_argument("--early-exit", action="store_true")
-    s.add_argument("--d2-mode", action="store_true")
-    s.add_argument("--v", type=float)
     s.add_argument("--multi-tree", type=int, metavar="N")
     s.add_argument("--straddle", action="store_true")
+    s.add_argument("--postwin", choices=["2a", "2b", "2c"])
+    s.add_argument("--lim", type=int)
+    s.add_argument("--d0", type=int)
+    s.add_argument("--early-exit", action="store_true")
     s.add_argument("--attract", type=float, metavar="T",
                    help="persistent-attractiveness override threshold")
     s.add_argument("--attract-half", action="store_true")
     s.add_argument("--attract-restart", action="store_true",
                    help="restart once, re-rooting on the most "
                         "persistently attractive branch")
+    s.add_argument("--d2", type=float, metavar="V",
+                   help="two-level mode with pair-budget ratio V")
     s.add_argument("--pseudo", choices=["off", "classic", "analytical"])
-    s.add_argument("--refset", action="store_true")
-    s.add_argument("--theta", type=float,
-                   help="reference-set gate mix of min/max distance")
-    s.add_argument("--reversals", action="store_true")
-    s.add_argument("--beta", type=float)
-    s.add_argument("--node-select", choices=["dfs", "dval"])
-    s.add_argument("--dval-approach", type=int, choices=[1, 2])
+    s.add_argument("--refset", type=float, metavar="THETA",
+                   help="reference-set gate, mixing min/max distance")
+    s.add_argument("--reversals", type=float, metavar="BETA",
+                   help="leaf reversals, mixing avg/max resistance")
+    s.add_argument("--dval", type=int, choices=[1, 2],
+                   help="Dval open-node selection (default: DFS)")
     s.add_argument("--n0", type=int)
     s.add_argument("--n1", type=int)
     s.add_argument("--n2", type=int, help="stage-2 survivors at the root")
@@ -118,6 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _optional(group: str, parts: dict, nested=()):
+    """The group's optional object, with the objects of the `nested`
+    groups in it, or None when its switch is not given."""
+    switch = _GROUPS[group][0]
+    if _RENAMED.get(switch, switch) in parts[group]:
+        return _OPTIONAL[group](**parts[group], **{
+            inner: _optional(inner, parts) for inner in nested})
+    given = sorted(_OPTION.get(field, field)
+                   for g in (group, *nested) for field in parts[g])
+    if given:
+        raise ValueError(f"{', '.join(given)} "
+                         f"need{'s' * (len(given) == 1)} {switch}")
+    return None
+
+
 def config_from_options(opt: dict) -> SolveConfig:
     """SolveConfig from a dict of CLI-style option values.
 
@@ -125,14 +145,12 @@ def config_from_options(opt: dict) -> SolveConfig:
     field keeps its dataclass default.  The selection criterion also
     ranks the winnow; vote, with no score of its own, ranks it by its
     panel's first criterion.  `clist` is the CList's member set.
-    Look-ahead is on when a nonzero depth or the d2 mode is given, other
-    look-ahead options need it, and an attractiveness threshold turns
-    the override on.
+    Look-ahead depth 0 is plain branching.
     """
     parts = {group: {} for group in (*_GROUPS, "solve")}
     group_of = {key: g for g, keys in _GROUPS.items() for key in keys}
     for key, value in opt.items():
-        if value is not None:
+        if value is not None and not (key == "lookahead" and value == 0):
             parts[group_of.get(key, "solve")][_RENAMED.get(key, key)] = value
     base = SolveConfig()
     if "criterion" in parts["spec"]:
@@ -140,21 +158,15 @@ def config_from_options(opt: dict) -> SolveConfig:
     spec = replace(base.criterion, **parts["spec"])
     ranking = VOTE_PANEL[0] if spec.criterion is Criterion.VOTE else spec
     winnow = replace(base.winnow, spec=ranking, **parts["winnow"])
-    la, attract = parts["lookahead"], parts["attract"]
-    if not la.get("depth"):
-        la.pop("depth", None)          # depth 0 is plain branching
-    lookahead = None
-    if "depth" in la or la.get("d2_mode"):
-        attract["enabled"] = "threshold" in attract
-        lookahead = LookaheadConfig(attract=AttractConfig(**attract), **la)
-    elif la.keys() - {"d2_mode"} or attract:
-        raise ValueError("look-ahead options need a nonzero lookahead "
-                         "depth or d2_mode")
+    lookahead = _optional("lookahead", parts, ("postwin", "attract"))
+    d2 = _optional("d2", parts)
+    if lookahead and d2:
+        raise ValueError("d2 and lookahead exclude each other")
     solve = parts["solve"]
     if solve.pop("integral_eps", False):
         solve["eps"] = 1.0
-    return SolveConfig(criterion=spec, winnow=winnow, lookahead=lookahead,
-                       reversal=ReversalConfig(**parts["reversal"]), **solve)
+    return SolveConfig(criterion=spec, winnow=winnow,
+                       lookahead=lookahead or d2, **solve)
 
 
 def run_solve(args) -> int:

@@ -83,7 +83,6 @@ class CriterionSpec:
     w1: float = 100.0
     w2: float = 10.0
     mu: float = 1.0 / 6.0
-    flavor: Flavor | None = None    # None = implied by the criterion
 
     def __post_init__(self):
         if self.p < 0 or not 0 <= self.lam <= 1 or not 0 <= self.mu <= 1:
@@ -92,8 +91,6 @@ class CriterionSpec:
             raise ValueError("weights must be nonnegative")
 
     def eval_flavor(self) -> Flavor:
-        if self.flavor is not None:
-            return self.flavor
         return _IMPLIED_FLAVOR.get(self.criterion, Flavor.PLAIN)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -44,6 +44,7 @@ from branchlab.criteria import (
     vote,
 )
 from branchlab.lookahead import (
+    D2Config,
     LookaheadConfig,
     build_d2_tree,
     build_multi_trees,
@@ -80,48 +81,42 @@ MAX_RESTARTS = 20    # signal restarts at one node before the fallback
 
 
 @dataclass(frozen=True)
-class ReversalConfig:
-    enabled: bool = False
-    beta: float = 0.5
-
-
-@dataclass(frozen=True)
 class SolveConfig:
     # picks the branch, plain or look-ahead; winnow.spec ranks the winnow
     criterion: CriterionSpec = field(default_factory=lambda: CriterionSpec(
         criterion=Criterion.C2A, p=1.0))
     winnow: WinnowParams = field(default_factory=WinnowParams)
-    lookahead: LookaheadConfig | None = None
+    lookahead: LookaheadConfig | D2Config | None = None
     pseudo: str = "off"               # off | classic | analytical
-    refset: bool = False
-    refset_theta: float = 0.5
-    node_select: str = "dfs"          # dfs | dval
-    dval_approach: int = 1
-    reversal: ReversalConfig = field(default_factory=ReversalConfig)
+    refset_theta: float | None = None   # reference-set gate (plain only)
+    dval_approach: int | None = None  # Dval node selection; None is DFS
+    reversal_beta: float | None = None  # leaf reversals (look-ahead trees)
     eps: float = 1e-6
     max_nodes: int = 100_000
     max_time: float = 300.0
     dump_extended: bool = False       # include extended-tree analytics in
                                       # the trace JSON
-    attract_restart: bool = False     # one restart re-rooting the search
-                                      # on the most persistently
-                                      # attractive branch seen so far
 
     def __post_init__(self):
         if self.pseudo not in ("off", "classic", "analytical"):
             raise ValueError(f"unknown pseudo mode {self.pseudo!r}")
-        if self.node_select not in ("dfs", "dval"):
-            raise ValueError(f"unknown node selection {self.node_select!r}")
+        if self.dval_approach not in (None, 1, 2):
+            raise ValueError(f"unknown Dval approach {self.dval_approach!r}")
         if self.max_nodes <= 0 or self.max_time <= 0:
             raise ValueError("limits must be positive")
         if self.lookahead and self.criterion.criterion is Criterion.VOTE:
             raise ValueError("vote is for plain branching, not look-ahead")
-        # both act on look-ahead trees only: reversals at their leaves, the
-        # restart on the attractiveness counts they collect
-        if self.lookahead is None and (self.reversal.enabled
-                                       or self.attract_restart):
-            raise ValueError("reversals and the attract restart need "
-                             "look-ahead")
+        if self.reversal_beta is not None and \
+                not isinstance(self.lookahead, LookaheadConfig):
+            raise ValueError("reversals need look-ahead trees")
+        if self.refset_theta is not None and self.lookahead:
+            raise ValueError("the reference-set gate is for plain branching")
+        if isinstance(self.lookahead, D2Config) and (
+                self.pseudo != "off" or self.winnow != replace(
+                    WinnowParams(), spec=self.winnow.spec,
+                    clist=self.winnow.clist,
+                    vlim_mult=self.winnow.vlim_mult)):
+            raise ValueError("d2 sets its own stage sizes, estimating none")
 
 
 @dataclass
@@ -143,7 +138,8 @@ class _Search:
         self.counters = SearchCounters()
         self.pseudo = PseudoCostTable()
         self.ext = ExtendedTree()
-        self.dval = DvalCalibrator(approach=config.dval_approach)
+        self.dval = None if config.dval_approach is None \
+            else DvalCalibrator(approach=config.dval_approach)
         self.refset: ReferenceSet | None = None
         self.open: list[tuple[int, int]] = []     # (node_id, push order)
         self.nodes: dict[int, NodeState] = {}
@@ -246,7 +242,8 @@ class _Search:
                 kept.append((node_id, order))
         self.open = kept
         if path_node is not None:
-            self.calibrate_dval(path_node, x_o)
+            if self.dval is not None:
+                self.calibrate_dval(path_node, x_o)
             if self.refset is not None:
                 branch_vars = set()
                 walk: NodeState | None = path_node
@@ -255,8 +252,9 @@ class _Search:
                         branch_vars.add(walk.branch.var)
                     walk = self.nodes.get(walk.parent_id)
                 self.refset.add(x, x_o, branch_vars)
-        if self.config.attract_restart and not self.restarted and \
-                self.global_attract:
+        # only an attract-enabled look-ahead fills global_attract
+        if self.global_attract and not self.restarted and \
+                self.config.lookahead.attract.restart:
             self.pending_restart = True
         return True
 
@@ -290,7 +288,7 @@ class _Search:
     # -- node selection ----------------------------------------------------
 
     def select_open(self) -> NodeState:
-        if self.config.node_select == "dfs":
+        if self.dval is None:
             best = max(self.open,
                        key=lambda t: (self.nodes[t[0]].depth, t[1]))
         else:
@@ -376,12 +374,12 @@ class _Search:
         cfg = self.config
         model = self.node_model(node)
         ctx = self.ctx()
-        if cfg.lookahead is not None:
-            la = cfg.lookahead
-            if la.d2_mode:
-                result = build_d2_tree(self.problem, model, node.solution,
-                                       cfg, ctx)
-            elif la.n_trees > 1:
+        la = cfg.lookahead
+        if isinstance(la, D2Config):
+            return list(build_d2_tree(self.problem, model, node.solution,
+                                      cfg, ctx).path), None
+        if la is not None:
+            if la.n_trees > 1:
                 result = build_multi_trees(
                     self.problem, model, node.solution, cfg, ctx,
                     estimator=self.estimator(), ext_tree=self.ext,
@@ -391,9 +389,9 @@ class _Search:
                     self.problem, model, node.solution, cfg, ctx,
                     estimator=self.estimator(), ext_tree=self.ext,
                     ext_root=node.ext_id)
-            if cfg.reversal.enabled and result.leaves:
+            if cfg.reversal_beta is not None and result.leaves:
                 self.try_reversal(result.leaves, node)
-            if la.attract.enabled:
+            if la.attract is not None:
                 self.merge_attract(result.attract)
             return list(result.path), None
         f2, _, _, _ = winnow_run(model, node.solution, fractions,
@@ -447,7 +445,7 @@ class _Search:
         one reversal per tree build, trace-only (the reversed node
         replaces nothing in the search).
         """
-        beta = self.config.reversal.beta
+        beta = self.config.reversal_beta
         candidates = []
         for leaf in leaves:
             if leaf.solution is None or not leaf.solution.is_optimal:
@@ -609,11 +607,8 @@ class _Search:
                 break
             status = self.ensure_solved(preferred)
             solved.append(preferred)
-            if status == "cutoff":
-                self.trace_node(preferred, "pruned", reason="cutoff")
-                break
-            if status in ("infeasible", "limit"):
-                self.trace_node(preferred, "infeasible")
+            if status != "ok":
+                self.close(preferred, status)
                 break
             frac = detect_fractional(preferred.solution, self.problem)
             self.update_taken_pseudo(current, preferred)
@@ -657,11 +652,11 @@ class _Search:
                              self.problem.upper.copy())
         root.ext_id = 0
         status = self.ensure_solved(root)
-        if status in ("infeasible", "cutoff", "limit"):
-            self.trace_node(root, "infeasible")
-            return self.finish("infeasible")
+        if status != "ok":
+            self.close(root, status)
+            return self.finish("limit" if self.incomplete else "optimal")
         self.root_x = root.solution.x.copy()
-        if cfg.refset:
+        if cfg.refset_theta is not None:
             self.refset = ReferenceSet(root_x=self.root_x,
                                        root_x_o=root.solution.x_o)
         self.push(root)
@@ -679,24 +674,30 @@ class _Search:
                 continue
             expansions += self.visit(node)
             self.release(node)
-        if self.incumbent.x is None:
-            return self.finish("infeasible")
-        return self.finish("feasible" if self.incomplete else "optimal")
+        return self.finish("limit" if self.incomplete else "optimal")
+
+    def close(self, node: NodeState, status: str):
+        """Close a node whose LP ended `status` other than "ok", or a CList
+        leaf.  The search then proves no more than the bound of a region
+        left unsearched: a solver limit's or a CList leaf's."""
+        if status == "cutoff":
+            self.trace_node(node, "pruned", reason="cutoff")
+        elif status == "infeasible":
+            self.trace_node(node, "infeasible")
+        else:
+            self.incomplete = True
+            self.closed_bound = min(self.closed_bound, node.bound)
+            if status == "limit":
+                self.trace_node(node, "closed", reason="solver limit")
+            else:
+                self.trace_node(node, status)
 
     def visit(self, node: NodeState) -> bool:
         """Solve an open node and close or branch it; True if it was
         handed to branch selection."""
         status = self.ensure_solved(node)
-        if status == "cutoff":
-            self.trace_node(node, "pruned", reason="cutoff")
-            return False
-        if status == "infeasible":
-            self.trace_node(node, "infeasible")
-            return False
-        if status == "limit":
-            self.incomplete = True
-            self.closed_bound = min(self.closed_bound, node.bound)
-            self.trace_node(node, "closed", reason="solver limit")
+        if status != "ok":
+            self.close(node, status)
             return False
         fractions = detect_fractional(node.solution, self.problem)
         if node.branch is not None and node.parent_id is not None:
@@ -751,9 +752,7 @@ class _Search:
                                     reason="incumbent cutoff")
                     return [], None
             except CListLeafSignal:
-                self.incomplete = True
-                self.closed_bound = min(self.closed_bound, node.bound)
-                self.trace_node(node, "clist-leaf")
+                self.close(node, "clist-leaf")
                 return [], None
             if restarts > MAX_RESTARTS:
                 j = max(fractions,
@@ -809,6 +808,8 @@ class _Search:
             bound = min(finite) if finite else -math.inf
         if status == "limit" and self.incumbent.x is not None:
             status = "feasible"
+        elif status == "optimal" and self.incumbent.x is None:
+            status = "infeasible"    # the whole tree searched, no point
         trace = {
             "schema": TRACE_SCHEMA,
             "instance": self.problem.name,

@@ -37,7 +37,6 @@ from branchlab.criteria import (
     Criterion,
     CriterionSpec,
     EvalContext,
-    Flavor,
     IncumbentSignal,
     NodeInfeasibleSignal,
     absorb_compulsory,
@@ -62,35 +61,48 @@ LEAF_SPEC = CriterionSpec(criterion=Criterion.C2A, p=1.0)
 
 @dataclass(frozen=True)
 class AttractConfig:
-    enabled: bool = False
     threshold: float = 3.0
     half_tree: bool = False
+    restart: bool = False             # restart once, re-rooted on the most
+                                      # persistently attractive branch
+
+
+@dataclass(frozen=True)
+class PostWinnow:
+    mode: str                         # 2a | 2b | 2c
+    lim: int = 3
+    d0: int = 2
+    early_exit: bool = False          # stop once one root side owns all
+                                      # carried nodes (optional shortcut)
+
+    def __post_init__(self):
+        if self.mode not in ("2a", "2b", "2c"):
+            raise ValueError(f"unknown post-winnow mode {self.mode!r}")
+        if self.lim < 1 or self.d0 < 1:
+            raise ValueError("post-winnowing needs lim >= 1 and d0 >= 1")
 
 
 @dataclass(frozen=True)
 class LookaheadConfig:
     depth: int = 3
-    postwin: str = "off"              # off | 2a | 2b | 2c
-    lim: int = 3
-    d0: int = 2
     accept: str = "first"             # first | path
     n_trees: int = 1
-    d2_mode: bool = False
-    v: float = 1.0                    # d2 budget ratio n2(0)/n2(1)
     straddle: bool = False
-    attract: AttractConfig = field(default_factory=AttractConfig)
-    early_exit: bool = False          # stop once one root side owns all
-                                      # carried nodes (optional shortcut)
+    postwin: PostWinnow | None = None
+    attract: AttractConfig | None = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("look-ahead depth must be >= 1")
-        if self.postwin not in ("off", "2a", "2b", "2c"):
-            raise ValueError(f"unknown post-winnow mode {self.postwin!r}")
-        if self.postwin != "off" and (self.lim < 1 or self.d0 < 1):
-            raise ValueError("post-winnowing needs lim >= 1 and d0 >= 1")
         if self.accept not in ("first", "path"):
             raise ValueError(f"unknown accept mode {self.accept!r}")
+
+
+@dataclass(frozen=True)
+class D2Config:
+    v: float = 1.0                    # budget ratio n2(0)/n2(1)
+
+    def __post_init__(self):
         if not 1.0 <= self.v <= 2.0:
             raise ValueError("the d2 ratio v must lie in [1, 2]")
 
@@ -185,7 +197,7 @@ class _Builder:
         self.disjunction = StraddleDisjunction if cfg.straddle \
             else BoundDisjunction
         # Step-2 pairs are scored unweighted whatever the criterion flavor
-        self.pair_spec = replace(self.spec, flavor=Flavor.PLAIN)
+        self.pair_spec = replace(self.spec, w1=0.0, w2=0.0)
         self.estimator = estimator
         self.ext = ext_tree
         self.counter = 0
@@ -388,10 +400,10 @@ class _Builder:
     def build(self, root: TreeNode,
               forced_root_var: int | None = None) -> BuildResult:
         cfg = self.cfg
+        pw = cfg.postwin
         scan = [root]
         self.depth_counts = []
         pairs_by_depth: dict[int, list[list[TreeNode]]] = {}
-        early_exit = False
         for d in range(cfg.depth):
             proposals = []
             for node in scan:
@@ -411,12 +423,12 @@ class _Builder:
                     proposals.append(prop)
             if d == 0 and not proposals:
                 raise NodeInfeasibleSignal(-1)
-            gated = cfg.postwin != "off" and d >= cfg.d0
-            if gated and d == cfg.d0 and len(proposals) > cfg.lim:
+            gated = pw is not None and d >= pw.d0
+            if gated and d == pw.d0 and len(proposals) > pw.lim:
                 # first gate: rank prospective pairs before solving them
                 proposals.sort(key=lambda p: (-p.sel_score,
                                               p.parent.path_key()))
-                proposals = proposals[:cfg.lim]
+                proposals = proposals[:pw.lim]
             pairs = []
             for prop in proposals:
                 kids = self._admit_pair(prop)
@@ -428,27 +440,17 @@ class _Builder:
             if d + 1 == cfg.depth:
                 scan = []
                 break
-            if gated and d > cfg.d0:
-                carried = post_winnow(pairs, cfg.postwin, cfg.lim,
-                                      self.spec)
-            elif gated and d == cfg.d0:
-                carried = post_winnow(pairs, cfg.postwin, cfg.lim,
-                                      self.spec, already_capped=True)
+            if not gated:
+                carried = level_nodes
             else:
-                carried = [k for pair in pairs for k in pair]
-            if cfg.early_exit and cfg.postwin != "off" and d >= cfg.d0 \
-                    and carried:
-                sides = {k.root_side for k in carried}
-                if len(sides) == 1:
-                    early_exit = True
-                    side = sides.pop()
-                    winner = carried[0]
-                    return self._finish(root, pairs_by_depth, cfg,
-                                        early_side=side,
-                                        early_node=winner,
-                                        early_exit=early_exit)
+                carried = post_winnow(pairs, pw.mode, pw.lim, self.spec,
+                                      already_capped=d == pw.d0)
+                if pw.early_exit and \
+                        len({k.root_side for k in carried}) == 1:
+                    return self._finish(root, pairs_by_depth,
+                                        early_node=carried[0])
             scan = sorted(carried, key=lambda k: k.path_key())
-        return self._finish(root, pairs_by_depth, cfg)
+        return self._finish(root, pairs_by_depth)
 
     def _leaf_bundles(self, pairs: list[list[TreeNode]], root: TreeNode):
         bundles = {}
@@ -470,20 +472,19 @@ class _Builder:
             handles[idx] = (up_node, dn_node)
         return bundles, handles
 
-    def _finish(self, root, pairs_by_depth, cfg, early_side=None,
-                early_node=None, early_exit=False) -> BuildResult:
+    def _finish(self, root, pairs_by_depth, early_node=None) -> BuildResult:
         total = sum(self.depth_counts)
-        leaves = [k for pair in pairs_by_depth.get(cfg.depth, [])
+        leaves = [k for pair in pairs_by_depth.get(self.cfg.depth, [])
                   for k in pair]
-        if early_exit:
+        if early_node is not None:
+            # an early exit: every carried node shares this root side
             choice_var = early_node.path_records()[0].var
-            result = BuildResult(
-                var=choice_var, direction=early_side,
-                path=[(choice_var, early_side)],
+            side = early_node.root_side
+            return BuildResult(
+                var=choice_var, direction=side, path=[(choice_var, side)],
                 depth_counts=self.depth_counts, total_nodes=total,
                 leaves=leaves, winner_leaf=None, attract=self.attract,
                 early_exit=True, nodes=self.all_nodes)
-            return result
         deepest = max((d for d, pairs in pairs_by_depth.items() if pairs),
                       default=0)
         pairs = pairs_by_depth.get(deepest, [])
@@ -499,8 +500,7 @@ class _Builder:
         path = [(rec.var, rec.direction) for rec in winner.path_records()]
         return BuildResult(
             var=top.var, direction=top.direction,
-            path=path if cfg.accept == "path" else [(top.var,
-                                                     top.direction)],
+            path=path if self.cfg.accept == "path" else path[:1],
             depth_counts=self.depth_counts, total_nodes=total,
             leaves=leaves, winner_leaf=winner, attract=self.attract,
             pair_scores={k: pick.scores.get(k) for k in bundles},
@@ -515,8 +515,6 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
     2a keeps the lim best sibling pairs; 2b keeps only the lower-eval node
     of each kept pair; 2c keeps the lim best single nodes across pairs.
     """
-    if mode == "off":
-        return [k for pair in pairs for k in pair]
     if mode == "2c":
         nodes = [k for pair in pairs for k in pair]
         nodes.sort(key=lambda k: (k.eval_vs_parent, k.path_key()))
@@ -547,7 +545,7 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
 
 def _maybe_override(result: BuildResult, builder: _Builder) -> BuildResult:
     att = builder.cfg.attract
-    if not att.enabled or not builder.root_f2:
+    if att is None or not builder.root_f2:
         return result
     half = None
     if att.half_tree and result.winner_leaf is not None:
@@ -589,7 +587,10 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     depth-2 sibling pairs are scored with unit-cost weighted (second
     order) evaluations, pricing each leaf fractional by probes from the
     d=1 parent first, the root's probes second, and the root's reduced
-    costs last.  The depth is 2 whatever config.lookahead.depth says.
+    costs last.  A depth-1 child that is a CList leaf, or whose forced
+    branches do not settle, stays unexpanded; with no child expanded the
+    root choice is taken in its own direction, and only when both
+    children are dead is the node infeasible.
     """
     fractions = detect_fractional(sol, problem)
     if not fractions:
@@ -598,8 +599,7 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     v = config.lookahead.v
     n2_1 = max(1, round(f_size / (v + 2.0)))
     n2_0 = max(1, round(v * f_size / (v + 2.0)))
-    params = replace(config.winnow, n0=None, n1=None, k2=1,
-                     n2_root=n2_0, n2_mid=n2_1)
+    params = replace(config.winnow, k2=1, n2_root=n2_0, n2_mid=n2_1)
     spec = config.criterion
     # root scan
     f2, _, _, _ = winnow_run(model, sol, fractions, params, ctx, 0)
@@ -610,6 +610,7 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                               w2=0.0)
     bundles = {}
     handles = {}
+    unexpanded = False
     for direction, child_sol, dead in (
             ("up", root_ev.sol_up, root_ev.up_infeasible),
             ("down", root_ev.sol_down, root_ev.down_infeasible)):
@@ -633,15 +634,20 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                 child_model, fresh = absorb_compulsory(child_model,
                                                        child_sol, sig, ctx)
                 if fresh.status is not LpStatus.OPTIMAL:
-                    child_evals = None
+                    # a child is dead only when proven so
+                    unexpanded |= fresh.status is LpStatus.PIVOT_LIMIT_HIT
                     break
                 child_sol = fresh
                 child_frac = detect_fractional(child_sol, problem)
                 if not child_frac:
                     raise IncumbentSignal(child_sol)
             except NodeInfeasibleSignal:
-                child_evals = None
                 break
+            except CListLeafSignal:
+                unexpanded = True
+                break
+        else:
+            unexpanded = True
         if child_evals is None:
             continue
 
@@ -666,10 +672,12 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
         side = 0 if direction == "up" else 1
         bundles[side] = replace(weighted, var=side)
         handles[side] = direction
-    if not bundles:
+    if bundles:
+        direction = handles[select(bundles, leaf_spec).var]
+    elif unexpanded:
+        direction = choice.direction
+    else:
         raise NodeInfeasibleSignal(choice.var)
-    pick = select(bundles, leaf_spec)
-    direction = handles[pick.var]
     counts = [2, 2 * len(bundles)]
     return BuildResult(var=choice.var, direction=direction,
                        path=[(choice.var, direction)],

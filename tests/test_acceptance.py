@@ -14,7 +14,7 @@ from branchlab.costmem import DvalCalibrator, PathStep
 from branchlab.criteria import BranchEval, Criterion, CriterionSpec, select
 from branchlab.driver import SolveConfig, solve_mip, trace_to_json
 from branchlab.instances import corpus_paths
-from branchlab.lookahead import LookaheadConfig
+from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import LpStatus, PivotBudget, apply_branch
 from branchlab.lp import probe_single_pivot, solve
 from branchlab.model import MipProblem, detect_fractional
@@ -109,8 +109,8 @@ def test_criterion_2_tree_count_identities():
 
     got = (counts(7, depth=3),
            counts(9, depth=6),
-           counts(9, depth=6, postwin="2a", lim=3, d0=2),
-           counts(9, depth=6, postwin="2b", lim=3, d0=2))
+           counts(9, depth=6, postwin=PostWinnow("2a", lim=3, d0=2)),
+           counts(9, depth=6, postwin=PostWinnow("2b", lim=3, d0=2)))
     want = (14, 126, 48, 30)
     report(2, got == want, f"node counts {got} == {want}")
 
@@ -371,7 +371,8 @@ def test_criterion_10_trace_determinism():
         "plain": SolveConfig(),
         "lookahead": SolveConfig(
             criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-            lookahead=LookaheadConfig(depth=3, postwin="2a", lim=3, d0=2)),
+            lookahead=LookaheadConfig(
+                depth=3, postwin=PostWinnow("2a", lim=3, d0=2))),
         "analytical": SolveConfig(pseudo="analytical",
                                   dump_extended=True),
     }

@@ -5,7 +5,7 @@ import pytest
 
 from branchlab.costmem import ExtendedTree, uc_error_report
 from branchlab.criteria import CriterionSpec
-from branchlab.driver import ReversalConfig, SolveConfig, solve_mip
+from branchlab.driver import SolveConfig, solve_mip
 from branchlab.lookahead import AttractConfig, LookaheadConfig
 from branchlab.model import MipProblem
 from branchlab.winnow import WinnowParams
@@ -57,8 +57,7 @@ class TestReversalSafety:
     def test_reversed_region_stays_inside_the_owning_node(self):
         cfg = SolveConfig(
             criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-            lookahead=LookaheadConfig(depth=3),
-            reversal=ReversalConfig(enabled=True, beta=0.5))
+            lookahead=LookaheadConfig(depth=3), reversal_beta=0.5)
         checked = 0
         for seed in range(90, 120):
             p = random_ip(seed, n=4, m=3)
@@ -86,10 +85,9 @@ class TestReversalSafety:
 class TestAttractRestart:
     def test_restart_preserves_exactness_and_logs_drop(self):
         la = LookaheadConfig(
-            depth=2, attract=AttractConfig(enabled=True, threshold=2.0))
+            depth=2, attract=AttractConfig(threshold=2.0, restart=True))
         cfg = SolveConfig(criterion=CriterionSpec(),
-                          winnow=WinnowParams(k2=3), lookahead=la,
-                          attract_restart=True)
+                          winnow=WinnowParams(k2=3), lookahead=la)
         restarted = 0
         for seed in range(130, 150):
             p = random_ip(seed)

@@ -10,16 +10,16 @@ import branchlab.driver as driver_module
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
 from branchlab.criteria import CriterionSpec
 from branchlab.driver import (
-    ReversalConfig,
     SolveConfig,
     _Search,
     solve_mip,
     trace_to_json,
 )
 from branchlab.instances import corpus_dir
-from branchlab.lookahead import LookaheadConfig
-from branchlab.lp import LpModelError, LpProbeError
+from branchlab.lookahead import LookaheadConfig, PostWinnow
+from branchlab.lp import LpModelError, LpProbeError, PivotBudget
 from branchlab.model import MipProblem
+from branchlab.mps import parse_mps
 from branchlab.winnow import WinnowParams
 from oracles import mip_lattice_minimum
 
@@ -48,10 +48,11 @@ CONFIGS = {
     "plain": SolveConfig(),
     "lookahead": SolveConfig(
         criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-        lookahead=LookaheadConfig(depth=3, postwin="2a", lim=3, d0=2)),
-    "dval": SolveConfig(node_select="dval"),
+        lookahead=LookaheadConfig(depth=3,
+                                  postwin=PostWinnow("2a", lim=3, d0=2))),
+    "dval": SolveConfig(dval_approach=1),
     "pseudo": SolveConfig(pseudo="classic"),
-    "refset": SolveConfig(refset=True),
+    "refset": SolveConfig(refset_theta=0.5),
 }
 
 
@@ -119,6 +120,63 @@ class TestLimits:
         pytest.fail("no suitable instance found")
 
 
+class TestUnprovenEnds:
+    """A search that proved nothing ends `limit`, not infeasible."""
+
+    LAB01 = corpus_dir() / "lab01.mps"
+
+    def test_a_clist_search_without_an_incumbent_ends_limit(self, capsys):
+        from branchlab.cli import main
+
+        # lab01 is feasible: HiGHS finds its optimum, -22
+        optimize = pytest.importorskip("scipy.optimize")
+        p = parse_mps(self.LAB01.read_text())
+        highs = optimize.milp(
+            p.obj, integrality=p.integer_mask.astype(int),
+            constraints=[optimize.LinearConstraint(p.rows, lb=p.rhs)],
+            bounds=optimize.Bounds(p.lower, p.upper))
+        assert highs.status == 0 and highs.fun == pytest.approx(-22.0)
+        # a 1-member CList closes every region as a leaf before any
+        # incumbent is found
+        assert main(["solve", str(self.LAB01), "--clist", "1"]) == 1
+        assert "status    limit" in capsys.readouterr().out
+
+    def test_a_root_lp_stopped_by_the_node_budget_ends_limit(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(driver_module, "NODE_BUDGET",
+                            PivotBudget(max_pivots=1, max_degenerate=1))
+        res = solve_mip(parse_mps(self.LAB01.read_text()), SolveConfig())
+        assert res.status == "limit" and res.bound == -math.inf
+        assert res.trace["nodes"][0]["prune_reason"] == "solver limit"
+
+    def test_an_inline_path_child_at_the_solver_limit_is_unsearched(self):
+        class InlineLimit(_Search):
+            """Reports every path child solved inline as stopped at the
+            solver limit."""
+
+            inline = False
+
+            def apply_plan(self, node, plan, seed):
+                self.inline = True
+                try:
+                    super().apply_plan(node, plan, seed)
+                finally:
+                    self.inline = False
+
+            def ensure_solved(self, node):
+                status = super().ensure_solved(node)
+                return "limit" if self.inline else status
+
+        cfg = SolveConfig(criterion=CriterionSpec(),
+                          winnow=WinnowParams(k2=3),
+                          lookahead=LookaheadConfig(depth=3, accept="path"))
+        lab04 = corpus_dir() / "lab04.mps"   # accepts multi-step paths
+        res = InlineLimit(parse_mps(lab04.read_text()), cfg).run()
+        closed = [rec for rec in res.trace["nodes"]
+                  if rec.get("prune_reason") == "solver limit"]
+        assert closed and res.status in ("feasible", "limit")
+
+
 class TestNodeSelection:
     def test_dfs_picks_deepest_most_recent(self):
         p = random_ip(12)
@@ -140,7 +198,7 @@ class TestNodeSelection:
 
     def test_dval_picks_smallest_score(self):
         p = random_ip(12)
-        search = _Search(p, SolveConfig(node_select="dval"))
+        search = _Search(p, SolveConfig(dval_approach=1))
         from branchlab.model import NodeState
 
         for node_id, score in ((0, 5.0), (1, 3.0)):
@@ -152,15 +210,15 @@ class TestNodeSelection:
         assert search.select_open().node_id == 1
 
     def test_dval_defaults_to_unit_weights_before_incumbent(self):
-        assert _Search(random_ip(1), SolveConfig()).dval.weights(3) == \
+        assert _Search(random_ip(1),
+                       SolveConfig(dval_approach=1)).dval.weights(3) == \
             (1.0, 1.0)
 
     def test_dval_mode_still_solves_exactly(self):
         for seed in (41, 42, 43):
             p = random_ip(seed)
             want, _ = mip_lattice_minimum(p)
-            res = solve_mip(p, SolveConfig(node_select="dval",
-                                           dval_approach=2))
+            res = solve_mip(p, SolveConfig(dval_approach=2))
             if math.isfinite(want):
                 assert res.status == "optimal"
                 assert res.objective == pytest.approx(want, abs=1e-9)
@@ -176,8 +234,7 @@ class TestReversals:
     def test_reversal_log_and_improvement_bound(self):
         cfg = SolveConfig(
             criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-            lookahead=LookaheadConfig(depth=3),
-            reversal=ReversalConfig(enabled=True, beta=0.5))
+            lookahead=LookaheadConfig(depth=3), reversal_beta=0.5)
         seen = 0
         for seed in range(50, 70):
             p = random_ip(seed)
@@ -193,8 +250,7 @@ class TestReversals:
 
     REVERSING = SolveConfig(
         criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-        lookahead=LookaheadConfig(depth=3),
-        reversal=ReversalConfig(enabled=True, beta=0.5))
+        lookahead=LookaheadConfig(depth=3), reversal_beta=0.5)
 
     @pytest.mark.parametrize("error", [LpProbeError, LpModelError])
     def test_a_reversal_the_lp_layer_rejects_is_skipped(self, monkeypatch,
@@ -221,8 +277,7 @@ class TestReversals:
         base = SolveConfig(criterion=CriterionSpec(),
                            winnow=WinnowParams(k2=3),
                            lookahead=LookaheadConfig(depth=3))
-        with_rev = replace(base,
-                           reversal=ReversalConfig(enabled=True, beta=0.5))
+        with_rev = replace(base, reversal_beta=0.5)
         for seed in (50, 51, 52):
             p = random_ip(seed)
             a = solve_mip(p, base)
@@ -290,7 +345,7 @@ class TestBench:
             (tmp_path / f"{name}.mps").write_text(
                 Path(f"src/branchlab/instances/{name}.mps").read_text())
         matrix = {"a": SolveConfig(),
-                  "b": SolveConfig(node_select="dval")}
+                  "b": SolveConfig(dval_approach=1)}
         r1 = run_benchmark(tmp_path, matrix, log=lambda *a: None)
         r2 = run_benchmark(tmp_path, matrix, log=lambda *a: None)
         assert len(r1["rows"]) == 4
@@ -342,8 +397,8 @@ class TestCli:
         ["--lookahead", "3", "--postwin", "2a", "--lim", "0"],
         ["--postwin", "2a", "--lim", "0"],
         ["--criterion", "vote", "--lookahead", "3"],
-        ["--reversals"],
-        ["--attract-restart"]])
+        ["--reversals", "0.5"],
+        ["--lookahead", "2", "--attract-restart"]])
     def test_solve_rejects_bad_options_with_exit_2(self, tmp_path, capsys,
                                                    options):
         from branchlab.cli import main
@@ -363,8 +418,8 @@ class TestCli:
         (tmp_path / "k.mps").write_text(write_mps(knapsack()))
         cfgfile = tmp_path / "configs.json"
         cfgfile.write_text(json.dumps({"configs": {
-            "plain-rev": {"reversals": True},
-            "la-rev": {"lookahead": 2, "reversals": True}}}))
+            "plain-rev": {"reversals": 0.5},
+            "la-rev": {"lookahead": 2, "reversals": 0.5}}}))
         assert main(["bench", str(tmp_path), "--configs",
                      str(cfgfile)]) == 2
         err = capsys.readouterr().err

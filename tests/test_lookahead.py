@@ -6,6 +6,7 @@ import pytest
 
 from branchlab import lookahead, winnow
 from branchlab.criteria import (
+    CompulsorySignal,
     Criterion,
     CriterionSpec,
     EvalContext,
@@ -18,7 +19,9 @@ from branchlab.driver import SolveConfig
 from branchlab.lookahead import (
     AttractConfig,
     AttractCounters,
+    D2Config,
     LookaheadConfig,
+    PostWinnow,
     build_d2_tree,
     build_multi_trees,
     build_tree,
@@ -60,6 +63,11 @@ def base_cfg(winnow=WinnowParams(k2=3), **kw):
                        lookahead=LookaheadConfig(**{"depth": 3, **kw}))
 
 
+def d2_cfg(v):
+    """The two-level mode picking by C1; it sets its own stage sizes."""
+    return SolveConfig(criterion=CriterionSpec(), lookahead=D2Config(v=v))
+
+
 def build(problem, cfg):
     sol = solve(problem.to_lp())
     assert sol.is_optimal
@@ -79,20 +87,20 @@ class TestTreeCounts:
         assert result.total_nodes == 126
 
     def test_postwin_2a_gives_48(self):
-        result = build(triangle_fixture(9),
-                       base_cfg(depth=6, postwin="2a", lim=3, d0=2))
+        result = build(triangle_fixture(9), base_cfg(
+            depth=6, postwin=PostWinnow("2a", lim=3, d0=2)))
         assert result.depth_counts == [2, 4, 6, 12, 12, 12]
         assert result.total_nodes == 48
 
     def test_postwin_2b_gives_30(self):
-        result = build(triangle_fixture(9),
-                       base_cfg(depth=6, postwin="2b", lim=3, d0=2))
+        result = build(triangle_fixture(9), base_cfg(
+            depth=6, postwin=PostWinnow("2b", lim=3, d0=2)))
         assert result.depth_counts == [2, 4, 6, 6, 6, 6]
         assert result.total_nodes == 30
 
     def test_postwin_2c_caps_single_nodes(self):
-        result = build(triangle_fixture(9),
-                       base_cfg(depth=6, postwin="2c", lim=2, d0=2))
+        result = build(triangle_fixture(9), base_cfg(
+            depth=6, postwin=PostWinnow("2c", lim=2, d0=2)))
         # carried sets hold 2 nodes, possibly sharing a parent
         assert result.depth_counts[0:2] == [2, 4]
         assert all(c <= 4 for c in result.depth_counts[3:])
@@ -138,9 +146,10 @@ class TestEarlyExit:
         fired = 0
         for seed in range(6):
             p = triangle_fixture(7, seed=seed)
-            gated = base_cfg(depth=5, postwin="2a", lim=1, d0=2)
+            gated = base_cfg(depth=5, postwin=PostWinnow("2a", lim=1, d0=2))
             quick = build(p, replace(gated, lookahead=replace(
-                gated.lookahead, early_exit=True)))
+                gated.lookahead, postwin=PostWinnow("2a", lim=1, d0=2,
+                                                    early_exit=True))))
             if not quick.early_exit:
                 continue
             fired += 1
@@ -156,7 +165,7 @@ class TestD2Mode:
         p = triangle_fixture(4)   # |F| = 12 at the root
         sol = solve(p.to_lp())
         assert len(detect_fractional(sol, p)) == 12
-        cfg = base_cfg(depth=2, d2_mode=True, v=1.0)
+        cfg = d2_cfg(v=1.0)
         out = build_d2_tree(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert out.pair_scores["n2_root"] == 4
         assert out.pair_scores["n2_child"] == 4
@@ -164,7 +173,7 @@ class TestD2Mode:
     def test_budget_split_v2(self):
         p = triangle_fixture(4)
         sol = solve(p.to_lp())
-        cfg = base_cfg(depth=2, d2_mode=True, v=2.0)
+        cfg = d2_cfg(v=2.0)
         out = build_d2_tree(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert out.pair_scores["n2_root"] == 6
         assert out.pair_scores["n2_child"] == 3
@@ -185,10 +194,44 @@ class TestD2Mode:
                        integer_mask=np.ones(n, bool))
         sol = solve(p.to_lp())
         assert len(detect_fractional(sol, p)) == 4
-        cfg = base_cfg(depth=2, d2_mode=True, v=1.0)
+        cfg = d2_cfg(v=1.0)
         out = build_d2_tree(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert out.pair_scores["n2_root"] == 1
         assert out.var is not None
+
+    def test_a_clist_leaf_child_stays_unexpanded(self):
+        # the one CList member is the root choice, so it is integral in
+        # both depth-1 children: neither is expanded, and the owning node
+        # still branches on the root choice
+        p = triangle_fixture(4)
+        sol = solve(p.to_lp())
+        j = min(detect_fractional(sol, p))
+        cfg = replace(d2_cfg(v=1.0), winnow=WinnowParams(
+            clist=frozenset({j})))
+        out = build_d2_tree(p, p.to_lp(), sol, cfg, make_ctx(p))
+        assert out.var == j and out.depth_counts == [2, 0]
+
+    def test_a_child_whose_forced_branches_never_settle_stays_unexpanded(
+            self, monkeypatch):
+        # every depth-1 winnow signals a compulsory branch that changes
+        # nothing, so both children use up their absorption tries; that
+        # proves neither child infeasible
+        real = lookahead.winnow_run
+
+        def signalling(model, sol, fractions, params, ctx, depth, *rest):
+            if depth == 0:
+                return real(model, sol, fractions, params, ctx, depth,
+                            *rest)
+            raise CompulsorySignal(min(fractions), "up")
+
+        monkeypatch.setattr(lookahead, "winnow_run", signalling)
+        monkeypatch.setattr(lookahead, "absorb_compulsory",
+                            lambda model, sol, sig, ctx: (model, sol))
+        p = triangle_fixture(4)
+        sol = solve(p.to_lp())
+        out = build_d2_tree(p, p.to_lp(), sol, d2_cfg(v=1.0), make_ctx(p))
+        assert out.depth_counts == [2, 0]
+        assert out.path == [(out.var, out.direction)]
 
 
 class TestMultiTree:
@@ -290,12 +333,12 @@ class TestCriterionHome:
         p = triangle_fixture(5, seed=2)
         sol = solve(p.to_lp())
         c3 = CriterionSpec(criterion=Criterion.C3_THRESHOLD, lam=0.5)
-        for la in (dict(postwin="2a", lim=1, d0=1), dict(depth=2, n_trees=2),
-                   dict(d2_mode=True)):
-            cfg = replace(base_cfg(**la), criterion=c3)
-            build = build_d2_tree if cfg.lookahead.d2_mode \
-                else build_multi_trees
-            build(p, p.to_lp(), sol, cfg, make_ctx(p))
+        for cfg, build in (
+                (base_cfg(postwin=PostWinnow("2a", lim=1, d0=1)),
+                 build_multi_trees),
+                (base_cfg(depth=2, n_trees=2), build_multi_trees),
+                (d2_cfg(v=1.0), build_d2_tree)):
+            build(p, p.to_lp(), sol, replace(cfg, criterion=c3), make_ctx(p))
         assert seen[winnow] == {Criterion.C1_PRODUCT}
         assert seen[lookahead] == {Criterion.C3_THRESHOLD, Criterion.C2A,
                                    Criterion.C7}
@@ -315,8 +358,7 @@ class TestAttract:
 
     def test_threshold_infinity_never_overrides(self):
         p = triangle_fixture(5, seed=1)
-        cfg = base_cfg(depth=2, attract=AttractConfig(
-            enabled=True, threshold=math.inf))
+        cfg = base_cfg(depth=2, attract=AttractConfig(threshold=math.inf))
         result = build(p, cfg)
         assert not result.overridden
 
@@ -324,8 +366,7 @@ class TestAttract:
         from branchlab.lookahead import BuildResult, _maybe_override
 
         p = triangle_fixture(2)
-        cfg = base_cfg(depth=2, attract=AttractConfig(enabled=True,
-                                                      threshold=4.0))
+        cfg = base_cfg(depth=2, attract=AttractConfig(threshold=4.0))
         builder = _Builder(p, cfg, make_ctx(p))
         for _ in range(5):
             builder.attract.bump(1, "up", None)
@@ -344,8 +385,8 @@ class TestAttract:
             _maybe_override
 
         p = triangle_fixture(2)
-        cfg = base_cfg(depth=2, attract=AttractConfig(
-            enabled=True, threshold=2.0, half_tree=True))
+        cfg = base_cfg(depth=2, attract=AttractConfig(threshold=2.0,
+                                                      half_tree=True))
         builder = _Builder(p, cfg, make_ctx(p))
         for _ in range(9):
             builder.attract.bump(1, "up", "down")   # other half only

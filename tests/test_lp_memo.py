@@ -16,7 +16,7 @@ import pytest
 import branchlab.driver as driver
 import branchlab.lp as lp
 from branchlab.criteria import CriterionSpec
-from branchlab.lookahead import LookaheadConfig
+from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import Basis, LpStatus, PivotBudget, solve
 from branchlab.winnow import WinnowParams
 from test_driver import random_ip
@@ -187,7 +187,8 @@ def test_solutions_are_read_only():
 
 LOOKAHEAD = driver.SolveConfig(
     criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
-    lookahead=LookaheadConfig(depth=3, postwin="2a", lim=3, d0=2))
+    lookahead=LookaheadConfig(depth=3,
+                              postwin=PostWinnow("2a", lim=3, d0=2)))
 
 
 def test_memos_do_not_outlive_a_search(monkeypatch):
