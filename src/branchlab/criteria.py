@@ -140,9 +140,15 @@ class CompulsorySignal(BranchSignal):
 
 
 class NodeInfeasibleSignal(BranchSignal):
-    def __init__(self, var: int):
-        super().__init__(f"both branches on x_{var} infeasible")
+    """Both sides of a branch on x_var are dead.  With `cutoff`, some side
+    was only cut off by the incumbent, so the node may hold MIP points,
+    but none better than the incumbent."""
+
+    def __init__(self, var: int, cutoff: bool = False):
+        dead = "cut off" if cutoff else "infeasible"
+        super().__init__(f"both branches on x_{var} {dead}")
         self.var = var
+        self.cutoff = cutoff
 
 
 class IncumbentSignal(BranchSignal):
@@ -211,6 +217,7 @@ class BoundDisjunction:
     """
 
     signal_compulsory = True
+    cut_off = frozenset()       # a bound probe applies no cutoff
 
     def __init__(self, model: LpModel, sol: LpSolution, j: int,
                  ctx: EvalContext):
@@ -277,7 +284,8 @@ def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
     up_dead = _child_infeasible(sol_up)
     down_dead = _child_infeasible(sol_down)
     if up_dead and down_dead:
-        raise NodeInfeasibleSignal(var)
+        raise NodeInfeasibleSignal(var, cutoff=LpStatus.CUTOFF_INFEASIBLE in (
+            sol_up.status, sol_down.status))
     x_up = ctx.x_o_star if up_dead else sol_up.x_o
     x_down = ctx.x_o_star if down_dead else sol_down.x_o
     ev = BranchEval(

@@ -104,6 +104,11 @@ class SolveConfig:
             raise ValueError(f"unknown Dval approach {self.dval_approach!r}")
         if self.max_nodes <= 0 or self.max_time <= 0:
             raise ValueError("limits must be positive")
+        for name in ("reversal_beta", "refset_theta"):
+            weight = getattr(self, name)
+            if weight is not None and not 0.0 <= weight <= 1.0:
+                raise ValueError(f"{name} is a convex weight in [0, 1], "
+                                 f"not {weight}")
         if self.lookahead and self.criterion.criterion is Criterion.VOTE:
             raise ValueError("vote is for plain branching, not look-ahead")
         if self.reversal_beta is not None and \
@@ -739,9 +744,15 @@ class _Search:
                                            node)
                     self.trace_node(node, "integral")
                     return [], None
-            except NodeInfeasibleSignal:
-                self.trace_node(node, "infeasible",
-                                reason="both branches dead")
+            except NodeInfeasibleSignal as sig:
+                # a node whose own LP bound passed the cutoff is `pruned`;
+                # this one's bound did not, only its children's did
+                if sig.cutoff:
+                    self.trace_node(node, "fathomed",
+                                    reason="both branches cut off")
+                else:
+                    self.trace_node(node, "infeasible",
+                                    reason="both branches dead")
                 return [], None
             except IncumbentSignal as sig:
                 restarts += 1

@@ -610,7 +610,7 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                               w2=0.0)
     bundles = {}
     handles = {}
-    unexpanded = False
+    unexpanded = cut_off = False
     for direction, child_sol, dead in (
             ("up", root_ev.sol_up, root_ev.up_infeasible),
             ("down", root_ev.sol_down, root_ev.down_infeasible)):
@@ -636,12 +636,14 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                 if fresh.status is not LpStatus.OPTIMAL:
                     # a child is dead only when proven so
                     unexpanded |= fresh.status is LpStatus.PIVOT_LIMIT_HIT
+                    cut_off |= fresh.status is LpStatus.CUTOFF_INFEASIBLE
                     break
                 child_sol = fresh
                 child_frac = detect_fractional(child_sol, problem)
                 if not child_frac:
                     raise IncumbentSignal(child_sol)
-            except NodeInfeasibleSignal:
+            except NodeInfeasibleSignal as sig:
+                cut_off |= sig.cutoff
                 break
             except CListLeafSignal:
                 unexpanded = True
@@ -677,7 +679,7 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     elif unexpanded:
         direction = choice.direction
     else:
-        raise NodeInfeasibleSignal(choice.var)
+        raise NodeInfeasibleSignal(choice.var, cutoff=cut_off)
     counts = [2, 2 * len(bundles)]
     return BuildResult(var=choice.var, direction=direction,
                        path=[(choice.var, direction)],
@@ -712,18 +714,20 @@ def build_multi_trees(problem: MipProblem, model: LpModel,
                                      fractions)
     ranked = rank(root_evals, config.criterion, n_trees)
     best: tuple[float, BuildResult] | None = None
+    cut_off = False
     for k, var in enumerate(ranked):
         builder = _Builder(problem, config, ctx, estimator, ext_tree)
         builder.excluded = frozenset(ranked[:k])
         root = _root_node(problem, model, sol, ext_root)
         try:
             result = builder.build(root, forced_root_var=var)
-        except NodeInfeasibleSignal:
+        except NodeInfeasibleSignal as sig:
+            cut_off |= sig.cutoff
             continue
         quality = max((v for v in result.pair_scores.values()
                        if v is not None), default=-math.inf)
         if best is None or quality > best[0]:
             best = (quality, result)
     if best is None:
-        raise NodeInfeasibleSignal(-1)
+        raise NodeInfeasibleSignal(-1, cutoff=cut_off)
     return best[1]

@@ -742,8 +742,10 @@ def is_fractional(value: float, tol: float = INT_TOL) -> bool:
 def _probe_workspace(model: LpModel, basis: Basis,
                      misfit: str) -> _Workspace:
     """`model` loaded at `basis`, shared by every probe and tableau row at
-    that pair and kept with the basis.  Its arrays are read-only, and it
-    also holds the translated reduced costs as `probe_rc`."""
+    that pair and kept with the basis.  Its arrays are read-only.  It also
+    holds the translated reduced costs as `probe_rc`, and as `probe_cols`
+    (column, translated reduced cost, at upper bound) for every nonbasic
+    column, the operands of `_min_ratio`."""
     ws = basis.probe_state
     if ws is None or ws.model is not model:
         ws = _Workspace(model)
@@ -751,6 +753,10 @@ def _probe_workspace(model: LpModel, basis: Basis,
             raise LpProbeError(misfit)
         ws.basic = tuple(ws.basic)
         ws.probe_rc = ws.translated_rc()
+        ws.probe_cols = [
+            (col, rc, upper) for col, (rc, upper, basic) in enumerate(zip(
+                ws.probe_rc.tolist(), ws.at_upper.tolist(),
+                ws.in_basis.tolist())) if not basic]
         for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN,
                   ws.probe_rc):
             a.setflags(write=False)
@@ -763,12 +769,11 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     """Objective-increase estimate for one dual pivot of a branch on x_j.
 
     Eligible ratios pair the (nonnegative, translated) reduced costs with
-    the variable's raw tableau-row coefficient: for an up branch the sign
-    pattern admits negative coefficients on at-lower columns and positive
-    on at-upper columns; a down branch admits the opposite.  The smallest
-    ratio magnitude times the relevant fractional part is the first-pivot
-    objective change.  Returns +inf when no ratio is eligible (that branch
-    is LP infeasible).
+    the variable's translated tableau-row coefficient (`_min_ratio`): an
+    up branch admits negative ones, a down branch positive ones.  The
+    smallest ratio magnitude times the relevant fractional part is the
+    first-pivot objective change.  Returns +inf when no ratio is eligible
+    (that branch is LP infeasible).
     """
     if direction not in ("up", "down"):
         raise LpProbeError(f"bad direction {direction!r}")
@@ -782,23 +787,47 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
         raise LpProbeError(f"x_{j} = {value} is not fractional")
     f_plus, f_minus = fractional_parts(value)
     frac = f_plus if direction == "up" else f_minus
-    alpha = ws.tableau_row(pos)
-    rc_t = ws.probe_rc
-    want_below = direction == "up"   # an up branch leaves x_j below its new lower bound
+    # an up branch leaves x_j below its new lower bound
+    best = _min_ratio(ws, ws.tableau_row(pos).tolist(),
+                      below=direction == "up")
+    return best * frac if math.isfinite(best) else INF
+
+
+def _min_ratio(ws: _Workspace, row, below: bool) -> float:
+    """First dual ratio test of a basic variable leaving at a probe
+    workspace, whose tableau row over all columns is `row` (raw signs, as
+    `tableau_row` gives them).
+
+    Translated so that every nonbasic column sits at 0, a variable below
+    its bound admits the columns with a negative coefficient, one above
+    its bound those with a positive one.  Returns the smallest
+    |rc / coefficient| among them, over the translated reduced costs, or
+    +inf when none is admitted.
+    """
     best = INF
-    for col in range(ws.ncols):
-        if ws.in_basis[col]:
-            continue
-        a = alpha[col]
+    for col, rc, upper in ws.probe_cols:
+        a = row[col]
         if abs(a) <= PIVOT_TOL:
             continue
-        if want_below:
-            elig = (a < 0) if not ws.at_upper[col] else (a > 0)
-        else:
-            elig = (a > 0) if not ws.at_upper[col] else (a < 0)
-        if elig:
-            best = min(best, abs(rc_t[col] / a))
-    return best * frac if math.isfinite(best) else INF
+        if upper:
+            a = -a
+        if a < 0 if below else a > 0:
+            best = min(best, abs(rc / a))
+    return best
+
+
+def first_pivot_ratio(model: LpModel, basis: Basis, row,
+                      below: bool) -> float:
+    """`_min_ratio` of a row over the columns of `model` at `basis`.
+
+    Times the row variable's distance to its bound, this is the objective
+    change of the first dual pivot the row would make if it were added to
+    `model` with its variable basic; no such model is built and nothing
+    pivots (`straddle.straddle_pivot_estimate`).
+    """
+    return _min_ratio(_probe_workspace(model, basis,
+                                       "basis does not fit the model"),
+                      row, below)
 
 
 def apply_branch(model: LpModel, sol: LpSolution, j: int,

@@ -29,14 +29,22 @@ eliminated through their defining rows); the appended row's surplus IS the
 z slack.  Straddle rows whose slack has gone nonbasic are dropped before
 deriving further children.
 
-StraddleDisjunction partitions the tableau row once and derives both
-children from it, for criteria.evaluate_pair and the winnow estimates.
-The children are kept on the node's basis, keyed like its LP memo (the
-model's arrays and bounds), on x_j and on the integrality mask, until
-`Basis.forget_solves`.  So the stage-1 estimates, the stage-2 truncated
-solves and the Step-2 pair solves at that node all load one child model
-and warm basis: they share its inverse and its memo, and answer bit for
-bit as freshly built children would.
+A child's first dual pivot needs no child model: at the node's basis
+plus the z slack, z's tableau row is its straddle row above, so
+`straddle_pivot_estimate` prices that pivot with the node's reduced
+costs, as `lp.probe_single_pivot` does on x_j's own row.
+`partition_row` is the one loop that splits the tableau row, for the
+estimate and for `build_straddle_rows`.
+
+StraddleDisjunction partitions the tableau row on its first estimate
+and builds both children on its first child() or solve(), for
+criteria.evaluate_pair.  The children are kept on the node's basis,
+keyed like its LP memo (the model's arrays and bounds), on x_j and on
+the integrality mask, until `Basis.forget_solves`.  So the stage-2
+truncated solves and the Step-2 pair solves at that node all load one
+child model and warm basis: they share its inverse and its memo, and
+answer bit for bit as freshly built children would.  A candidate the
+winnow drops after its stage-1 estimate builds no child at all.
 """
 
 from __future__ import annotations
@@ -57,12 +65,11 @@ from branchlab.lp import (
     LpModel,
     LpProbeError,
     LpSolution,
-    LpStatus,
     PivotBudget,
+    first_pivot_ratio,
     fractional_parts,
     is_fractional,
     memo_key,
-    solve,
     tableau_row_for,
 )
 
@@ -103,6 +110,60 @@ class StraddleRow:
         return z
 
 
+def partition_row(model: LpModel, basis: Basis, j: int,
+                  integer_mask: np.ndarray) -> tuple[dict, list]:
+    """Partition x_j's tableau row at `basis` (module docstring).
+
+    Returns the StraddleRow fields both directions share, and z+'s row of
+    the up child's tableau over every column, in `lp.tableau_row` signs:
+    the up-row coefficient c_i, negated on a column at its upper bound,
+    and 0.0 for a column the row leaves out.
+    """
+    alpha, at_upper, value, n = tableau_row_for(model, basis, j)
+    if not is_fractional(value):
+        raise LpProbeError(f"x_{j} = {value} is not fractional")
+    s_o, r_o = fractional_parts(value)
+    basic = set(basis.basic)
+    nb1, nb2 = [], []
+    r: dict = {}
+    s: dict = {}
+    d: dict = {}
+    q: dict = {}
+    z_row = [0.0] * alpha.shape[0]
+    shifts = []
+    for col, (a_raw, upperside) in enumerate(zip(alpha.tolist(),
+                                                 at_upper.tolist())):
+        if col in basic or abs(a_raw) <= COEF_TOL:
+            continue
+        a_bar = -a_raw if upperside else a_raw
+        if col < n:
+            kind = "lower" if not upperside else "upper"
+            bound = model.upper[col] if upperside else model.lower[col]
+            shifts.append((col, kind, float(bound), -1))
+        else:
+            shifts.append((col, "surplus", 0.0, col - n))
+        if col < n and integer_mask[col]:
+            frac = a_bar - math.floor(a_bar)
+            if frac <= COEF_TOL or frac >= 1.0 - COEF_TOL:
+                q[col] = round(a_bar)
+                continue  # integral coefficient: the column drops out
+            if frac <= r_o:
+                nb1.append(col)
+                r[col] = c = frac
+                q[col] = math.floor(a_bar)
+            else:
+                nb2.append(col)
+                s[col] = 1.0 - frac
+                c = -(1.0 - frac)
+                q[col] = math.ceil(a_bar)
+        else:
+            d[col] = c = a_bar
+        z_row[col] = -c if upperside else c
+    common = dict(var=j, nb1=tuple(nb1), nb2=tuple(nb2), r=r, s=s, d=d,
+                  q=q, r_o=r_o, s_o=s_o, shifts=tuple(shifts))
+    return common, z_row
+
+
 def build_straddle_rows(model: LpModel, sol: LpSolution, j: int,
                         integer_mask: np.ndarray) -> tuple[dict, StraddleRow,
                                                            StraddleRow]:
@@ -111,62 +172,19 @@ def build_straddle_rows(model: LpModel, sol: LpSolution, j: int,
     Returns (structural row data, up record, down record); the row data
     maps each direction to (coeffs over structural columns, rhs).
     """
-    alpha, at_upper, value, n = tableau_row_for(model, sol.basis, j)
-    if not is_fractional(value):
-        raise LpProbeError(f"x_{j} = {value} is not fractional")
-    s_o, r_o = fractional_parts(value)
-    ncols = alpha.shape[0]
-    basic = set(sol.basis.basic)
-    nb1, nb2 = [], []
-    r: dict = {}
-    s: dict = {}
-    d: dict = {}
-    q: dict = {}
-    coef: dict = {}       # up-row coefficient per nonbasic column
-    shifts = []
-    for col in range(ncols):
-        if col in basic:
-            continue
-        a_raw = alpha[col]
-        if abs(a_raw) <= COEF_TOL:
-            continue
-        upperside = bool(at_upper[col])
-        a_bar = -a_raw if upperside else a_raw
-        if col < n:
-            kind = "lower" if not upperside else "upper"
-            bound = model.upper[col] if upperside else model.lower[col]
-            shifts.append((col, kind, float(bound), -1))
-        else:
-            shifts.append((col, "surplus", 0.0, col - n))
-        integer_col = col < n and bool(integer_mask[col])
-        if integer_col:
-            frac = a_bar - math.floor(a_bar)
-            if frac <= COEF_TOL or frac >= 1.0 - COEF_TOL:
-                q[col] = round(a_bar)
-                continue  # integral coefficient: the column drops out
-            if frac <= r_o:
-                nb1.append(col)
-                r[col] = frac
-                q[col] = math.floor(a_bar)
-                coef[col] = frac
-            else:
-                nb2.append(col)
-                s[col] = 1.0 - frac
-                q[col] = math.ceil(a_bar)
-                coef[col] = -(1.0 - frac)
-        else:
-            d[col] = a_bar
-            coef[col] = a_bar
+    common, z_row = partition_row(model, sol.basis, j, integer_mask)
+    n = model.n_cols
 
     # substitute original variables back: t = x - L, U - x, or row - rhs
     def to_structural(sign: float, rhs: float):
         w = np.zeros(n)
         const = 0.0
-        for col, kind, bound, row in shifts:
-            c = coef.get(col)
-            if c is None:
+        for col, kind, bound, row in common["shifts"]:
+            c = z_row[col]
+            if c == 0.0:
                 continue
-            c *= sign
+            # undo z_row's raw sign on an at-upper column, then sign it
+            c *= -sign if kind == "upper" else sign
             if kind == "lower":
                 w[col] += -c          # -(c*(x - L)) contributes -c*x
                 const += c * bound
@@ -179,14 +197,11 @@ def build_straddle_rows(model: LpModel, sol: LpSolution, j: int,
         # row reads: -(sum c_i t_i) >= rhs  =>  w.x >= rhs - const
         return w, rhs - const
 
-    up_row = to_structural(1.0, s_o)
-    down_row = to_structural(-1.0, r_o)
+    up_row = to_structural(1.0, common["s_o"])
+    down_row = to_structural(-1.0, common["r_o"])
     slack = model.n_cols + model.n_rows
-    common = dict(var=j, nb1=tuple(nb1), nb2=tuple(nb2), r=r, s=s, d=d,
-                  q=q, r_o=r_o, s_o=s_o, slack_col=slack,
-                  shifts=tuple(shifts))
-    up = StraddleRow(direction="up", **common)
-    down = StraddleRow(direction="down", **common)
+    up = StraddleRow(direction="up", slack_col=slack, **common)
+    down = StraddleRow(direction="down", slack_col=slack, **common)
     return {"up": up_row, "down": down_row}, up, down
 
 
@@ -227,22 +242,15 @@ class StraddleDisjunction:
 
     def __init__(self, model: LpModel, sol: LpSolution, j: int,
                  ctx: EvalContext):
-        self.sol, self.j, self.ctx = sol, j, ctx
-        mask = ctx.problem.integer_mask
-        key = (memo_key(model), j, mask.tobytes())
-        cache = sol.basis.straddle_children
-        if cache is None:
-            cache = {}
-            sol.basis._remember("straddle_children", cache)
-        if key not in cache:
-            rows, up, _ = build_straddle_rows(model, sol, j, mask)
-            # the entry keeps `model`, so the ids in its key stay unique
-            cache[key] = model, {
-                d: _append_row(model, sol, rows[d], up.slack_col)
-                for d in ("up", "down")}
-        self.children = cache[key][1]
+        self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
+        self.split = None           # partition_row, on the first estimate
+        self.children = None        # both children, on the first child()
+        self.cut_off: set[str] = set()  # sides estimated past the cutoff
 
     def child(self, direction: str) -> tuple[LpModel, Basis]:
+        if self.children is None:
+            self.children = _kept_children(self.model, self.sol, self.j,
+                                           self.ctx.problem.integer_mask)
         return self.children[direction]
 
     def solve(self, direction: str,
@@ -251,8 +259,25 @@ class StraddleDisjunction:
         return solve_straddle_child(child, warm, self.ctx, budget)
 
     def estimate(self, direction: str) -> float:
-        child, warm = self.child(direction)
-        return straddle_pivot_estimate(child, warm, self.sol, self.ctx)
+        return straddle_pivot_estimate(self, direction)
+
+
+def _kept_children(model: LpModel, sol: LpSolution, j: int,
+                   mask: np.ndarray) -> dict:
+    """Both straddle children of x_j at sol's basis, by direction: built
+    once per key and kept with the basis (module docstring)."""
+    key = (memo_key(model), j, mask.tobytes())
+    cache = sol.basis.straddle_children
+    if cache is None:
+        cache = {}
+        sol.basis._remember("straddle_children", cache)
+    if key not in cache:
+        rows, up, _ = build_straddle_rows(model, sol, j, mask)
+        # the entry keeps `model`, so the ids in its key stay unique
+        cache[key] = model, {
+            d: _append_row(model, sol, rows[d], up.slack_col)
+            for d in ("up", "down")}
+    return cache[key][1]
 
 
 def drop_inactive_straddle_rows(model: LpModel,
@@ -285,18 +310,44 @@ def straddle_eval(model: LpModel, sol: LpSolution, j: int,
                          budget)
 
 
-def straddle_pivot_estimate(child: LpModel, warm: Basis, sol: LpSolution,
-                            ctx: EvalContext) -> float:
-    """First-dual-pivot objective change of one straddle child of sol.
+def straddle_pivot_estimate(disj: StraddleDisjunction,
+                            direction: str) -> float:
+    """First-dual-pivot objective change of one straddle child of a node.
 
-    The straddle slack starts as the only violated basic variable, so one
-    budgeted pivot realizes exactly the screening estimate; +inf means
-    that side of the derived disjunction is empty.
+    In the child the z slack starts basic at -s_o (up) or -r_o (down),
+    the only violated basic variable, and its tableau row is the straddle
+    row: over the columns translated to sit at 0 it carries the up-row
+    coefficients c (up) or -c (down), since z is an integer combination
+    of x_j and those columns (`partition_row` gives z+'s row in raw
+    tableau signs, as the child's tableau would).  The other rows, the
+    reduced costs and the objective are the node's.  So the child's
+    first dual pivot, which the slack leaves below its bound, is the
+    ratio test of that row at the node's probe workspace:
+
+        up:    s_o * min(rc_i / |c_i|)  over c_i < 0
+        down:  r_o * min(rc_i / c_i)    over c_i > 0
+
+    with no child model built and no LP solved.  +inf means that side of
+    the derived disjunction is empty (no column is eligible), or that its
+    first pivot already passes the cutoff, as a budgeted solve of the
+    child would stop there; the disjunction notes the latter in
+    `cut_off`.  The row is partitioned on the disjunction's first
+    estimate.
     """
-    out = solve(child, warm_basis=warm,
-                budget=PivotBudget(max_pivots=1, cutoff=ctx.cutoff))
+    sol, ctx = disj.sol, disj.ctx
+    if disj.split is None:
+        disj.split = partition_row(disj.model, sol.basis, disj.j,
+                                   ctx.problem.integer_mask)
+    common, z_row = disj.split
+    up = direction == "up"
+    # z- has the row -z_row, and leaving below 0 there is the same ratio
+    # test as z_row above its bound
+    ratio = first_pivot_ratio(disj.model, sol.basis, z_row, below=up)
     ctx.counters.probes += 1
-    if out.status is LpStatus.INFEASIBLE or \
-            out.status is LpStatus.CUTOFF_INFEASIBLE:
+    if math.isinf(ratio):
         return math.inf
-    return max(out.x_o - sol.x_o, 0.0)
+    est = max(float((common["s_o"] if up else common["r_o"]) * ratio), 0.0)
+    if sol.x_o + est > ctx.cutoff + 1e-9:
+        disj.cut_off.add(direction)
+        return math.inf
+    return est

@@ -105,7 +105,7 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
         est_up = disj.estimate("up")
         est_dn = disj.estimate("down")
         if math.isinf(est_up) and math.isinf(est_dn):
-            raise NodeInfeasibleSignal(j)
+            raise NodeInfeasibleSignal(j, cutoff=bool(disj.cut_off))
         if math.isinf(est_up) or math.isinf(est_dn):
             if disj.signal_compulsory:
                 raise CompulsorySignal(

@@ -1,14 +1,19 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
-Nothing here touches the simplex engine: LPs are checked by enumerating
-basic vertices directly from the constraint data, MIPs by enumerating the
-integer lattice inside the variable bounds.
+The brute-force ones do not touch the simplex engine: LPs are checked by
+enumerating basic vertices directly from the constraint data, MIPs by
+enumerating the integer lattice inside the variable bounds.  The
+straddle estimate oracle is the one place that runs the engine: it
+solves an explicit child model, and uses none of the closed form it
+checks.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from branchlab.lp import LpStatus, PivotBudget, solve
 
 FEAS = 1e-7
 
@@ -93,3 +98,18 @@ def lattice_points(rows, rhs, lower, upper):
             continue
         pts.append(x)
     return pts
+
+
+def straddle_lp_estimate(child, warm, sol, cutoff=math.inf):
+    """First-dual-pivot objective change of a straddle child, by LP.
+
+    `child` is the node model with the straddle row appended and `warm`
+    the node basis plus the row's slack.  The slack starts as the only
+    violated basic variable, so one budgeted dual pivot realizes the
+    estimate; +inf when the child is infeasible or cut off by then.
+    """
+    out = solve(child, warm_basis=warm,
+                budget=PivotBudget(max_pivots=1, cutoff=cutoff))
+    if out.status in (LpStatus.INFEASIBLE, LpStatus.CUTOFF_INFEASIBLE):
+        return math.inf
+    return max(out.x_o - sol.x_o, 0.0)

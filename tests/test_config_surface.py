@@ -288,3 +288,26 @@ def test_an_option_that_would_change_nothing_is_refused(
     assert code == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("options, argv", [
+    ({"lookahead": 3, "reversals": 5.0},
+     ["--lookahead", "3", "--reversals", "5"]),
+    ({"lookahead": 3, "reversals": -2.0},
+     ["--lookahead", "3", "--reversals", "-2"]),
+    ({"refset": 7.0}, ["--refset", "7"]),
+    ({"refset": -0.1}, ["--refset", "-0.1"]),
+], ids=["reversals-5", "reversals-minus-2", "refset-7", "refset-minus"])
+def test_convex_weights_outside_the_unit_interval_are_refused(
+        options, argv, tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"convex weight in \[0, 1\]"):
+        config_from_options(options)
+    assert cli.main(["solve", _instance(tmp_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and not captured.out
+
+
+def test_convex_weights_take_both_ends_of_the_unit_interval():
+    for weight in (0.0, 1.0):
+        SolveConfig(lookahead=LookaheadConfig(), reversal_beta=weight)
+        SolveConfig(refset_theta=weight)

@@ -69,6 +69,16 @@ class TestEvalPlain:
         with pytest.raises(NodeInfeasibleSignal):
             make_eval(0, 5.0, dead, dead, ctx)
 
+    def test_the_signal_says_whether_a_side_was_only_cut_off(self):
+        ctx = EvalContext(problem=two_int_problem())
+        cut = fake_sol(LpStatus.CUTOFF_INFEASIBLE, 11.0, x=(0, 0))
+        empty = fake_sol(LpStatus.INFEASIBLE, math.inf, x=(0, 0))
+        for up, dn, cutoff in ((empty, empty, False), (cut, empty, True),
+                               (empty, cut, True), (cut, cut, True)):
+            with pytest.raises(NodeInfeasibleSignal) as sig:
+                make_eval(0, 5.0, up, dn, ctx)
+            assert sig.value.cutoff is cutoff
+
     def test_zero_eval_is_kept_but_scored_with_substitute(self):
         ctx = EvalContext(problem=two_int_problem())
         up = fake_sol(LpStatus.OPTIMAL, 5.0, x=(0.5, 0))

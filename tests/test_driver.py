@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import branchlab.driver as driver_module
+from branchlab import cli
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
 from branchlab.criteria import CriterionSpec
 from branchlab.driver import (
@@ -86,6 +87,33 @@ class TestSoundness:
         assert res.status == "optimal"
         assert res.counters.nodes == 0
         assert res.objective == pytest.approx(2.0)
+
+    def test_a_root_whose_branches_are_cut_off_is_fathomed(self, tmp_path,
+                                                           capsys):
+        # lab08 under a depth-2 tree with a one-member CList: the probes
+        # find the incumbent -20, and then both branches at the root
+        # (x_o -20.31) are cut off by it, not infeasible
+        out = tmp_path / "trace.json"
+        assert cli.main(["solve", str(corpus_dir() / "lab08.mps"),
+                         "--lookahead", "2", "--clist", "1",
+                         "--trace", str(out)]) == 0
+        trace = json.loads(out.read_text())
+        assert (trace["status"], trace["objective"]) == ("optimal", -20.0)
+        root = trace["nodes"][0]
+        assert root["x_o"] == -20.307692308
+        assert (root["status"], root["prune_reason"]) == \
+            ("fathomed", "both branches cut off")
+
+    def test_plain_searches_fathom_nodes_only_under_an_incumbent(self):
+        fathomed = 0
+        for seed in range(20, 40):
+            res = solve_mip(random_ip(seed), SolveConfig())
+            for rec in res.trace["nodes"]:
+                if rec["status"] == "fathomed":
+                    assert rec["prune_reason"] == "both branches cut off"
+                    assert res.trace["incumbents"]
+                    fathomed += 1
+        assert fathomed
 
     def test_pruned_nodes_had_bound_at_or_above_cutoff(self):
         p = random_ip(31)

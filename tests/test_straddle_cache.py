@@ -13,16 +13,17 @@ without the cache and keeps no children once it ends.
 import numpy as np
 
 import branchlab.driver as driver
-from branchlab import straddle
+from branchlab import straddle, winnow
 from branchlab.bench import default_matrix
-from branchlab.criteria import EvalContext
-from branchlab.lp import PivotBudget, solve
+from branchlab.criteria import BranchSignal, EvalContext
+from branchlab.lp import LpModel, PivotBudget, solve
 from branchlab.model import detect_fractional
+from branchlab.winnow import WinnowParams
 from branchlab.straddle import (
     StraddleDisjunction,
     make_straddle,
-    straddle_pivot_estimate,
 )
+from oracles import straddle_lp_estimate
 from test_driver import random_ip as driver_ip
 from test_lp_memo import assert_same_answer, stored
 from test_straddle import fractional_instance
@@ -73,10 +74,6 @@ def test_kept_children_answer_as_fresh_ones():
                     disj = StraddleDisjunction(model, sol, j, ctx)
                     for d in ("up", "down"):
                         child, warm = disj.child(d)
-                        if stage == "estimate":
-                            fc, fw, _ = make_straddle(model, sol, j, d, mask)
-                            assert disj.estimate(d) == \
-                                straddle_pivot_estimate(fc, fw, sol, ctx)
                         before = stored(warm)
                         got = solve(child, warm_basis=warm, budget=budget)
                         want = fresh_solve(model, sol, j, d, mask, budget)
@@ -89,6 +86,84 @@ def test_kept_children_answer_as_fresh_ones():
     assert compared >= 500
     assert shared == compared
     assert hits >= compared // 3
+
+
+def test_closed_form_estimate_matches_the_one_pivot_lp():
+    rng = np.random.default_rng(909)
+    sides = {"finite": 0, "inf": 0}
+    for draw in range(30):
+        p, found = nodes(rng)
+        mask = p.integer_mask
+        for model, sol, frac in found:
+            for cutoff in (np.inf, sol.x_o + 0.5, sol.x_o + 0.05):
+                ctx = EvalContext(problem=p, check_incumbent=False,
+                                  cutoff=cutoff)
+                for j in sorted(frac):
+                    disj = StraddleDisjunction(model, sol, j, ctx)
+                    for d in ("up", "down"):
+                        got = disj.estimate(d)
+                        child, warm, _ = make_straddle(model, sol, j, d,
+                                                       mask)
+                        want = straddle_lp_estimate(child, warm, sol, cutoff)
+                        if np.isinf(want):
+                            assert got == want
+                            # cut off exactly when the side is not empty
+                            uncut = straddle_lp_estimate(child, warm, sol)
+                            assert (d in disj.cut_off) == np.isfinite(uncut)
+                            sides["inf"] += 1
+                        else:
+                            assert abs(got - want) <= 1e-9
+                            sides["finite"] += 1
+    assert min(sides.values()) >= 100, sides
+
+
+def test_a_stage1_screen_builds_no_child(monkeypatch):
+    appended = []
+    real = LpModel.with_row
+
+    def counted(self, *args, **kwargs):
+        appended.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpModel, "with_row", counted)
+    rng = np.random.default_rng(17)
+    screened = 0
+    for _ in range(20):
+        p, found = nodes(rng)
+        for model, sol, frac in found:
+            if len(frac) < 2:
+                continue
+            ctx = EvalContext(problem=p, check_incumbent=False)
+            params = WinnowParams(n1=1)
+            appended.clear()
+            try:
+                f0, f1, _ = winnow.stage1(model, sol, frac, params, ctx,
+                                          StraddleDisjunction)
+            except BranchSignal:
+                continue
+            assert set(f0) - set(f1)
+            assert appended == []
+            assert not sol.basis.straddle_children
+            screened += 1
+    assert screened >= 10
+
+
+def test_children_are_built_on_the_first_child_call():
+    p, model, sol, j, ctx = one_node()
+    disj = StraddleDisjunction(model, sol, j, ctx)
+    disj.estimate("up")
+    disj.estimate("down")
+    assert sol.basis.straddle_children is None
+    up = disj.child("up")
+    assert disj.child("up") is up
+    assert all(a is b for a, b in zip(disj.child("up"), up))
+    later = StraddleDisjunction(model, sol, j, ctx)
+    assert all(a is b for a, b in zip(later.child("up"), up))
+    assert later.child("down") is disj.child("down")
+    sol.basis.forget_solves()
+    assert sol.basis.straddle_children is None
+    fresh = StraddleDisjunction(model, sol, j, ctx).child("up")
+    assert fresh[0] is not up[0] and fresh[1] is not up[1]
 
 
 def test_rows_are_built_once_per_key(monkeypatch):
@@ -138,9 +213,9 @@ def test_a_bound_sibling_at_the_same_basis_misses():
     # x_j is basic, so a wider upper bound keeps its value and the rows
     sibling = model.with_bounds(j, upper=model.upper[j] + 1.0)
     other = StraddleDisjunction(sibling, sol, j, ctx)
-    assert len(sol.basis.straddle_children) == 2
     for d in ("up", "down"):
         mine, theirs = first.child(d)[0], other.child(d)[0]
+        assert len(sol.basis.straddle_children) == 2
         assert theirs is not mine
         assert theirs.upper.tobytes() == sibling.upper.tobytes()
         assert mine.upper.tobytes() == model.upper.tobytes()
