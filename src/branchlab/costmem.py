@@ -299,33 +299,6 @@ def uc_error_report(tree: ExtendedTree,
     }
 
 
-def replay_extended_tree(trace: dict) -> tuple[ExtendedTree, dict]:
-    """Rebuild the taken-branch tree from a solve trace.
-
-    Returns (tree, map from trace node id to ExtendedRecord).  Compulsory
-    counts recorded per node rejoin the path-edge accounting, so SymDif
-    metrics recomputed from a replayed trace match the live solve.
-    """
-    tree = ExtendedTree()
-    mapping: dict[int, ExtendedRecord] = {}
-    for rec in sorted(trace["nodes"], key=lambda r: r["id"]):
-        if rec["parent"] is None:
-            node = tree[0]
-            if rec.get("implied"):
-                node = tree.add_compulsory(0, rec["implied"])
-            mapping[rec["id"]] = node
-            continue
-        parent = mapping.get(rec["parent"])
-        if parent is None or rec["branch"] is None:
-            continue
-        node = tree.add(parent.node_id, var=rec["branch"]["var"],
-                        direction=rec["branch"]["direction"],
-                        bound=rec["branch"]["bound"], tentative=False,
-                        uc=None, compulsory=rec.get("implied", 0))
-        mapping[rec["id"]] = node
-    return tree, mapping
-
-
 # -- depth-calibrated open-node evaluation ----------------------------------
 
 
@@ -543,8 +516,3 @@ class ReferenceSet:
         lo, hi, _ = stats
         limit = theta * lo + (1.0 - theta) * hi
         return accumulated <= limit + DELTA_TOL
-
-    def full_branching_distance(self, entry_index: int) -> float:
-        """Appendix-style total distance sum(BD_j(r)) over N(r)."""
-        e = self.entries[entry_index]
-        return float(sum(e.bd.values()))

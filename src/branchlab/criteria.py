@@ -23,8 +23,8 @@ Every strategy evaluates branches through one pipeline: a disjunction
 rows) supplies the two children and their single-pivot estimates,
 evaluate_pair solves and scores one child pair, evaluate_candidates runs
 it over a candidate set with optional estimator shortcuts and weights the
-results by the spec's flavor, and absorb_compulsory folds a forced branch
-back into its node.
+results by the spec's flavor, and settle folds every forced branch back
+into its node before a scan's result is used.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from branchlab.model import MipProblem, detect_fractional
 
 UC_EPS = 1e-9        # stand-in numerator for zero unit costs
 ZERO_SUB = 1e-6      # stand-in for zero factors in product criteria
+MAX_FORCED = 20      # forced branches settle imposes on one node
 
 
 class Flavor(Enum):
@@ -151,6 +152,10 @@ class NodeInfeasibleSignal(BranchSignal):
         self.cutoff = cutoff
 
 
+class CListLeafSignal(BranchSignal):
+    """No CList member is fractional: the node terminates as a leaf."""
+
+
 class IncumbentSignal(BranchSignal):
     def __init__(self, solution: LpSolution):
         super().__init__(f"new incumbent at {solution.x_o}")
@@ -238,18 +243,58 @@ class BoundDisjunction:
         return est
 
 
-def absorb_compulsory(model: LpModel, sol: LpSolution,
-                      sig: CompulsorySignal,
-                      ctx: EvalContext) -> tuple[LpModel, LpSolution]:
-    """Impose a forced branch on the node and re-solve it warm.
+# the word for a node closed by an LP that did not end optimal
+CLOSED = {LpStatus.INFEASIBLE: "infeasible",
+          LpStatus.CUTOFF_INFEASIBLE: "cutoff",
+          LpStatus.PIVOT_LIMIT_HIT: "limit"}
 
-    Returns the tightened model and its solution, whatever its status;
-    what the node keeps of them is the caller's bookkeeping.
+
+@dataclass
+class Settled:
+    """A node with its forced branches imposed: its LP solution, and the
+    scan's result, or the word that closed the node instead."""
+
+    sol: LpSolution
+    result: object = None
+    closed: str | None = None
+
+
+def settle(model: LpModel, sol: LpSolution, ctx: EvalContext, scan,
+           on_forced=None) -> Settled:
+    """Run scan(model, sol, fractions) until it returns, folding each
+    forced branch back into the node.
+
+    A compulsory signal imposes its branch and re-solves the node warm;
+    on_forced(signal, model, re-solve) sees every re-solve, whatever its
+    status.  The node closes as `integral` (nothing fractional is left),
+    `infeasible` or `cutoff` (both branches dead, or the forced branch's
+    re-solve), `limit` (that re-solve stopped at its pivot budget),
+    `clist-leaf`, or `unsettled` (MAX_FORCED forced branches did not
+    settle it).  A new incumbent propagates as IncumbentSignal.
     """
-    model, warm = apply_branch(model, sol, sig.var, sig.direction)
-    fresh = solve(model, warm_basis=warm, budget=ctx.branch_budget())
-    ctx.counters.absorb(fresh)
-    return model, fresh
+    forced = 0
+    while True:
+        fractions = detect_fractional(sol, ctx.problem)
+        if not fractions:
+            return Settled(sol, closed="integral")
+        try:
+            return Settled(sol, scan(model, sol, fractions))
+        except CompulsorySignal as sig:
+            if forced == MAX_FORCED:
+                return Settled(sol, closed="unsettled")
+            forced += 1
+            model, warm = apply_branch(model, sol, sig.var, sig.direction)
+            sol = solve(model, warm_basis=warm, budget=ctx.branch_budget())
+            ctx.counters.absorb(sol)
+            if on_forced is not None:
+                on_forced(sig, model, sol)
+            if sol.status is not LpStatus.OPTIMAL:
+                return Settled(sol, closed=CLOSED[sol.status])
+        except NodeInfeasibleSignal as sig:
+            return Settled(sol,
+                           closed="cutoff" if sig.cutoff else "infeasible")
+        except CListLeafSignal:
+            return Settled(sol, closed="clist-leaf")
 
 
 def _child_infeasible(sol: LpSolution) -> bool:

@@ -2,10 +2,10 @@
 
 One solve owns the incumbent, the open-node set, every cost memory, and a
 deterministic JSON-able trace.  Branch decisions come either from the
-look-ahead tree builders or from winnowed criterion selection; branch
-probe signals (compulsory branch, dead node, new incumbent) restart the
-decision at the owning node, with a restart cap as a numeric safety net.
-After the cap the driver falls back to branching on the most fractional
+look-ahead tree builders or from winnowed criterion selection, run under
+`criteria.settle`, which folds forced branches into the node; a new
+incumbent restarts the decision.  Both loops are capped as a numeric
+safety net, after which the driver branches on the most fractional
 candidate so no region is ever silently dropped.
 """
 
@@ -29,17 +29,17 @@ from branchlab.costmem import (
     analytical_uc,
 )
 from branchlab.criteria import (
-    CompulsorySignal,
+    CLOSED,
+    MAX_FORCED,
     Criterion,
     CriterionSpec,
     EvalContext,
     IncumbentSignal,
-    NodeInfeasibleSignal,
     SearchCounters,
     _mincost_sum,
-    absorb_compulsory,
     evaluate_candidates,
     select,
+    settle,
     uc_lookup_from,
     vote,
 )
@@ -65,7 +65,7 @@ from branchlab.model import (
     NodeState,
     detect_fractional,
 )
-from branchlab.winnow import CListLeafSignal, WinnowParams
+from branchlab.winnow import WinnowParams
 from branchlab.winnow import run as winnow_run
 
 TRACE_SCHEMA = 2
@@ -77,7 +77,10 @@ VOTE_PANEL = (
     CriterionSpec(criterion=Criterion.C4),
     CriterionSpec(criterion=Criterion.C5, p=0.3),
 )
-MAX_RESTARTS = 20    # signal restarts at one node before the fallback
+# how decide traces a node that settle closed because both of a branch's
+# children are dead (cut off by the incumbent, or infeasible)
+DEAD_CHILDREN = {"cutoff": ("fathomed", "both branches cut off"),
+                 "infeasible": ("infeasible", "both branches dead")}
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,9 @@ class _Search:
 
     # -- incumbent flow ----------------------------------------------------
 
-    def install_incumbent(self, x, x_o: float, depth: int,
+    def install_incumbent(self, x, x_o: float,
                           path_node: NodeState | None) -> bool:
-        changed = self.incumbent.update(x, x_o, depth, self.problem)
+        changed = self.incumbent.update(x, x_o, self.problem)
         if not changed:
             return False
         self.incumbent_log.append({"objective": round(float(x_o), 9),
@@ -374,39 +377,32 @@ class _Search:
 
     # -- branch selection -----------------------------------------------------
 
-    def pick_branch(self, node: NodeState, fractions: dict):
+    def pick_branch(self, node: NodeState, model, sol, fractions: dict):
         """Returns (plan, dval seed per direction for the first step)."""
         cfg = self.config
-        model = self.node_model(node)
         ctx = self.ctx()
         la = cfg.lookahead
         if isinstance(la, D2Config):
-            return list(build_d2_tree(self.problem, model, node.solution,
-                                      cfg, ctx).path), None
+            return list(build_d2_tree(self.problem, model, sol, cfg,
+                                      ctx).path), None
         if la is not None:
-            if la.n_trees > 1:
-                result = build_multi_trees(
-                    self.problem, model, node.solution, cfg, ctx,
-                    estimator=self.estimator(), ext_tree=self.ext,
-                    ext_root=node.ext_id)
-            else:
-                result = build_tree(
-                    self.problem, model, node.solution, cfg, ctx,
-                    estimator=self.estimator(), ext_tree=self.ext,
-                    ext_root=node.ext_id)
+            build = build_multi_trees if la.n_trees > 1 else build_tree
+            result = build(self.problem, model, sol, cfg, ctx,
+                           estimator=self.estimator(), ext_tree=self.ext,
+                           ext_root=node.ext_id)
             if cfg.reversal_beta is not None and result.leaves:
                 self.try_reversal(result.leaves, node)
             if la.attract is not None:
                 self.merge_attract(result.attract)
             return list(result.path), None
-        f2, _, _, _ = winnow_run(model, node.solution, fractions,
-                                 cfg.winnow, ctx, node.depth)
+        f2, _, _, _ = winnow_run(model, sol, fractions, cfg.winnow, ctx,
+                                 node.depth)
         spec = cfg.criterion
         ranking_spec = VOTE_PANEL[0] \
             if spec.criterion is Criterion.VOTE else spec
         est = self.estimator()
         evals = evaluate_candidates(
-            model, node.solution, f2, ctx, ranking_spec, fractions,
+            model, sol, f2, ctx, ranking_spec, fractions,
             estimate=None if est is None else partial(est, node=node))
         pick = vote(evals, VOTE_PANEL) \
             if spec.criterion is Criterion.VOTE else select(evals, spec)
@@ -415,7 +411,7 @@ class _Search:
         seed = None
         ev = evals.get(var)
         if ev is not None and ev.uc_up is not None:
-            lookup = uc_lookup_from(evals, node.solution)
+            lookup = uc_lookup_from(evals, sol)
             seed = {
                 "up": (ev.eval_up, _mincost_sum(ev.frac_up, lookup)),
                 "down": (ev.eval_down, _mincost_sum(ev.frac_down, lookup)),
@@ -524,17 +520,13 @@ class _Search:
         self.counters.absorb(sol)
         node.solution = sol
         self.child_done(node)
-        if sol.status is LpStatus.OPTIMAL:
-            node.bound = sol.x_o
-            self.full_solves += 1
-            self.full_pivots += sol.pivots
-            self.refresh_dval_parts(node, parent)
-            return "ok"
-        if sol.status is LpStatus.CUTOFF_INFEASIBLE:
-            return "cutoff"
-        if sol.status is LpStatus.INFEASIBLE:
-            return "infeasible"
-        return "limit"
+        if sol.status is not LpStatus.OPTIMAL:
+            return CLOSED[sol.status]
+        node.bound = sol.x_o
+        self.full_solves += 1
+        self.full_pivots += sol.pivots
+        self.refresh_dval_parts(node, parent)
+        return "ok"
 
     # A node's LP memo (`lp.Basis.memo`) serves solves warm-started from
     # its basis: its own look-ahead builds and its children.  It is freed
@@ -619,8 +611,7 @@ class _Search:
             self.update_taken_pseudo(current, preferred)
             if not frac:
                 self.install_incumbent(preferred.solution.x,
-                                       preferred.solution.x_o,
-                                       preferred.depth, preferred)
+                                       preferred.solution.x_o, preferred)
                 self.trace_node(preferred, "integral")
                 break
             current = preferred
@@ -710,9 +701,7 @@ class _Search:
             if parent is not None and parent.solution is not None:
                 self.update_taken_pseudo(parent, node)
         if not fractions:
-            self.install_incumbent(node.solution.x,
-                                   node.solution.x_o, node.depth,
-                                   node)
+            self.install_incumbent(node.solution.x, node.solution.x_o, node)
             self.trace_node(node, "integral")
             return False
         plan, seed = self.decide(node, fractions)
@@ -722,54 +711,62 @@ class _Search:
         return True
 
     def decide(self, node: NodeState, fractions: dict):
-        """(branch plan, Dval seed) for one node, with the signal-restart
-        loop; an empty plan means the node needs no branching."""
+        """(branch plan, Dval seed) for one node, settling its forced
+        branches and restarting on every new incumbent; an empty plan
+        means the node needs no branching."""
         if node.depth == 0 and self.forced_root is not None:
             var, direction = self.forced_root
             self.forced_root = None
             if var in fractions:
                 return [(var, direction)], None
-        restarts = 0
-        while True:
+        # new incumbents restart the pick, capped like forced branches
+        for _ in range(MAX_FORCED):
             try:
-                return self.pick_branch(node, fractions)
-            except CompulsorySignal as sig:
-                restarts += 1
-                if not self.absorb_at(node, sig):
-                    return [], None
-                fractions = detect_fractional(node.solution, self.problem)
-                if not fractions:
-                    self.install_incumbent(node.solution.x,
-                                           node.solution.x_o, node.depth,
-                                           node)
-                    self.trace_node(node, "integral")
-                    return [], None
-            except NodeInfeasibleSignal as sig:
-                # a node whose own LP bound passed the cutoff is `pruned`;
-                # this one's bound did not, only its children's did
-                if sig.cutoff:
-                    self.trace_node(node, "fathomed",
-                                    reason="both branches cut off")
-                else:
-                    self.trace_node(node, "infeasible",
-                                    reason="both branches dead")
-                return [], None
+                settled = settle(self.node_model(node), node.solution,
+                                 self.ctx(), partial(self.pick_branch, node),
+                                 partial(self.record_forced, node))
             except IncumbentSignal as sig:
-                restarts += 1
                 self.install_incumbent(sig.solution.x, sig.solution.x_o,
-                                       node.depth + 1, node)
+                                       node)
                 if node.bound > self.incumbent.cutoff + 1e-9:
                     self.trace_node(node, "pruned",
                                     reason="incumbent cutoff")
                     return [], None
-            except CListLeafSignal:
-                self.close(node, "clist-leaf")
-                return [], None
-            if restarts > MAX_RESTARTS:
-                j = max(fractions,
-                        key=lambda i: (min(fractions[i]), -i))
-                fp, fm = fractions[j]
-                return [(j, "up" if fp < fm else "down")], None
+                continue
+            closed = settled.closed
+            if closed is None:
+                return settled.result
+            if closed == "unsettled":
+                break
+            if closed == "integral":
+                self.install_incumbent(node.solution.x, node.solution.x_o,
+                                       node)
+                self.trace_node(node, "integral")
+            elif closed in DEAD_CHILDREN:
+                # a node whose own LP bound passed the cutoff is `pruned`;
+                # this one's bound did not, only its children's did
+                self.trace_node(node, *DEAD_CHILDREN[closed])
+            else:
+                self.close(node, closed)
+            return [], None
+        fractions = detect_fractional(node.solution, self.problem)
+        j = max(fractions, key=lambda i: (min(fractions[i]), -i))
+        fp, fm = fractions[j]
+        return [(j, "up" if fp < fm else "down")], None
+
+    def record_forced(self, node: NodeState, sig, model, fresh):
+        """Record a forced branch on the node, whatever its re-solve."""
+        if node.ext_id is not None:
+            self.ext.add_compulsory(node.ext_id)
+        node.lower, node.upper = model.lower, model.upper
+        bound = float(model.lower[sig.var] if sig.direction == "up"
+                      else model.upper[sig.var])
+        node.implied.append(BranchRecord(var=sig.var,
+                                         direction=sig.direction,
+                                         bound=bound, compulsory=True))
+        if fresh.status is LpStatus.OPTIMAL:
+            node.solution = fresh
+            node.bound = fresh.x_o
 
     def do_attract_restart(self):
         """One-shot restart re-rooting on the best accumulated counter."""
@@ -787,25 +784,6 @@ class _Search:
                               self.problem.upper.copy())
         fresh.ext_id = 0
         self.push(fresh)
-
-    def absorb_at(self, node: NodeState, sig: CompulsorySignal) -> bool:
-        if node.ext_id is not None:
-            self.ext.add_compulsory(node.ext_id)
-        model, sol = absorb_compulsory(self.node_model(node), node.solution,
-                                       sig, self.ctx())
-        node.lower, node.upper = model.lower, model.upper
-        bound = float(model.lower[sig.var] if sig.direction == "up"
-                      else model.upper[sig.var])
-        node.implied.append(BranchRecord(var=sig.var,
-                                         direction=sig.direction,
-                                         bound=bound, compulsory=True))
-        if sol.status is not LpStatus.OPTIMAL:
-            self.trace_node(node, "infeasible",
-                            reason="compulsory branch failed")
-            return False
-        node.solution = sol
-        node.bound = sol.x_o
-        return True
 
     def finish(self, status: str) -> SolveResult:
         open_bounds = [self.nodes[nid].bound for nid, _ in self.open]

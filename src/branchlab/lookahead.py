@@ -17,10 +17,10 @@ node-count identities 2+4+8 = 14, 126, 2+4+6+12+12+12 = 48 (mode 2a) and
 
 Signals: a compulsory branch or dead node discovered while scanning depth
 0 propagates to the caller, as does any new incumbent (the caller applies
-it and restarts the build).  Deeper compulsory branches are absorbed into
-the scanned node, which is re-solved and re-scanned; deeper dead nodes
-are removed and their missing leaves are scored at the incumbent
-objective.
+it and restarts the build).  Deeper scans run under `criteria.settle`,
+which folds forced branches into the scanned node and re-scans it; a
+deeper node that closes is not expanded, and the missing leaves of a
+dead one are scored at the incumbent objective.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ from branchlab.criteria import (
     EvalContext,
     IncumbentSignal,
     NodeInfeasibleSignal,
-    absorb_compulsory,
     evaluate_candidates,
     rank,
     score,
     select,
+    settle,
     weight_eval,
 )
 from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
 from branchlab.model import BranchRecord, MipProblem, detect_fractional
 from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
-from branchlab.winnow import CListLeafSignal
 from branchlab.winnow import run as winnow_run
 
 if TYPE_CHECKING:
@@ -141,10 +140,8 @@ class TreeNode:
     model: LpModel
     solution: LpSolution | None
     eval_vs_parent: float = 0.0
-    alive: bool = True
     root_side: str | None = None     # which depth-1 child it descends from
     ext_id: int | None = None
-    implied: int = 0
 
     def path_records(self) -> list[BranchRecord]:
         out = []
@@ -223,37 +220,40 @@ class _Builder:
         return rec.node_id
 
     def _fractions(self, node: TreeNode) -> dict:
-        frac = detect_fractional(node.solution, self.problem)
-        if self.excluded:
-            frac = {j: v for j, v in frac.items() if j not in self.excluded}
-        return frac
+        return self._eligible(detect_fractional(node.solution, self.problem))
+
+    def _eligible(self, fractions: dict) -> dict:
+        if not self.excluded:
+            return fractions
+        return {j: v for j, v in fractions.items() if j not in self.excluded}
 
     def _winnow(self, node: TreeNode, fractions: dict):
         return winnow_run(node.model, node.solution, fractions,
                           self.winnow, self.ctx, node.depth,
                           self.disjunction)
 
-    def _reduce_straddle(self, node: TreeNode) -> None:
-        """Drop straddle rows whose slack went nonbasic, re-solving once.
+    def _reduce_straddle(self, node: TreeNode) -> bool:
+        """Drop straddle rows whose slack went nonbasic, re-solving once;
+        False when the re-solve does not end optimal.
 
         Dropping a tight row relaxes the node, so its solution (and hence
         the fractional set seen by the scan) must be refreshed before any
         candidate work happens.
         """
         if not self.cfg.straddle or not node.model.straddle_rows:
-            return
+            return True
         model, basis = drop_inactive_straddle_rows(node.model,
                                                    node.solution)
         if basis is node.solution.basis and model is node.model:
-            return
+            return True
         node.model = model
         if basis is None:
             sol = solve(model, budget=self.ctx.branch_budget())
             self.ctx.counters.absorb(sol)
             if sol.status is not LpStatus.OPTIMAL:
-                node.alive = False
-                return
+                return False
             node.solution = sol
+        return True
 
     def _solve_pairs(self, node: TreeNode, candidates, fractions: dict,
                      estimate=None) -> dict:
@@ -273,81 +273,68 @@ class _Builder:
             if not dead:
                 self._record_ext(node, ev.var, direction, 0.0, True, uc)
 
-    def _absorb_compulsory(self, node: TreeNode,
-                           sig: CompulsorySignal) -> bool:
-        """Tighten node bounds with a forced branch; False kills the node."""
-        model, fresh = absorb_compulsory(node.model, node.solution, sig,
-                                         self.ctx)
+    def _record_forced(self, node: TreeNode, sig, model: LpModel,
+                       fresh: LpSolution):
+        """A forced branch tightens the node only when its re-solve is
+        optimal; otherwise settle closes the node."""
         if fresh.status is not LpStatus.OPTIMAL:
-            return False
+            return
         node.model = model
         node.solution = fresh
-        node.implied += 1
         if self.ext is not None and node.ext_id is not None:
             self.ext.add_compulsory(node.ext_id)
-        if not detect_fractional(fresh, self.problem):
-            raise IncumbentSignal(fresh)
-        return True
 
     # -- scanning ---------------------------------------------------------
 
     def _propose(self, node: TreeNode) -> _Proposal | None:
-        """Winnow + Step 2 at one node; None when the node dies."""
-        attempts = 0
-        self._reduce_straddle(node)
-        if not node.alive:
+        """Winnow + Step 2 at one node; None when the node is not expanded.
+
+        Every signal at depth 0 goes to the caller.  Deeper, forced
+        branches are folded into the node, and a node that closes (dead,
+        at a solver limit, a CList leaf or unsettled) stays a leaf.
+        """
+        if not self._reduce_straddle(node):
             return None
-        while True:
-            attempts += 1
-            if attempts > 50:
-                return None
-            fractions = self._fractions(node)
-            if not fractions:
-                raise IncumbentSignal(node.solution)
-            try:
-                f2, s2, f1, _ = self._winnow(node, fractions)
-                if node.depth == 0:
-                    self.root_f2 = list(f2)
-                half = node.root_side
-                for j in f1:
-                    if j not in f2:
-                        self.attract.bump(j, s2[j].direction, half)
-                if len(f2) == 1:
-                    j = f2[0]
-                    # the pair itself is solved only if this proposal
-                    # survives post-winnow gating
-                    sel = score(s2[j], self.spec)
-                    self.attract.bump(j, s2[j].direction, half)
-                    return _Proposal(parent=node, var=j, sel_score=sel,
-                                     stage_eval=s2[j])
-                est = self.estimator
-                evals = self._solve_pairs(
-                    node, f2, fractions,
-                    None if est is None else partial(est, node=node))
-                # only an LP-solved pair has children to admit
-                chosen = select({j: ev for j, ev in evals.items()
-                                 if ev.uc_up is not None}, self.spec)
-                for j in f2:
-                    self.attract.bump(j, evals[j].direction, half)
-                ev = evals[chosen.var]
-                return _Proposal(parent=node, var=chosen.var,
-                                 sel_score=score(ev, self.spec),
-                                 stage_eval=ev, solved=ev)
-            except CompulsorySignal as sig:
-                if node.depth == 0:
-                    raise
-                if not self._absorb_compulsory(node, sig):
-                    node.alive = False
-                    return None
-            except NodeInfeasibleSignal:
-                if node.depth == 0:
-                    raise
-                node.alive = False
-                return None
-            except CListLeafSignal:
-                if node.depth == 0:
-                    raise
-                return None   # the node stays an unexpanded tree leaf
+        if node.depth == 0:
+            return self._scan(node, self._fractions(node))
+        settled = settle(node.model, node.solution, self.ctx,
+                         lambda model, sol, fractions: self._scan(
+                             node, self._eligible(fractions)),
+                         partial(self._record_forced, node))
+        if settled.closed == "integral":
+            raise IncumbentSignal(settled.sol)
+        return settled.result
+
+    def _scan(self, node: TreeNode, fractions: dict) -> _Proposal:
+        """Winnow + Step 2 over the node's eligible fractional set."""
+        f2, s2, f1, _ = self._winnow(node, fractions)
+        if node.depth == 0:
+            self.root_f2 = list(f2)
+        half = node.root_side
+        for j in f1:
+            if j not in f2:
+                self.attract.bump(j, s2[j].direction, half)
+        if len(f2) == 1:
+            j = f2[0]
+            # the pair itself is solved only if this proposal survives
+            # post-winnow gating
+            sel = score(s2[j], self.spec)
+            self.attract.bump(j, s2[j].direction, half)
+            return _Proposal(parent=node, var=j, sel_score=sel,
+                             stage_eval=s2[j])
+        est = self.estimator
+        evals = self._solve_pairs(
+            node, f2, fractions,
+            None if est is None else partial(est, node=node))
+        # only an LP-solved pair has children to admit
+        chosen = select({j: ev for j, ev in evals.items()
+                         if ev.uc_up is not None}, self.spec)
+        for j in f2:
+            self.attract.bump(j, evals[j].direction, half)
+        ev = evals[chosen.var]
+        return _Proposal(parent=node, var=chosen.var,
+                         sel_score=score(ev, self.spec),
+                         stage_eval=ev, solved=ev)
 
     def _admit_pair(self, prop: _Proposal, fractions: dict | None = None):
         """Solve (if needed) and attach the chosen pair as tree nodes."""
@@ -362,13 +349,11 @@ class _Builder:
                     raise
                 ev = sig.evaluation
                 if ev is None:
-                    node.alive = False
                     return []
                 prop.solved = ev
             except NodeInfeasibleSignal:
                 if node.depth == 0:
                     raise
-                node.alive = False
                 return []
         ev = prop.solved
         live = [(direction, sol) for direction, sol in
@@ -407,8 +392,6 @@ class _Builder:
         for d in range(cfg.depth):
             proposals = []
             for node in scan:
-                if not node.alive:
-                    continue
                 if forced_root_var is not None and d == 0:
                     ev = self._solve_pairs(node, [forced_root_var],
                                            self._fractions(node))[
@@ -587,10 +570,10 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     depth-2 sibling pairs are scored with unit-cost weighted (second
     order) evaluations, pricing each leaf fractional by probes from the
     d=1 parent first, the root's probes second, and the root's reduced
-    costs last.  A depth-1 child that is a CList leaf, or whose forced
-    branches do not settle, stays unexpanded; with no child expanded the
-    root choice is taken in its own direction, and only when both
-    children are dead is the node infeasible.
+    costs last.  A depth-1 child that closes at a solver limit, as a CList
+    leaf or unsettled (`criteria.settle`) stays unexpanded; with no child
+    expanded the root choice is taken in its own direction, and only when
+    both children are dead is the node infeasible.
     """
     fractions = detect_fractional(sol, problem)
     if not fractions:
@@ -611,47 +594,28 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
     bundles = {}
     handles = {}
     unexpanded = cut_off = False
+
+    def child_scan(child_model, child_sol, child_frac):
+        cf2, _, _, _ = winnow_run(child_model, child_sol, child_frac,
+                                  params, ctx, 1)
+        return evaluate_candidates(child_model, child_sol, cf2, ctx, spec,
+                                   child_frac)
+
     for direction, child_sol, dead in (
             ("up", root_ev.sol_up, root_ev.up_infeasible),
             ("down", root_ev.sol_down, root_ev.down_infeasible)):
         if dead or child_sol is None:
             continue
         child_model, _ = apply_branch(model, sol, choice.var, direction)
-        child_frac = detect_fractional(child_sol, problem)
-        if not child_frac:
-            raise IncumbentSignal(child_sol)
-        child_evals = None
-        for _ in range(20):
-            try:
-                cf2, _, _, _ = winnow_run(child_model, child_sol,
-                                          child_frac, params, ctx, 1)
-                child_evals = evaluate_candidates(child_model, child_sol,
-                                                  cf2, ctx, spec,
-                                                  child_frac)
-                break
-            except CompulsorySignal as sig:
-                # absorb the forced branch into this depth-1 child
-                child_model, fresh = absorb_compulsory(child_model,
-                                                       child_sol, sig, ctx)
-                if fresh.status is not LpStatus.OPTIMAL:
-                    # a child is dead only when proven so
-                    unexpanded |= fresh.status is LpStatus.PIVOT_LIMIT_HIT
-                    cut_off |= fresh.status is LpStatus.CUTOFF_INFEASIBLE
-                    break
-                child_sol = fresh
-                child_frac = detect_fractional(child_sol, problem)
-                if not child_frac:
-                    raise IncumbentSignal(child_sol)
-            except NodeInfeasibleSignal as sig:
-                cut_off |= sig.cutoff
-                break
-            except CListLeafSignal:
-                unexpanded = True
-                break
-        else:
-            unexpanded = True
-        if child_evals is None:
+        settled = settle(child_model, child_sol, ctx, child_scan)
+        if settled.closed == "integral":
+            raise IncumbentSignal(settled.sol)
+        if settled.closed is not None:
+            # a child is dead only when proven so
+            cut_off |= settled.closed == "cutoff"
+            unexpanded |= settled.closed not in ("infeasible", "cutoff")
             continue
+        child_sol, child_evals = settled.sol, settled.result
 
         def lookup(i, _child_evals=child_evals):
             ev = _child_evals.get(i)

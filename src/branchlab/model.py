@@ -113,9 +113,6 @@ class BranchRecord:
     bound: float            # the bound imposed (lower for up, upper for down)
     compulsory: bool = False
 
-    def key(self) -> tuple:
-        return (self.var, self.direction, self.bound)
-
 
 @dataclass
 class NodeState:
@@ -169,8 +166,6 @@ class Incumbent:
     x: np.ndarray | None = None
     x_o: float = math.inf
     eps: float = 1e-6
-    depth_found: int | None = None   # depth of the first incumbent (d*)
-    history: list[float] = field(default_factory=list)
 
     @property
     def cutoff(self) -> float:
@@ -179,7 +174,7 @@ class Incumbent:
             return math.inf
         return self.x_o - self.eps
 
-    def update(self, x, x_o: float, depth: int, problem: MipProblem,
+    def update(self, x, x_o: float, problem: MipProblem,
                tol: float = INT_TOL) -> bool:
         """Install a strictly better MIP-feasible solution.
 
@@ -192,10 +187,6 @@ class Incumbent:
                 raise ModelError("incumbent candidate is not MIP feasible")
         if x_o >= self.x_o:
             return False
-        if self.x is None:
-            self.depth_found = depth
-        object_x = x.copy()
-        self.x = object_x
+        self.x = x.copy()
         self.x_o = float(x_o)
-        self.history.append(float(x_o))
         return True

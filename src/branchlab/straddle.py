@@ -93,22 +93,6 @@ class StraddleRow:
     slack_col: int                  # surplus column acting as z+ or z-
     shifts: tuple = ()              # (col, kind, bound, row?) translation data
 
-    def z_value(self, x: np.ndarray, model_rows: np.ndarray,
-                model_rhs: np.ndarray) -> float:
-        """Evaluate z at a point given in original variables."""
-        z = float(x[self.var])
-        for col, kind, bound, row in self.shifts:
-            if col not in self.q:
-                continue
-            if kind == "lower":
-                t = x[col] - bound
-            elif kind == "upper":
-                t = bound - x[col]
-            else:  # surplus of an original row
-                t = float(model_rows[row] @ x - model_rhs[row])
-            z += self.q[col] * t
-        return z
-
 
 def partition_row(model: LpModel, basis: Basis, j: int,
                   integer_mask: np.ndarray) -> tuple[dict, list]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from branchlab.criteria import (
     BoundDisjunction,
     BranchEval,
-    BranchSignal,
+    CListLeafSignal,
     CompulsorySignal,
     CriterionSpec,
     EvalContext,
@@ -29,10 +29,6 @@ from branchlab.criteria import (
     rank,
 )
 from branchlab.lp import LpModel, LpSolution
-
-
-class CListLeafSignal(BranchSignal):
-    """No CList member is fractional: the node terminates as a leaf."""
 
 
 @dataclass(frozen=True)

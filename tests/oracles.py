@@ -100,6 +100,25 @@ def lattice_points(rows, rhs, lower, upper):
     return pts
 
 
+def straddle_z_value(rec, x, rows, rhs):
+    """The derived variable z of straddle record `rec` at a point `x` given
+    in original variables, rebuilt from the record's translation data:
+    x_j plus q_i times each translated column's value (its distance from
+    the bound it was shifted to, or its row's surplus)."""
+    z = float(x[rec.var])
+    for col, kind, bound, row in rec.shifts:
+        if col not in rec.q:
+            continue
+        if kind == "lower":
+            t = x[col] - bound
+        elif kind == "upper":
+            t = bound - x[col]
+        else:  # surplus of an original row
+            t = float(rows[row] @ x - rhs[row])
+        z += rec.q[col] * t
+    return z
+
+
 def straddle_lp_estimate(child, warm, sol, cutoff=math.inf):
     """First-dual-pivot objective change of a straddle child, by LP.
 

@@ -21,7 +21,7 @@ from branchlab.model import MipProblem, detect_fractional
 from branchlab.mps import parse_mps
 from branchlab.straddle import build_straddle_rows, make_straddle
 from branchlab.winnow import WinnowParams
-from oracles import lattice_points, mip_lattice_minimum
+from oracles import lattice_points, mip_lattice_minimum, straddle_z_value
 
 
 def report(number: int, ok: bool, detail: str):
@@ -233,7 +233,7 @@ def test_criterion_6_straddle_dominance_and_validity():
         floor_v = math.floor(sol.x[j])
         good = bool(pts)
         for x in pts:
-            z = up_rec.z_value(x, p.rows, p.rhs)
+            z = straddle_z_value(up_rec, x, p.rows, p.rhs)
             up_ok = z >= ceil_v - 1e-6
             dn_ok = z <= floor_v + 1e-6
             if up_ok == dn_ok:

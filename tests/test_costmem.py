@@ -397,8 +397,3 @@ class TestReferenceSet:
         rs.add(np.array([3.0]), 4.0, {0})
         assert len(rs) == 2
         assert max(e.x_o for e in rs.entries) == 4.0
-
-    def test_full_branching_distance(self):
-        rs = ReferenceSet(root_x=np.zeros(2), root_x_o=0.0)
-        rs.add(np.array([2.0, 1.0]), 3.0, {0, 1})
-        assert rs.full_branching_distance(0) == pytest.approx(3.0)

@@ -115,6 +115,19 @@ class TestSoundness:
                     fathomed += 1
         assert fathomed
 
+    def test_a_cut_off_forced_branch_is_fathomed_not_infeasible(self):
+        # node 8 (x_o -15.125) forces a branch whose re-solve the incumbent
+        # -19 cuts off: the node held no better point, but it was not
+        # proved infeasible
+        res = solve_mip(random_ip(31), SolveConfig())
+        assert (res.status, res.objective) == ("optimal", -19.0)
+        reasons = [rec.get("prune_reason") for rec in res.trace["nodes"]]
+        assert "compulsory branch failed" not in reasons
+        node = res.trace["nodes"][8]
+        assert (node["x_o"], node["implied"]) == (-15.125, 1)
+        assert (node["status"], node["prune_reason"]) == \
+            ("fathomed", "both branches cut off")
+
     def test_pruned_nodes_had_bound_at_or_above_cutoff(self):
         p = random_ip(31)
         res = solve_mip(p, SolveConfig())
@@ -203,6 +216,28 @@ class TestUnprovenEnds:
         closed = [rec for rec in res.trace["nodes"]
                   if rec.get("prune_reason") == "solver limit"]
         assert closed and res.status in ("feasible", "limit")
+
+    def test_a_forced_branch_stopped_by_its_budget_proves_nothing(self):
+        class OnePivotBranches(_Search):
+            """Gives every branch re-solve, forced ones too, one pivot."""
+
+            def ctx(self):
+                return replace(super().ctx(),
+                               budget=PivotBudget(max_pivots=1))
+
+        claims = unproven = 0
+        for seed in range(200):
+            p = random_ip(seed)
+            res = OnePivotBranches(p, SolveConfig()).run()
+            if res.status not in ("optimal", "infeasible"):
+                unproven += 1
+                continue
+            claims += 1
+            full = solve_mip(p, SolveConfig())
+            assert res.status == full.status, seed
+            assert res.objective == pytest.approx(full.objective,
+                                                  abs=1e-9), seed
+        assert claims and unproven
 
 
 class TestNodeSelection:
@@ -335,22 +370,6 @@ class TestDeterminism:
         res = solve_mip(p, SolveConfig())
         objs = [e["objective"] for e in res.trace["incumbents"]]
         assert objs == sorted(objs, reverse=True)
-
-
-class TestTraceReplay:
-    def test_replayed_symdif_metrics_are_identical(self):
-        from branchlab.costmem import replay_extended_tree
-
-        p = random_ip(80)
-        res = solve_mip(p, SolveConfig())
-        tree1, map1 = replay_extended_tree(res.trace)
-        tree2, map2 = replay_extended_tree(res.trace)
-        ids = sorted(map1)
-        pairs = [(a, b) for a in ids for b in ids if a != b][:200]
-        for a, b in pairs:
-            m1 = tree1.symdif_metrics(map1[a], map1[b])
-            m2 = tree2.symdif_metrics(map2[a], map2[b])
-            assert m1 == m2
 
 
 class TestBench:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from branchlab import lookahead, winnow
+from branchlab import criteria, lookahead, winnow
 from branchlab.criteria import (
     CompulsorySignal,
     Criterion,
@@ -213,25 +213,30 @@ class TestD2Mode:
 
     def test_a_child_whose_forced_branches_never_settle_stays_unexpanded(
             self, monkeypatch):
-        # every depth-1 winnow signals a compulsory branch that changes
-        # nothing, so both children use up their absorption tries; that
-        # proves neither child infeasible
+        # every depth-1 winnow signals a compulsory branch, and a branch
+        # imposed inside criteria changes nothing, so both children use up
+        # their MAX_FORCED forced branches; that proves neither child
+        # infeasible
         real = lookahead.winnow_run
+        signals = []
 
         def signalling(model, sol, fractions, params, ctx, depth, *rest):
             if depth == 0:
                 return real(model, sol, fractions, params, ctx, depth,
                             *rest)
+            signals.append(depth)
             raise CompulsorySignal(min(fractions), "up")
 
         monkeypatch.setattr(lookahead, "winnow_run", signalling)
-        monkeypatch.setattr(lookahead, "absorb_compulsory",
-                            lambda model, sol, sig, ctx: (model, sol))
+        monkeypatch.setattr(criteria, "apply_branch",
+                            lambda model, sol, j, direction:
+                            (model, sol.basis))
         p = triangle_fixture(4)
         sol = solve(p.to_lp())
         out = build_d2_tree(p, p.to_lp(), sol, d2_cfg(v=1.0), make_ctx(p))
         assert out.depth_counts == [2, 0]
         assert out.path == [(out.var, out.direction)]
+        assert len(signals) == 2 * (criteria.MAX_FORCED + 1)
 
 
 class TestMultiTree:

@@ -73,23 +73,19 @@ def test_incumbent_update_and_cutoff():
     p = small_problem()
     inc = Incumbent(eps=1e-6)
     assert inc.cutoff == math.inf
-    assert inc.update([1.0, 0.0], -1.0, depth=2, problem=p)
+    assert inc.update([1.0, 0.0], -1.0, problem=p)
     assert inc.x_o == -1.0
-    assert inc.depth_found == 2
     assert inc.cutoff == pytest.approx(-1.0 - 1e-6)
     # equal objective is not an improvement
-    assert not inc.update([0.0, 1.0], -1.0, depth=3, problem=p)
-    # later improvements do not move depth_found (it calibrates d*)
-    assert inc.update([0.0, 2.0], -2.0, depth=5, problem=p)
-    assert inc.depth_found == 2
-    assert inc.history == [-1.0, -2.0]
+    assert not inc.update([0.0, 1.0], -1.0, problem=p)
+    assert inc.update([0.0, 2.0], -2.0, problem=p)
 
 
 def test_incumbent_rejects_fractional_candidates():
     p = small_problem()
     inc = Incumbent()
     with pytest.raises(ModelError):
-        inc.update([0.5, 0.0], -0.5, depth=1, problem=p)
+        inc.update([0.5, 0.0], -0.5, problem=p)
 
 
 def test_node_child_bounds():

@@ -12,9 +12,9 @@ from branchlab.criteria import (
     Criterion,
     CriterionSpec,
     EvalContext,
-    absorb_compulsory,
     evaluate_candidates,
     evaluate_pair,
+    settle,
 )
 from branchlab.lp import Basis, LpSolution, LpStatus, solve
 from branchlab.model import MipProblem, detect_fractional
@@ -145,9 +145,26 @@ def test_bound_pair_and_absorption_match_direct_solves():
     assert ev.uc_down == max(ev.x_down - sol.x_o, 1e-9) / fm
     assert ctx.counters.lp_solves == 2
     for direction, rounded in (("up", np.ceil), ("down", np.floor)):
-        tightened, fresh = absorb_compulsory(
-            model, sol, CompulsorySignal(j, direction), ctx)
+        # the scan forces one branch, then returns on the tightened node
+        scans, forced = [], []
+
+        def scan(model, sol, fractions):
+            scans.append((model, sol))
+            if len(scans) == 1:
+                raise CompulsorySignal(j, direction)
+            return "picked"
+
+        settled = settle(model, sol, ctx, scan,
+                         lambda sig, model, fresh: forced.append(
+                             (model, fresh)))
+        [(tightened, fresh)] = forced
         bound = tightened.lower if direction == "up" else tightened.upper
         assert bound[j] == rounded(sol.x[j])
         assert fresh.x_o == solve(tightened, warm_basis=sol.basis).x_o
+        # both forced children stay fractional, so the node is scanned
+        # again, tightened
+        assert len(scans) == 2
+        assert scans[1][0] is tightened and scans[1][1] is fresh
+        assert settled.sol is fresh
+        assert (settled.result, settled.closed) == ("picked", None)
     assert ctx.counters.lp_solves == 4

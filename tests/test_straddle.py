@@ -16,7 +16,7 @@ from branchlab.straddle import (
     drop_inactive_straddle_rows,
     make_straddle,
 )
-from oracles import lattice_points
+from oracles import lattice_points, straddle_z_value
 
 
 def random_ip(rng, n=4, m=3, hi=4.0):
@@ -124,7 +124,7 @@ def straddle_children_partition_lattice(p, sol, j):
     w_up, rhs_up = rows["up"]
     w_dn, rhs_dn = rows["down"]
     for x in pts:
-        z = up_rec.z_value(x, p.rows, p.rhs)
+        z = straddle_z_value(up_rec, x, p.rows, p.rhs)
         assert abs(z - round(z)) < 1e-6, "z must be integral at MIP points"
         up_ok = z >= ceil_v - 1e-6
         dn_ok = z <= floor_v + 1e-6
