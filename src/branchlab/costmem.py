@@ -20,7 +20,7 @@ same question (what will branching cost?) from different memory:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,37 +110,25 @@ class ExtendedTree:
         self.records.append(root)
 
     def add(self, parent_id: int, var: int, direction: str, bound: float,
-            tentative: bool, uc: float | None,
-            compulsory: int = 0) -> ExtendedRecord:
+            tentative: bool, uc: float | None) -> ExtendedRecord:
         parent = self[parent_id]
         rec = ExtendedRecord(node_id=len(self.records), parent_id=parent_id,
                              var=var, direction=direction, bound=bound,
                              tentative=tentative, uc=uc,
-                             depth=parent.depth + 1, compulsory=compulsory,
+                             depth=parent.depth + 1, compulsory=0,
                              session=self.session)
         self.records.append(rec)
         return rec
 
-    def add_compulsory(self, node_id: int, count: int = 1) -> ExtendedRecord:
-        """Attach implied restrictions to an existing node (extra path edges)."""
+    def add_compulsory(self, node_id: int) -> None:
+        """Attach one implied restriction to an existing node (an extra
+        path edge)."""
         old = self[node_id]
-        rec = ExtendedRecord(node_id=old.node_id, parent_id=old.parent_id,
-                             var=old.var, direction=old.direction,
-                             bound=old.bound, tentative=old.tentative,
-                             uc=old.uc, depth=old.depth,
-                             compulsory=old.compulsory + count,
-                             session=self.session)
-        self.records[node_id] = rec
-        return rec
+        self.records[node_id] = replace(old, compulsory=old.compulsory + 1)
 
     def set_uc(self, node_id: int, uc: float) -> None:
         """Fill in the realized unit cost once a taken branch is solved."""
-        old = self[node_id]
-        self.records[node_id] = ExtendedRecord(
-            node_id=old.node_id, parent_id=old.parent_id, var=old.var,
-            direction=old.direction, bound=old.bound,
-            tentative=old.tentative, uc=float(uc), depth=old.depth,
-            compulsory=old.compulsory, session=self.session)
+        self.records[node_id] = replace(self[node_id], uc=float(uc))
 
     def __getitem__(self, node_id: int) -> ExtendedRecord:
         return self.records[node_id]

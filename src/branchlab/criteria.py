@@ -13,10 +13,11 @@ come in three flavors:
                  unprobed variables
 
 Criteria C0..C7 score BranchEvals and pick a winner; the chosen branch
-direction is up exactly when Eval+ < Eval-.  Infeasible children are
-scored with the incumbent objective so the surviving sibling does not look
-unduly attractive, and they raise control signals that the tree builders
-react to (compulsory branch, dead node, improved incumbent).
+direction is up exactly when Eval+ < Eval-.  pair_eval scores dead
+children with the incumbent objective so the surviving sibling does not
+look unduly attractive, and raises the control signals that the tree
+builders react to (compulsory branch, dead node; solves also raise
+improved incumbent).
 
 Every strategy evaluates branches through one pipeline: a disjunction
 (BoundDisjunction here, straddle.StraddleDisjunction for derived-variable
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from branchlab.lp import (
-    INT_TOL,
     Basis,
     LpModel,
     LpSolution,
@@ -45,7 +45,7 @@ from branchlab.lp import (
     probe_single_pivot,
     solve,
 )
-from branchlab.model import MipProblem, detect_fractional
+from branchlab.model import MipProblem, detect_fractional, fractional
 
 UC_EPS = 1e-9        # stand-in numerator for zero unit costs
 ZERO_SUB = 1e-6      # stand-in for zero factors in product criteria
@@ -97,21 +97,20 @@ class CriterionSpec:
 
 @dataclass
 class BranchEval:
-    """Evaluation bundle for branching on one variable at one node."""
+    """Evaluation bundle for branching on one variable at one node: the
+    two evaluations, the weighting terms (child infeasibility sums and
+    fractional sets), the unit costs and the child solutions, None for a
+    dead or unsolved child."""
 
     var: int
     eval_up: float
     eval_down: float
-    x_up: float
-    x_down: float
     infeas_up: float = 0.0
     infeas_down: float = 0.0
     frac_up: dict = field(default_factory=dict)
     frac_down: dict = field(default_factory=dict)
     uc_up: float | None = None
     uc_down: float | None = None
-    up_infeasible: bool = False
-    down_infeasible: bool = False
     sol_up: LpSolution | None = None
     sol_down: LpSolution | None = None
 
@@ -297,73 +296,68 @@ def settle(model: LpModel, sol: LpSolution, ctx: EvalContext, scan,
             return Settled(sol, closed="clist-leaf")
 
 
-def _child_infeasible(sol: LpSolution) -> bool:
-    return sol.status in (LpStatus.INFEASIBLE, LpStatus.CUTOFF_INFEASIBLE)
+def pair_eval(var: int, up: float | None, down: float | None, gap: float,
+              signal_compulsory: bool, cutoff: bool = False,
+              **fields) -> BranchEval:
+    """BranchEval from the objective changes of an up/down child pair;
+    None marks a dead child.
 
-
-def _iterate_fractional(sol: LpSolution, problem: MipProblem) -> dict:
-    """Fractional integer variables of an optimal or truncated iterate."""
-    out = {}
-    for j in problem.integer_indices:
-        v = float(sol.x[j])
-        if abs(v - round(v)) > INT_TOL:
-            fm = v - math.floor(v)
-            out[j] = (1.0 - fm, fm)
-    return out
+    A dead child is scored at `gap`, the incumbent's distance from the
+    scoring node, so the surviving sibling does not look unduly
+    attractive.  It also raises the compulsory signal (carrying the
+    evaluation) when the disjunction forces the sibling; two dead
+    children kill the node, `cutoff` telling whether some side was only
+    cut off.
+    """
+    if up is None and down is None:
+        raise NodeInfeasibleSignal(var, cutoff=cutoff)
+    ev = BranchEval(var=var, eval_up=gap if up is None else up,
+                    eval_down=gap if down is None else down, **fields)
+    if signal_compulsory and (up is None or down is None):
+        raise CompulsorySignal(var, "down" if up is None else "up", ev)
+    return ev
 
 
 def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
               sol_down: LpSolution, ctx: EvalContext,
               signal_compulsory: bool = True) -> BranchEval:
-    """Plain BranchEval from two child solves.
-
-    An infeasible child is scored at the incumbent objective so the
-    surviving sibling does not look unduly attractive; it also raises the
-    compulsory signal (carrying the partially filled evaluation), and two
-    dead children kill the node.  Probes on
-    derived-variable disjunctions pass signal_compulsory=False: one dead
-    side there restricts the derived variable, not the branching variable
-    itself, so only the both-dead case may kill the node.
+    """Plain BranchEval from two child solves, dead children per
+    pair_eval.  Probes on derived-variable disjunctions pass
+    signal_compulsory=False: one dead side there restricts the derived
+    variable, not the branching variable itself, so only the both-dead
+    case may kill the node.
     """
     problem = ctx.problem
-    up_dead = _child_infeasible(sol_up)
-    down_dead = _child_infeasible(sol_down)
-    if up_dead and down_dead:
-        raise NodeInfeasibleSignal(var, cutoff=LpStatus.CUTOFF_INFEASIBLE in (
-            sol_up.status, sol_down.status))
-    x_up = ctx.x_o_star if up_dead else sol_up.x_o
-    x_down = ctx.x_o_star if down_dead else sol_down.x_o
-    ev = BranchEval(
-        var=var,
-        eval_up=x_up - node_x_o,
-        eval_down=x_down - node_x_o,
-        x_up=x_up,
-        x_down=x_down,
-        infeas_up=0.0 if up_dead else sol_up.infeas,
-        infeas_down=0.0 if down_dead else sol_down.infeas,
-        frac_up={} if up_dead else _iterate_fractional(sol_up, problem),
-        frac_down={} if down_dead else _iterate_fractional(sol_down, problem),
-        up_infeasible=up_dead,
-        down_infeasible=down_dead,
-        sol_up=None if up_dead else sol_up,
-        sol_down=None if down_dead else sol_down,
-    )
-    if signal_compulsory and (up_dead or down_dead):
-        raise CompulsorySignal(var, "down" if up_dead else "up", ev)
-    return ev
+    cutoff = LpStatus.CUTOFF_INFEASIBLE in (sol_up.status, sol_down.status)
+    dead = (LpStatus.INFEASIBLE, LpStatus.CUTOFF_INFEASIBLE)
+    up = None if sol_up.status in dead else sol_up
+    dn = None if sol_down.status in dead else sol_down
+    return pair_eval(
+        var,
+        None if up is None else up.x_o - node_x_o,
+        None if dn is None else dn.x_o - node_x_o,
+        ctx.x_o_star - node_x_o, signal_compulsory, cutoff,
+        infeas_up=0.0 if up is None else up.infeas,
+        infeas_down=0.0 if dn is None else dn.infeas,
+        frac_up={} if up is None else fractional(up.x, problem),
+        frac_down={} if dn is None else fractional(dn.x, problem),
+        sol_up=up, sol_down=dn)
 
 
-def attach_unit_costs(ev: BranchEval, node_x_o: float, f_plus: float,
+def unit_cost(delta: float, f: float) -> float:
+    """UC = (child x_o - node x_o) / f, zero numerators lifted to eps."""
+    return max(delta, UC_EPS) / f
+
+
+def attach_unit_costs(ev: BranchEval, f_plus: float,
                       f_minus: float) -> BranchEval:
-    """UC_j = (child x_o - node x_o) / f, zero numerators lifted to eps."""
-    up_num = max(ev.x_up - node_x_o, UC_EPS)
-    dn_num = max(ev.x_down - node_x_o, UC_EPS)
-    ev.uc_up = up_num / f_plus
-    ev.uc_down = dn_num / f_minus
+    ev.uc_up = unit_cost(ev.eval_up, f_plus)
+    ev.uc_down = unit_cost(ev.eval_down, f_minus)
     return ev
 
 
-def _mincost_sum(frac: dict, uc_lookup) -> float:
+def mincost_sum(frac: dict, uc_lookup) -> float:
+    """Sum of MinCost_i = min(UC_i+ * f_i+, UC_i- * f_i-) over frac."""
     terms = []
     for i, (fp, fm) in frac.items():
         uc_up, uc_dn = uc_lookup(i)
@@ -386,21 +380,23 @@ def weight_eval(ev: BranchEval, flavor: Flavor, w1: float, w2: float,
     else:
         if uc_lookup is None:
             raise ValueError("cost weighting needs a unit-cost lookup")
-        up_term = _mincost_sum(ev.frac_up, uc_lookup)
-        dn_term = _mincost_sum(ev.frac_down, uc_lookup)
+        up_term = mincost_sum(ev.frac_up, uc_lookup)
+        dn_term = mincost_sum(ev.frac_down, uc_lookup)
     return replace(ev,
                    eval_up=ev.eval_up + w1 * up_term + w2 * ev.infeas_up,
                    eval_down=ev.eval_down + w1 * dn_term
                    + w2 * ev.infeas_down)
 
 
-def uc_lookup_from(evals: dict, parent_sol: LpSolution):
-    """Unit costs from this node's probes, |RC| fallback elsewhere."""
+def uc_lookup_from(parent_sol: LpSolution, *evals: dict):
+    """Unit costs (UC+, UC-) of a variable from the first eval dict that
+    probed it, |reduced cost| at parent_sol when none did."""
 
     def lookup(i: int) -> tuple[float, float]:
-        ev = evals.get(i)
-        if ev is not None and ev.uc_up is not None:
-            return ev.uc_up, ev.uc_down
+        for table in evals:
+            ev = table.get(i)
+            if ev is not None and ev.uc_up is not None:
+                return ev.uc_up, ev.uc_down
         rc = abs(float(parent_sol.reduced[i]))
         return rc, rc
 
@@ -415,13 +411,11 @@ def evaluate_pair(disj, fractions: dict,
     raises the compulsory signal only when the disjunction says so; both
     children dead always kill the node.
     """
-    node_x_o = disj.sol.x_o
     sol_up = disj.solve("up", budget)
     sol_dn = disj.solve("down", budget)
-    ev = make_eval(disj.j, node_x_o, sol_up, sol_dn, disj.ctx,
+    ev = make_eval(disj.j, disj.sol.x_o, sol_up, sol_dn, disj.ctx,
                    signal_compulsory=disj.signal_compulsory)
-    fp, fm = fractions[disj.j]
-    return attach_unit_costs(ev, node_x_o, fp, fm)
+    return attach_unit_costs(ev, *fractions[disj.j])
 
 
 def evaluate_candidates(model: LpModel, parent_sol: LpSolution,
@@ -451,7 +445,7 @@ def evaluate_candidates(model: LpModel, parent_sol: LpSolution,
         flavor = spec.eval_flavor()
         if flavor is Flavor.PLAIN:
             return plain
-        lookup = uc_lookup_from(plain, parent_sol)
+        lookup = uc_lookup_from(parent_sol, plain)
         return {j: weight_eval(ev, flavor, spec.w1, spec.w2, lookup)
                 for j, ev in plain.items()}
 
@@ -463,9 +457,7 @@ def evaluate_candidates(model: LpModel, parent_sol: LpSolution,
             pending.append(j)
         else:
             up, dn = guess
-            evals[j] = BranchEval(var=j, eval_up=up, eval_down=dn,
-                                  x_up=parent_sol.x_o + up,
-                                  x_down=parent_sol.x_o + dn)
+            evals[j] = BranchEval(var=j, eval_up=up, eval_down=dn)
     evals.update(solve_pairs(pending))
     if len(pending) < len(evals):
         winner = select(evals, spec).var

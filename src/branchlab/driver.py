@@ -36,11 +36,12 @@ from branchlab.criteria import (
     EvalContext,
     IncumbentSignal,
     SearchCounters,
-    _mincost_sum,
     evaluate_candidates,
+    mincost_sum,
     select,
     settle,
     uc_lookup_from,
+    unit_cost,
     vote,
 )
 from branchlab.lookahead import (
@@ -411,10 +412,10 @@ class _Search:
         seed = None
         ev = evals.get(var)
         if ev is not None and ev.uc_up is not None:
-            lookup = uc_lookup_from(evals, sol)
+            lookup = uc_lookup_from(sol, evals)
             seed = {
-                "up": (ev.eval_up, _mincost_sum(ev.frac_up, lookup)),
-                "down": (ev.eval_down, _mincost_sum(ev.frac_down, lookup)),
+                "up": (ev.eval_up, mincost_sum(ev.frac_up, lookup)),
+                "down": (ev.eval_down, mincost_sum(ev.frac_down, lookup)),
             }
         return [(var, direction)], seed
 
@@ -422,10 +423,10 @@ class _Search:
         for j, ev in evals.items():
             if ev.uc_up is None:
                 continue
-            if not ev.up_infeasible and ev.sol_up is not None:
+            if ev.sol_up is not None:
                 self.pseudo.update(j, "up", ev.uc_up,
                                    ev.sol_up.status is LpStatus.OPTIMAL)
-            if not ev.down_infeasible and ev.sol_down is not None:
+            if ev.sol_down is not None:
                 self.pseudo.update(j, "down", ev.uc_down,
                                    ev.sol_down.status is LpStatus.OPTIMAL)
 
@@ -550,9 +551,7 @@ class _Search:
         if parent is None or parent.solution is None:
             return
         frac = detect_fractional(node.solution, self.problem)
-        rc = parent.solution.reduced
-        mincost = sum(abs(float(rc[i])) * min(fp, fm)
-                      for i, (fp, fm) in frac.items())
+        mincost = mincost_sum(frac, uc_lookup_from(parent.solution))
         plain = node.solution.x_o - parent.solution.x_o
         node.dval_parts = (plain, mincost, max(parent.depth, 1))
 
@@ -634,7 +633,7 @@ class _Search:
         f = fp if child.branch.direction == "up" else fm
         if f <= 1e-12:
             return
-        uc = max(child.solution.x_o - parent.solution.x_o, 1e-9) / f
+        uc = unit_cost(child.solution.x_o - parent.solution.x_o, f)
         self.pseudo.update(child.branch.var, child.branch.direction, uc,
                            True)
         if child.ext_id is not None:

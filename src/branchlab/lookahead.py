@@ -40,10 +40,12 @@ from branchlab.criteria import (
     IncumbentSignal,
     NodeInfeasibleSignal,
     evaluate_candidates,
+    pair_eval,
     rank,
     score,
     select,
     settle,
+    uc_lookup_from,
     weight_eval,
 )
 from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
@@ -179,7 +181,6 @@ class _Proposal:
     parent: TreeNode
     var: int
     sel_score: float
-    stage_eval: BranchEval
     solved: BranchEval | None = None
 
 
@@ -267,10 +268,9 @@ class _Builder:
     def _log_pair(self, node: TreeNode, ev: BranchEval):
         if self.ext is None:
             return
-        for direction, uc, dead in (("up", ev.uc_up, ev.up_infeasible),
-                                    ("down", ev.uc_down,
-                                     ev.down_infeasible)):
-            if not dead:
+        for direction, uc, sol in (("up", ev.uc_up, ev.sol_up),
+                                   ("down", ev.uc_down, ev.sol_down)):
+            if sol is not None:
                 self._record_ext(node, ev.var, direction, 0.0, True, uc)
 
     def _record_forced(self, node: TreeNode, sig, model: LpModel,
@@ -320,8 +320,7 @@ class _Builder:
             # post-winnow gating
             sel = score(s2[j], self.spec)
             self.attract.bump(j, s2[j].direction, half)
-            return _Proposal(parent=node, var=j, sel_score=sel,
-                             stage_eval=s2[j])
+            return _Proposal(parent=node, var=j, sel_score=sel)
         est = self.estimator
         evals = self._solve_pairs(
             node, f2, fractions,
@@ -333,8 +332,7 @@ class _Builder:
             self.attract.bump(j, evals[j].direction, half)
         ev = evals[chosen.var]
         return _Proposal(parent=node, var=chosen.var,
-                         sel_score=score(ev, self.spec),
-                         stage_eval=ev, solved=ev)
+                         sel_score=score(ev, self.spec), solved=ev)
 
     def _admit_pair(self, prop: _Proposal, fractions: dict | None = None):
         """Solve (if needed) and attach the chosen pair as tree nodes."""
@@ -398,8 +396,7 @@ class _Builder:
                                                forced_root_var]
                     proposals.append(_Proposal(
                         parent=node, var=forced_root_var,
-                        sel_score=score(ev, self.spec),
-                        stage_eval=ev, solved=ev))
+                        sel_score=score(ev, self.spec), solved=ev))
                     continue
                 prop = self._propose(node)
                 if prop is not None:
@@ -439,19 +436,15 @@ class _Builder:
         bundles = {}
         handles = {}
         pairs = sorted(pairs, key=lambda pair: pair[0].path_key()[:-1])
+        base = root.solution.x_o
         for idx, pair in enumerate(pairs):
             up_node = next((k for k in pair if k.direction == "up"), None)
             dn_node = next((k for k in pair if k.direction == "down"), None)
-            gap = self.ctx.x_o_star - root.solution.x_o
-            ev_up = (up_node.solution.x_o - root.solution.x_o
-                     if up_node is not None else gap)
-            ev_dn = (dn_node.solution.x_o - root.solution.x_o
-                     if dn_node is not None else gap)
-            bundles[idx] = BranchEval(
-                var=idx, eval_up=ev_up, eval_down=ev_dn,
-                x_up=ev_up, x_down=ev_dn,
-                up_infeasible=up_node is None,
-                down_infeasible=dn_node is None)
+            bundles[idx] = pair_eval(
+                idx,
+                None if up_node is None else up_node.solution.x_o - base,
+                None if dn_node is None else dn_node.solution.x_o - base,
+                self.ctx.x_o_star - base, signal_compulsory=False)
             handles[idx] = (up_node, dn_node)
         return bundles, handles
 
@@ -509,8 +502,7 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
         ev = BranchEval(
             var=0,
             eval_up=up.eval_vs_parent if up else math.inf,
-            eval_down=dn.eval_vs_parent if dn else math.inf,
-            x_up=0.0, x_down=0.0)
+            eval_down=dn.eval_vs_parent if dn else math.inf)
         scored.append((score(ev, spec), pair))
     if not already_capped:
         scored.sort(key=lambda t: (-t[0], t[1][0].path_key()))
@@ -544,7 +536,7 @@ def _maybe_override(result: BuildResult, builder: _Builder) -> BuildResult:
     return result
 
 
-def _root_node(problem: MipProblem, model: LpModel, sol: LpSolution,
+def _root_node(model: LpModel, sol: LpSolution,
                ext_root: int | None = None) -> TreeNode:
     return TreeNode(node_id=0, parent=None, depth=0, var=None,
                     direction=None, model=model, solution=sol,
@@ -556,7 +548,7 @@ def build_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
                ext_tree=None, ext_root: int | None = None) -> BuildResult:
     """One look-ahead tree; probe signals propagate to the caller."""
     builder = _Builder(problem, config, ctx, estimator, ext_tree)
-    root = _root_node(problem, model, sol, ext_root)
+    root = _root_node(model, sol, ext_root)
     if not detect_fractional(sol, problem):
         raise IncumbentSignal(sol)
     return _maybe_override(builder.build(root), builder)
@@ -601,10 +593,9 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
         return evaluate_candidates(child_model, child_sol, cf2, ctx, spec,
                                    child_frac)
 
-    for direction, child_sol, dead in (
-            ("up", root_ev.sol_up, root_ev.up_infeasible),
-            ("down", root_ev.sol_down, root_ev.down_infeasible)):
-        if dead or child_sol is None:
+    for direction, child_sol in (("up", root_ev.sol_up),
+                                 ("down", root_ev.sol_down)):
+        if child_sol is None:
             continue
         child_model, _ = apply_branch(model, sol, choice.var, direction)
         settled = settle(child_model, child_sol, ctx, child_scan)
@@ -616,17 +607,6 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
             unexpanded |= settled.closed not in ("infeasible", "cutoff")
             continue
         child_sol, child_evals = settled.sol, settled.result
-
-        def lookup(i, _child_evals=child_evals):
-            ev = _child_evals.get(i)
-            if ev is not None and ev.uc_up is not None:
-                return ev.uc_up, ev.uc_down
-            rev = root_evals.get(i)
-            if rev is not None and rev.uc_up is not None:
-                return rev.uc_up, rev.uc_down
-            rc = abs(float(sol.reduced[i]))   # root reduced costs
-            return rc, rc
-
         pick = select(child_evals, spec)
         leaf = child_evals[pick.var]
         # re-express the child evals against the root objective (Step 3)
@@ -634,7 +614,8 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
         weighted = weight_eval(
             replace(leaf, eval_up=leaf.eval_up + shift,
                     eval_down=leaf.eval_down + shift),
-            leaf_spec.eval_flavor(), leaf_spec.w1, leaf_spec.w2, lookup)
+            leaf_spec.eval_flavor(), leaf_spec.w1, leaf_spec.w2,
+            uc_lookup_from(sol, child_evals, root_evals))
         side = 0 if direction == "up" else 1
         bundles[side] = replace(weighted, var=side)
         handles[side] = direction
@@ -671,7 +652,7 @@ def build_multi_trees(problem: MipProblem, model: LpModel,
     if not fractions:
         raise IncumbentSignal(sol)
     f2, _, _, _ = winnow_run(model, sol, fractions, config.winnow, ctx, 0)
-    if n_trees >= len(f2) + 1 and len(f2) < 2:
+    if len(f2) < 2:
         return build_tree(problem, model, sol, config, ctx, estimator,
                           ext_tree, ext_root)
     root_evals = evaluate_candidates(model, sol, f2, ctx, config.criterion,
@@ -682,7 +663,7 @@ def build_multi_trees(problem: MipProblem, model: LpModel,
     for k, var in enumerate(ranked):
         builder = _Builder(problem, config, ctx, estimator, ext_tree)
         builder.excluded = frozenset(ranked[:k])
-        root = _root_node(problem, model, sol, ext_root)
+        root = _root_node(model, sol, ext_root)
         try:
             result = builder.build(root, forced_root_var=var)
         except NodeInfeasibleSignal as sig:

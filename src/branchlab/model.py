@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from branchlab.lp import INT_TOL, LpModel, LpSolution, fractional_parts
+from branchlab.lp import (
+    INT_TOL,
+    LpModel,
+    LpSolution,
+    fractional_parts,
+    is_fractional,
+)
 
 
 class ModelError(Exception):
@@ -140,23 +146,26 @@ class NodeState:
         return lo, up
 
 
+def fractional(x, problem: MipProblem,
+               tol: float = INT_TOL) -> dict[int, tuple[float, float]]:
+    """{j: (f_plus, f_minus)} over the integer columns of x whose value is
+    further than tol from every integer; empty means integral."""
+    values = np.asarray(x, dtype=float).tolist()
+    out = {}
+    for j in problem.integer_indices:
+        v = values[j]
+        if is_fractional(v, tol):
+            out[j] = fractional_parts(v)
+    return out
+
+
 def detect_fractional(sol: LpSolution, problem: MipProblem,
                       tol: float = INT_TOL) -> dict[int, tuple[float, float]]:
-    """Fractional integer variables of an optimal solution.
-
-    Returns {j: (f_plus, f_minus)} over integer columns whose value is
-    further than tol from every integer; empty means MIP feasible.
-    """
+    """Fractional integer variables of an optimal solution; empty means
+    MIP feasible."""
     if not sol.is_optimal:
         raise ModelError("fractional detection needs an optimal solution")
-    out: dict[int, tuple[float, float]] = {}
-    for j in problem.integer_indices:
-        v = float(sol.x[j])
-        if abs(v - round(v)) <= tol:
-            continue
-        f_plus, f_minus = fractional_parts(v)
-        out[j] = (f_plus, f_minus)
-    return out
+    return fractional(sol.x, problem, tol)
 
 
 @dataclass
@@ -182,9 +191,8 @@ class Incumbent:
         every live node whose bound is >= the new cutoff.
         """
         x = np.asarray(x, dtype=float)
-        for j in problem.integer_indices:
-            if abs(x[j] - round(x[j])) > tol:
-                raise ModelError("incumbent candidate is not MIP feasible")
+        if fractional(x, problem, tol):
+            raise ModelError("incumbent candidate is not MIP feasible")
         if x_o >= self.x_o:
             return False
         self.x = x.copy()

@@ -21,11 +21,10 @@ from branchlab.criteria import (
     BoundDisjunction,
     BranchEval,
     CListLeafSignal,
-    CompulsorySignal,
     CriterionSpec,
     EvalContext,
-    NodeInfeasibleSignal,
     evaluate_candidates,
+    pair_eval,
     rank,
 )
 from branchlab.lp import LpModel, LpSolution
@@ -80,8 +79,9 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
            ) -> tuple[list[int], list[int], dict]:
     """Closeness-to-0.5 screen, then single-pivot probes under the criterion.
 
-    Returns (F0, F1, stage-1 evals keyed by variable).  Both sides dead
-    kills the node.  One dead side raises the compulsory signal when the
+    Returns (F0, F1, stage-1 evals keyed by variable).  An empty side
+    (a +inf estimate) is a dead child under criteria.pair_eval: both dead
+    kill the node, and one raises the compulsory signal when the
     disjunction forces its sibling; otherwise (a straddle row, which only
     restricts the derived variable) it is scored at the incumbent gap.
     """
@@ -100,16 +100,9 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
         disj = disjunction(model, sol, j, ctx)
         est_up = disj.estimate("up")
         est_dn = disj.estimate("down")
-        if math.isinf(est_up) and math.isinf(est_dn):
-            raise NodeInfeasibleSignal(j, cutoff=bool(disj.cut_off))
-        if math.isinf(est_up) or math.isinf(est_dn):
-            if disj.signal_compulsory:
-                raise CompulsorySignal(
-                    j, "down" if math.isinf(est_up) else "up")
-            est_up = gap if math.isinf(est_up) else est_up
-            est_dn = gap if math.isinf(est_dn) else est_dn
-        evals[j] = BranchEval(var=j, eval_up=est_up, eval_down=est_dn,
-                              x_up=sol.x_o + est_up, x_down=sol.x_o + est_dn)
+        evals[j] = pair_eval(j, None if math.isinf(est_up) else est_up,
+                             None if math.isinf(est_dn) else est_dn, gap,
+                             disj.signal_compulsory, bool(disj.cut_off))
     n1 = params.n1 if params.n1 is not None else max(1, math.ceil(len(pool) / 4))
     n1 = min(n1, len(f0))
     # single-pivot probes carry no fractional sets or infeasibility sums,

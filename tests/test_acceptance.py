@@ -31,7 +31,7 @@ def report(number: int, ok: bool, detail: str):
 
 
 def ev(var, up, dn):
-    return BranchEval(var=var, eval_up=up, eval_down=dn, x_up=up, x_down=dn)
+    return BranchEval(var=var, eval_up=up, eval_down=dn)
 
 
 def random_ip(rng, n=None, m=None, hi=4):

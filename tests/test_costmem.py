@@ -79,7 +79,9 @@ class TestSymDif:
     def test_compulsory_edges_count(self):
         tree = ExtendedTree()
         a = tree.add(0, var=1, direction="up", bound=1, tentative=False,
-                     uc=1.0, compulsory=2)
+                     uc=1.0)
+        tree.add_compulsory(a.node_id)
+        tree.add_compulsory(a.node_id)
         a = tree[a.node_id]
         assert tree.path_edges(a.node_id) == 3
         b = tree.add(0, var=2, direction="up", bound=1, tentative=True,

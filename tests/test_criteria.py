@@ -26,8 +26,7 @@ from branchlab.model import MipProblem, detect_fractional
 
 
 def ev(var, up, dn, **kw):
-    return BranchEval(var=var, eval_up=up, eval_down=dn,
-                      x_up=up, x_down=dn, **kw)
+    return BranchEval(var=var, eval_up=up, eval_down=dn, **kw)
 
 
 def fake_sol(status, x_o, x=(), infeas=0.0):
@@ -61,7 +60,7 @@ class TestEvalPlain:
         assert sig.value.direction == "up"
         filled = sig.value.evaluation
         assert filled.eval_down == pytest.approx(4.0)  # 9 - 5
-        assert filled.down_infeasible
+        assert filled.sol_down is None
 
     def test_both_infeasible_kills_the_node(self):
         ctx = EvalContext(problem=two_int_problem())
@@ -122,9 +121,8 @@ class TestWeightedEvals:
 
 class TestUnitCosts:
     def test_uc_definition_and_epsilon(self):
-        e = ev(0, 0.0, 0.0, )
-        e.x_up, e.x_down = 7.0, 5.0
-        attach_unit_costs(e, 5.0, f_plus=0.5, f_minus=0.5)
+        e = ev(0, 2.0, 0.0)
+        attach_unit_costs(e, f_plus=0.5, f_minus=0.5)
         assert e.uc_up == pytest.approx(4.0)
         assert e.uc_down == pytest.approx(1e-9 / 0.5)
 
@@ -133,8 +131,23 @@ class TestUnitCosts:
         sol = LpSolution(status=sol.status, x_o=0.0, x=sol.x,
                          reduced=np.array([0.0, 2.5]), infeas=0.0,
                          pivots=0, basis=Basis(basic=()))
-        lookup = uc_lookup_from({}, sol)
+        lookup = uc_lookup_from(sol, {})
         assert lookup(1) == (2.5, 2.5)
+
+    def test_lookup_takes_the_first_dict_with_a_unit_cost(self):
+        sol = LpSolution(status=LpStatus.OPTIMAL, x_o=0.0, x=np.zeros(4),
+                         reduced=np.array([-1.5, 2.5, -3.0, 4.0]),
+                         infeas=0.0, pivots=0, basis=Basis(basic=()))
+        child = {0: ev(0, 1.0, 1.0, uc_up=1.0, uc_down=2.0),
+                 1: ev(1, 1.0, 1.0)}                 # estimated: no UC
+        root = {0: ev(0, 1.0, 1.0, uc_up=9.0, uc_down=9.0),
+                1: ev(1, 1.0, 1.0, uc_up=3.0, uc_down=4.0),
+                2: ev(2, 1.0, 1.0)}
+        lookup = uc_lookup_from(sol, child, root)
+        assert lookup(0) == (1.0, 2.0)
+        assert lookup(1) == (3.0, 4.0)
+        assert lookup(2) == (3.0, 3.0)
+        assert lookup(3) == (4.0, 4.0)
 
 
 class TestSelect:

@@ -128,13 +128,12 @@ class TestStepFour:
         sol = solve(p.to_lp())
         ctx = EvalContext(problem=p, x_o_star=9.0, check_incumbent=False)
         builder = _Builder(p, base_cfg(depth=1), ctx)
-        root = _root_node(p, p.to_lp(), sol)
+        root = _root_node(p.to_lp(), sol)
         alive = TreeNode(node_id=1, parent=root, depth=1, var=0,
                          direction="up", model=p.to_lp(), solution=sol,
                          eval_vs_parent=0.5)
         bundles, handles = builder._leaf_bundles([[alive]], root)
         (bundle,) = bundles.values()
-        assert bundle.down_infeasible
         assert bundle.eval_down == pytest.approx(9.0 - sol.x_o)
         del handles
 
@@ -255,7 +254,7 @@ class TestMultiTree:
         cfg = base_cfg(depth=2, winnow=WinnowParams(k2=3, n2_root=3))
         builder = _Builder(p, cfg, ctx)
         builder.excluded = frozenset({0, 1, 2})
-        root = _root_node(p, p.to_lp(), sol)
+        root = _root_node(p.to_lp(), sol)
         result = builder.build(root, forced_root_var=4)
         for node in result.nodes:
             assert node.var not in {0, 1, 2}
@@ -274,7 +273,7 @@ class TestMultiTree:
         for rank, var in enumerate(ranked):
             builder = _Builder(p, cfg, ctx)
             builder.excluded = frozenset(ranked[:rank])
-            result = builder.build(_root_node(p, p.to_lp(), sol),
+            result = builder.build(_root_node(p.to_lp(), sol),
                                    forced_root_var=var)
             for node in result.nodes:
                 key = (tuple(node.model.lower), tuple(node.model.upper))

@@ -59,13 +59,13 @@ def test_straddle_pair_builds_the_rows_once(monkeypatch):
             ev = straddle.straddle_eval(p.to_lp(), sol, j, ctx, frac)
         except BranchSignal:
             continue
-        if not (ev.up_infeasible or ev.down_infeasible):
+        if ev.sol_up is not None and ev.sol_down is not None:
             break
     else:
         pytest.fail("no draw with two live straddle children")
     assert calls == [j]
     assert ctx.counters.lp_solves == 2
-    for direction, x in (("up", ev.x_up), ("down", ev.x_down)):
+    for direction, x in (("up", ev.sol_up.x_o), ("down", ev.sol_down.x_o)):
         child, warm, _ = straddle.make_straddle(p.to_lp(), sol, j, direction,
                                                 p.integer_mask)
         assert solve(child, warm_basis=warm).x_o == x
@@ -141,8 +141,8 @@ def test_bound_pair_and_absorption_match_direct_solves():
     ctx = EvalContext(problem=p, check_incumbent=False)
     ev = evaluate_pair(BoundDisjunction(model, sol, j, ctx), frac)
     fp, fm = frac[j]
-    assert ev.uc_up == max(ev.x_up - sol.x_o, 1e-9) / fp
-    assert ev.uc_down == max(ev.x_down - sol.x_o, 1e-9) / fm
+    assert ev.uc_up == max(ev.sol_up.x_o - sol.x_o, 1e-9) / fp
+    assert ev.uc_down == max(ev.sol_down.x_o - sol.x_o, 1e-9) / fm
     assert ctx.counters.lp_solves == 2
     for direction, rounded in (("up", np.ceil), ("down", np.floor)):
         # the scan forces one branch, then returns on the tightened node

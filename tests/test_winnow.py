@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from branchlab.criteria import (
+    CompulsorySignal,
     Criterion,
     CriterionSpec,
     EvalContext,
+    NodeInfeasibleSignal,
     evaluate_candidates,
 )
 from branchlab.lp import solve
@@ -126,6 +128,63 @@ def test_stage1_ranking_matches_executed_pivot_order():
             kid = lp_solve(child, warm_basis=warm,
                            budget=PivotBudget(max_pivots=1))
             assert kid.x_o - sol.x_o == pytest.approx(est, abs=1e-9)
+
+
+def stub_disjunction(var, dead, forcing, cut_off=frozenset()):
+    """A disjunction class whose single-pivot estimate is +inf on the
+    `dead` sides of x_var and 0.25 everywhere else."""
+
+    class Stub:
+        signal_compulsory = forcing
+
+        def __init__(self, model, sol, j, ctx):
+            self.j = j
+            self.cut_off = cut_off
+
+        def estimate(self, direction):
+            return math.inf if self.j == var and direction in dead else 0.25
+
+    return Stub
+
+
+class TestStage1DeadSides:
+    def setup_method(self):
+        self.p, self.sol, self.frac = fractional_problem()
+        self.j = min(self.frac)
+        self.ctx = EvalContext(problem=self.p, x_o_star=self.sol.x_o + 3.0,
+                               check_incumbent=False)
+
+    def stage1(self, disjunction):
+        return stage1(self.p.to_lp(), self.sol, self.frac,
+                      WinnowParams(n0=50), self.ctx, disjunction)
+
+    @pytest.mark.parametrize("dead, forced", [("up", "down"),
+                                              ("down", "up")])
+    def test_a_forcing_disjunction_forces_the_live_side(self, dead, forced):
+        with pytest.raises(CompulsorySignal) as sig:
+            self.stage1(stub_disjunction(self.j, {dead}, forcing=True))
+        assert (sig.value.var, sig.value.direction) == (self.j, forced)
+
+    @pytest.mark.parametrize("dead", ["up", "down"])
+    def test_a_non_forcing_disjunction_scores_the_dead_side_at_the_gap(
+            self, dead):
+        _, _, evals = self.stage1(
+            stub_disjunction(self.j, {dead}, forcing=False))
+        ev = evals[self.j]
+        gap = self.ctx.x_o_star - self.sol.x_o
+        assert (ev.eval_up, ev.eval_down) == \
+            ((gap, 0.25) if dead == "up" else (0.25, gap))
+        assert all((e.eval_up, e.eval_down) == (0.25, 0.25)
+                   for k, e in evals.items() if k != self.j)
+
+    @pytest.mark.parametrize("forcing", [True, False])
+    @pytest.mark.parametrize("cut_off", [frozenset(), frozenset({"up"})])
+    def test_two_dead_sides_kill_the_node(self, forcing, cut_off):
+        with pytest.raises(NodeInfeasibleSignal) as sig:
+            self.stage1(stub_disjunction(self.j, {"up", "down"}, forcing,
+                                         cut_off))
+        assert sig.value.var == self.j
+        assert sig.value.cutoff is bool(cut_off)
 
 
 def test_n2_depth_schedule():
