@@ -52,6 +52,7 @@ from branchlab.lookahead import (
     build_tree,
 )
 from branchlab.lp import (
+    CUTOFF_SLACK,
     LpError,
     LpStatus,
     PivotBudget,
@@ -244,7 +245,7 @@ class _Search:
         kept = []
         for node_id, order in self.open:
             node = self.nodes[node_id]
-            if node.bound > cutoff + 1e-9:
+            if node.bound > cutoff + CUTOFF_SLACK:
                 self.trace_node(node, "pruned", reason="incumbent cutoff")
                 self.child_done(node)
             else:
@@ -663,7 +664,7 @@ class _Search:
             if self.pending_restart:
                 self.do_attract_restart()
             node = self.select_open()
-            if node.bound > self.incumbent.cutoff + 1e-9:
+            if node.bound > self.incumbent.cutoff + CUTOFF_SLACK:
                 self.trace_node(node, "pruned", reason="bound")
                 self.child_done(node)
                 continue
@@ -727,7 +728,7 @@ class _Search:
             except IncumbentSignal as sig:
                 self.install_incumbent(sig.solution.x, sig.solution.x_o,
                                        node)
-                if node.bound > self.incumbent.cutoff + 1e-9:
+                if node.bound > self.incumbent.cutoff + CUTOFF_SLACK:
                     self.trace_node(node, "pruned",
                                     reason="incumbent cutoff")
                     return [], None

@@ -36,19 +36,35 @@ Where B^-1 comes from:
     read one loaded workspace, built on the first of them and kept with
     the basis; they never write to it.
 
+Work done at a basis is kept with the `Basis` and found again by the
+model's content, `memo_key`: its `rows`, `obj` and `rhs` arrays by
+identity (models and their arrays are immutable) and its bounds by
+value.  So the node model the driver builds afresh finds what the
+look-ahead did at the same node through its own, equal, child model.
+A basis keeps
+
+  * `factor`: the fresh inverse above;
+  * `probe_state`: the probe workspace, with every probe's answer by
+    (j, direction);
+  * `children`: the bound children `apply_branch` built, and the
+    straddle row partitions and children (`straddle`);
+  * `memo`: the solves warm-started from it, below.
+
+Every kept entry holds the model its key came from, so the ids in the
+key stay unique.  `Basis.forget_solves` frees the children and the memo.
+
 Whole solves are reused too.  A warm solve's run depends only on the warm
 basis and the model; the budget decides only where it stops.  So each
-warm basis keeps a memo of the runs started from it, keyed on the model's
-`rows`, `obj` and `rhs` arrays (by identity) and its bound bytes, each
-with its solution and its path: the objective, the largest violation and
-the stall count at every iterate.  A later solve of the same key returns
-a stored solution when replaying that path through `_stop` under its own
-budget stops at the same iterate with the same status.  A run that hit
-its pivot limit also keeps its workspace, and a later solve whose budget
-stops that path nowhere continues it from its last iterate instead of
-pivoting from the warm basis again; the continuation takes the
-workspace, so each truncated run is continued at most once.  Otherwise
-the solve runs from the warm basis.
+warm basis keeps a memo of the runs started from it, keyed on the
+model's `memo_key`, each with its solution and its path: the objective,
+the largest violation and the stall count at every iterate.  A later
+solve of the same key returns a stored solution when replaying that path
+through `_stop` under its own budget stops at the same iterate with the
+same status.  A run that hit its pivot limit also keeps its workspace,
+and a later solve whose budget stops that path nowhere continues it from
+its last iterate instead of pivoting from the warm basis again; the
+continuation takes the workspace, so each truncated run is continued at
+most once.  Otherwise the solve runs from the warm basis.
 """
 
 from __future__ import annotations
@@ -65,6 +81,7 @@ DUAL_TOL = 1e-9       # reduced-cost sign tolerance
 PIVOT_TOL = 1e-9      # smallest usable pivot element
 REFACTOR_EVERY = 64
 BIG_BOUND = 1e8       # stand-in upper bound used to dual-start free columns
+CUTOFF_SLACK = 1e-9   # an objective passes a cutoff only beyond this
 
 INF = math.inf
 
@@ -148,10 +165,10 @@ class Basis:
     Columns 0..n-1 are structural, n..n+m-1 are row surpluses.  `at_upper`
     holds the nonbasic columns currently sitting at their upper bound.
 
-    `factor`, `probe_state` and `memo` hold work the engine has already
-    done at this basis (see the module docstring), and `straddle_children`
-    the straddle children built at it (`straddle.StraddleDisjunction`).
-    They are filled in on first use and are not part of the basis's value.
+    `factor`, `probe_state`, `children` and `memo` hold work already
+    done at this basis, found by the model's `memo_key` (see the module
+    docstring).  They are filled in on first use and are not part of the
+    basis's value.
     """
 
     basic: tuple[int, ...]
@@ -161,17 +178,28 @@ class Basis:
         default=None, init=False, compare=False, repr=False)
     memo: dict | None = field(
         default=None, init=False, compare=False, repr=False)
-    straddle_children: dict | None = field(
+    children: dict | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def _remember(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
 
+    def kept(self, key: tuple, model: LpModel, make):
+        """The value kept in `children` under `key`, a tuple that starts
+        with `memo_key(model)`; `make()` gives it on the first call.  The
+        entry keeps `model`, so the ids in its key stay unique."""
+        if self.children is None:
+            self._remember("children", {})
+        entry = self.children.get(key)
+        if entry is None:
+            entry = self.children[key] = (model, make())
+        return entry[1]
+
     def forget_solves(self) -> None:
         """Drop the memo of solves warm-started from this basis and the
-        straddle children built at it, whose own memos go with them."""
+        children kept at it, whose own memos go with them."""
         self._remember("memo", None)
-        self._remember("straddle_children", None)
+        self._remember("children", None)
 
 
 @dataclass(frozen=True)
@@ -185,6 +213,9 @@ class LpSolution:
     infeas: float            # sum of positive row/bound violations
     pivots: int
     basis: Basis
+    # (integer columns, tol, map) of `model.kept_fractional`, on first use
+    fractions: tuple | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -592,7 +623,7 @@ def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
     """The status a run ends with at this iterate, or None to pivot on."""
     # the cutoff is inclusive: an iterate exactly on it can still lead
     # to an acceptable solution, so only strictly worse ones die
-    if objective > budget.cutoff + 1e-9:
+    if objective > budget.cutoff + CUTOFF_SLACK:
         return LpStatus.CUTOFF_INFEASIBLE
     if viol <= FEAS_TOL:
         return LpStatus.OPTIMAL
@@ -646,7 +677,9 @@ def _first_stop(path: list[tuple[float, float, int]],
 
 
 def memo_key(model: LpModel) -> tuple:
-    # ids are safe: each memo entry keeps its model, hence these arrays
+    """The model's content: its arrays by identity, its bounds by value.
+    The ids are safe while whatever is kept under the key keeps the
+    model, hence these arrays."""
     return (id(model.rows), id(model.obj), id(model.rhs),
             model.lower.tobytes(), model.upper.tobytes())
 
@@ -742,25 +775,33 @@ def is_fractional(value: float, tol: float = INT_TOL) -> bool:
 def _probe_workspace(model: LpModel, basis: Basis,
                      misfit: str) -> _Workspace:
     """`model` loaded at `basis`, shared by every probe and tableau row at
-    that pair and kept with the basis.  Its arrays are read-only.  It also
-    holds the translated reduced costs as `probe_rc`, and as `probe_cols`
-    (column, translated reduced cost, at upper bound) for every nonbasic
-    column, the operands of `_min_ratio`."""
+    that pair and kept with the basis; a model with the same `memo_key`
+    finds it too.  Its arrays are read-only.  It also holds the
+    translated reduced costs as `probe_rc`, as `probe_cols` (column,
+    translated reduced cost, at upper bound) for every nonbasic column,
+    the operands of `_min_ratio`, and `probe_single_pivot`'s answers by
+    (j, direction) as `answers`."""
     ws = basis.probe_state
-    if ws is None or ws.model is not model:
-        ws = _Workspace(model)
-        if not ws.load_basis(basis):
-            raise LpProbeError(misfit)
-        ws.basic = tuple(ws.basic)
-        ws.probe_rc = ws.translated_rc()
-        ws.probe_cols = [
-            (col, rc, upper) for col, (rc, upper, basic) in enumerate(zip(
-                ws.probe_rc.tolist(), ws.at_upper.tolist(),
-                ws.in_basis.tolist())) if not basic]
-        for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN,
-                  ws.probe_rc):
-            a.setflags(write=False)
-        basis._remember("probe_state", ws)
+    if ws is not None and ws.model is model:
+        return ws
+    key = memo_key(model)
+    if ws is not None and ws.key == key:
+        return ws
+    ws = _Workspace(model)
+    if not ws.load_basis(basis):
+        raise LpProbeError(misfit)
+    ws.key = key
+    ws.basic = tuple(ws.basic)
+    ws.probe_rc = ws.translated_rc()
+    ws.probe_cols = [
+        (col, rc, upper) for col, (rc, upper, basic) in enumerate(zip(
+            ws.probe_rc.tolist(), ws.at_upper.tolist(),
+            ws.in_basis.tolist())) if not basic]
+    ws.answers = {}
+    for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN,
+              ws.probe_rc):
+        a.setflags(write=False)
+    basis._remember("probe_state", ws)
     return ws
 
 
@@ -773,12 +814,16 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     up branch admits negative ones, a down branch positive ones.  The
     smallest ratio magnitude times the relevant fractional part is the
     first-pivot objective change.  Returns +inf when no ratio is eligible
-    (that branch is LP infeasible).
+    (that branch is LP infeasible).  The answer is kept with the probe
+    workspace; a call that raises keeps nothing.
     """
     if direction not in ("up", "down"):
         raise LpProbeError(f"bad direction {direction!r}")
     ws = _probe_workspace(model, sol.basis,
                           "solution basis does not fit the model")
+    answer = ws.answers.get((j, direction))
+    if answer is not None:
+        return answer
     if j not in ws.basic:
         raise LpProbeError(f"x_{j} is nonbasic; probe needs a basic variable")
     pos = ws.basic.index(j)
@@ -790,7 +835,9 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     # an up branch leaves x_j below its new lower bound
     best = _min_ratio(ws, ws.tableau_row(pos).tolist(),
                       below=direction == "up")
-    return best * frac if math.isfinite(best) else INF
+    answer = best * frac if math.isfinite(best) else INF
+    ws.answers[j, direction] = answer
+    return answer
 
 
 def _min_ratio(ws: _Workspace, row, below: bool) -> float:
@@ -832,16 +879,23 @@ def first_pivot_ratio(model: LpModel, basis: Basis, row,
 
 def apply_branch(model: LpModel, sol: LpSolution, j: int,
                  direction: str) -> tuple[LpModel, Basis]:
-    """Child model for an up/down branch on x_j plus the parent warm basis."""
+    """Child model for an up/down branch on x_j plus the parent warm basis.
+
+    The child is kept on sol's basis (`Basis.kept`), keyed on the model's
+    `memo_key`, j, the direction and x_j's value: a repeat call, with
+    this model or an equal one, returns the same child object.
+    """
     value = float(sol.x[j])
     if not is_fractional(value):
         raise LpProbeError(f"x_{j} = {value} is not fractional")
     if direction == "up":
-        child = model.with_bounds(j, lower=math.ceil(value))
+        bounds = {"lower": math.ceil(value)}
     elif direction == "down":
-        child = model.with_bounds(j, upper=math.floor(value))
+        bounds = {"upper": math.floor(value)}
     else:
         raise LpProbeError(f"bad direction {direction!r}")
+    child = sol.basis.kept((memo_key(model), j, direction, value), model,
+                           lambda: model.with_bounds(j, **bounds))
     return child, sol.basis
 
 

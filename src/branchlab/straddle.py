@@ -38,13 +38,14 @@ estimate and for `build_straddle_rows`.
 
 StraddleDisjunction partitions the tableau row on its first estimate
 and builds both children on its first child() or solve(), for
-criteria.evaluate_pair.  The children are kept on the node's basis,
-keyed like its LP memo (the model's arrays and bounds), on x_j and on
-the integrality mask, until `Basis.forget_solves`.  So the stage-2
-truncated solves and the Step-2 pair solves at that node all load one
-child model and warm basis: they share its inverse and its memo, and
-answer bit for bit as freshly built children would.  A candidate the
-winnow drops after its stage-1 estimate builds no child at all.
+criteria.evaluate_pair.  The partition and the children are kept on the
+node's basis (`lp.Basis.kept`), keyed like its LP memo (the model's
+`memo_key`), on x_j and on the integrality mask, until
+`Basis.forget_solves`.  So the estimates, the stage-2 truncated solves
+and the Step-2 pair solves at that node all read one partition and load
+one child model and warm basis: they share its inverse and its memo,
+and answer bit for bit as freshly built children would.  A candidate
+the winnow drops after its stage-1 estimate builds no child at all.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from branchlab.criteria import (
     solve_warm,
 )
 from branchlab.lp import (
+    CUTOFF_SLACK,
     Basis,
     LpModel,
     LpProbeError,
@@ -95,14 +97,21 @@ class StraddleRow:
 
 
 def partition_row(model: LpModel, basis: Basis, j: int,
-                  integer_mask: np.ndarray) -> tuple[dict, list]:
+                  integer_mask: np.ndarray) -> tuple[dict, tuple]:
     """Partition x_j's tableau row at `basis` (module docstring).
 
     Returns the StraddleRow fields both directions share, and z+'s row of
     the up child's tableau over every column, in `lp.tableau_row` signs:
     the up-row coefficient c_i, negated on a column at its upper bound,
-    and 0.0 for a column the row leaves out.
+    and 0.0 for a column the row leaves out.  The result is kept on
+    `basis`, so every caller shares it and none may change it.
     """
+    return basis.kept((memo_key(model), j, integer_mask.tobytes()), model,
+                      lambda: _partition(model, basis, j, integer_mask))
+
+
+def _partition(model: LpModel, basis: Basis, j: int,
+               integer_mask: np.ndarray) -> tuple[dict, tuple]:
     alpha, at_upper, value, n = tableau_row_for(model, basis, j)
     if not is_fractional(value):
         raise LpProbeError(f"x_{j} = {value} is not fractional")
@@ -145,7 +154,7 @@ def partition_row(model: LpModel, basis: Basis, j: int,
         z_row[col] = -c if upperside else c
     common = dict(var=j, nb1=tuple(nb1), nb2=tuple(nb2), r=r, s=s, d=d,
                   q=q, r_o=r_o, s_o=s_o, shifts=tuple(shifts))
-    return common, z_row
+    return common, tuple(z_row)
 
 
 def build_straddle_rows(model: LpModel, sol: LpSolution, j: int,
@@ -227,7 +236,6 @@ class StraddleDisjunction:
     def __init__(self, model: LpModel, sol: LpSolution, j: int,
                  ctx: EvalContext):
         self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
-        self.split = None           # partition_row, on the first estimate
         self.children = None        # both children, on the first child()
         self.cut_off: set[str] = set()  # sides estimated past the cutoff
 
@@ -250,18 +258,13 @@ def _kept_children(model: LpModel, sol: LpSolution, j: int,
                    mask: np.ndarray) -> dict:
     """Both straddle children of x_j at sol's basis, by direction: built
     once per key and kept with the basis (module docstring)."""
-    key = (memo_key(model), j, mask.tobytes())
-    cache = sol.basis.straddle_children
-    if cache is None:
-        cache = {}
-        sol.basis._remember("straddle_children", cache)
-    if key not in cache:
+    def build():
         rows, up, _ = build_straddle_rows(model, sol, j, mask)
-        # the entry keeps `model`, so the ids in its key stay unique
-        cache[key] = model, {
-            d: _append_row(model, sol, rows[d], up.slack_col)
-            for d in ("up", "down")}
-    return cache[key][1]
+        return {d: _append_row(model, sol, rows[d], up.slack_col)
+                for d in ("up", "down")}
+
+    return sol.basis.kept((memo_key(model), j, mask.tobytes(), "straddle"),
+                          model, build)
 
 
 def drop_inactive_straddle_rows(model: LpModel,
@@ -315,14 +318,11 @@ def straddle_pivot_estimate(disj: StraddleDisjunction,
     the derived disjunction is empty (no column is eligible), or that its
     first pivot already passes the cutoff, as a budgeted solve of the
     child would stop there; the disjunction notes the latter in
-    `cut_off`.  The row is partitioned on the disjunction's first
-    estimate.
+    `cut_off`.
     """
     sol, ctx = disj.sol, disj.ctx
-    if disj.split is None:
-        disj.split = partition_row(disj.model, sol.basis, disj.j,
-                                   ctx.problem.integer_mask)
-    common, z_row = disj.split
+    common, z_row = partition_row(disj.model, sol.basis, disj.j,
+                                  ctx.problem.integer_mask)
     up = direction == "up"
     # z- has the row -z_row, and leaving below 0 there is the same ratio
     # test as z_row above its bound
@@ -331,7 +331,7 @@ def straddle_pivot_estimate(disj: StraddleDisjunction,
     if math.isinf(ratio):
         return math.inf
     est = max(float((common["s_o"] if up else common["r_o"]) * ratio), 0.0)
-    if sol.x_o + est > ctx.cutoff + 1e-9:
+    if sol.x_o + est > ctx.cutoff + CUTOFF_SLACK:
         disj.cut_off.add(direction)
         return math.inf
     return est

@@ -48,6 +48,12 @@ def nodes(rng):
     return p, out
 
 
+def straddle_children(basis):
+    """The straddle children kept on `basis`, one dict per key."""
+    return [children for key, (_, children) in (basis.children or {}).items()
+            if key[-1] == "straddle"]
+
+
 def fresh_solve(model, sol, j, d, mask, budget):
     child, warm, _ = make_straddle(model, sol, j, d, mask)
     return solve(child, warm_basis=warm, budget=budget)
@@ -143,7 +149,7 @@ def test_a_stage1_screen_builds_no_child(monkeypatch):
                 continue
             assert set(f0) - set(f1)
             assert appended == []
-            assert not sol.basis.straddle_children
+            assert not straddle_children(sol.basis)
             screened += 1
     assert screened >= 10
 
@@ -153,7 +159,7 @@ def test_children_are_built_on_the_first_child_call():
     disj = StraddleDisjunction(model, sol, j, ctx)
     disj.estimate("up")
     disj.estimate("down")
-    assert sol.basis.straddle_children is None
+    assert not straddle_children(sol.basis)
     up = disj.child("up")
     assert disj.child("up") is up
     assert all(a is b for a, b in zip(disj.child("up"), up))
@@ -161,7 +167,7 @@ def test_children_are_built_on_the_first_child_call():
     assert all(a is b for a, b in zip(later.child("up"), up))
     assert later.child("down") is disj.child("down")
     sol.basis.forget_solves()
-    assert sol.basis.straddle_children is None
+    assert sol.basis.children is None
     fresh = StraddleDisjunction(model, sol, j, ctx).child("up")
     assert fresh[0] is not up[0] and fresh[1] is not up[1]
 
@@ -215,7 +221,7 @@ def test_a_bound_sibling_at_the_same_basis_misses():
     other = StraddleDisjunction(sibling, sol, j, ctx)
     for d in ("up", "down"):
         mine, theirs = first.child(d)[0], other.child(d)[0]
-        assert len(sol.basis.straddle_children) == 2
+        assert len(straddle_children(sol.basis)) == 2
         assert theirs is not mine
         assert theirs.upper.tobytes() == sibling.upper.tobytes()
         assert mine.upper.tobytes() == model.upper.tobytes()
@@ -229,9 +235,9 @@ def test_forget_solves_frees_the_children():
     disj = StraddleDisjunction(model, sol, j, ctx)
     child, warm = disj.child("up")
     kept = solve(child, warm_basis=warm)
-    assert sol.basis.straddle_children
+    assert straddle_children(sol.basis)
     sol.basis.forget_solves()
-    assert sol.basis.straddle_children is None and sol.basis.memo is None
+    assert sol.basis.children is None and sol.basis.memo is None
     again = StraddleDisjunction(model, sol, j, ctx).child("up")
     assert again[0] is not child and again[1] is not warm
     assert_same_answer(solve(*again), kept)
@@ -257,6 +263,6 @@ def test_children_do_not_outlive_a_search():
     for seed in BRANCHING:
         search = driver._Search(driver_ip(seed, n=8, m=3, hi=6), LA_STRADDLE)
         assert search.run().status == "optimal"
-        assert not any(node.solution.basis.straddle_children
+        assert not any(node.solution.basis.children
                        for node in search.nodes.values()
                        if node.solution is not None)
