@@ -45,7 +45,7 @@ from branchlab.lp import (
     probe_single_pivot,
     solve,
 )
-from branchlab.model import MipProblem, detect_fractional, kept_fractional
+from branchlab.model import MipProblem, detect_fractional, fractional
 
 UC_EPS = 1e-9        # stand-in numerator for zero unit costs
 ZERO_SUB = 1e-6      # stand-in for zero factors in product criteria
@@ -339,8 +339,8 @@ def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
         ctx.x_o_star - node_x_o, signal_compulsory, cutoff,
         infeas_up=0.0 if up is None else up.infeas,
         infeas_down=0.0 if dn is None else dn.infeas,
-        frac_up={} if up is None else kept_fractional(up, problem),
-        frac_down={} if dn is None else kept_fractional(dn, problem),
+        frac_up={} if up is None else fractional(up.x, problem),
+        frac_down={} if dn is None else fractional(dn.x, problem),
         sol_up=up, sol_down=dn)
 
 

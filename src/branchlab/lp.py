@@ -213,9 +213,6 @@ class LpSolution:
     infeas: float            # sum of positive row/bound violations
     pivots: int
     basis: Basis
-    # (integer columns, tol, map) of `model.kept_fractional`, on first use
-    fractions: tuple | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -782,8 +779,6 @@ def _probe_workspace(model: LpModel, basis: Basis,
     the operands of `_min_ratio`, and `probe_single_pivot`'s answers by
     (j, direction) as `answers`."""
     ws = basis.probe_state
-    if ws is not None and ws.model is model:
-        return ws
     key = memo_key(model)
     if ws is not None and ws.key == key:
         return ws

@@ -159,26 +159,13 @@ def fractional(x, problem: MipProblem,
     return out
 
 
-def kept_fractional(sol: LpSolution, problem: MipProblem,
-                    tol: float = INT_TOL) -> dict[int, tuple[float, float]]:
-    """`fractional(sol.x, problem, tol)`, scanned once per solution and
-    kept with it (`LpSolution.fractions`): every caller gets the same
-    map, so none may change it."""
-    kept = sol.fractions
-    if kept is None or kept[0] is not problem.integer_indices \
-            or kept[1] != tol:
-        kept = (problem.integer_indices, tol, fractional(sol.x, problem, tol))
-        object.__setattr__(sol, "fractions", kept)
-    return kept[2]
-
-
 def detect_fractional(sol: LpSolution, problem: MipProblem,
                       tol: float = INT_TOL) -> dict[int, tuple[float, float]]:
     """Fractional integer variables of an optimal solution; empty means
     MIP feasible."""
     if not sol.is_optimal:
         raise ModelError("fractional detection needs an optimal solution")
-    return kept_fractional(sol, problem, tol)
+    return fractional(sol.x, problem, tol)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A basis keeps its probe workspace with every probe's answer, the bound
 children `apply_branch` built at it and the straddle row partitions, all
-found by the model's `memo_key`; a solution keeps its fractional map.
+found by the model's `memo_key`.
 These tests check every kept value against the same computation from
 scratch, that a distinct model with the same content finds the kept
 work, that a failing call keeps nothing, what `forget_solves` frees, and
@@ -16,7 +16,7 @@ import pytest
 
 import branchlab.driver as driver
 import branchlab.lp as lp
-from branchlab import criteria, model as model_mod, straddle
+from branchlab import straddle
 from branchlab.bench import default_matrix
 from branchlab.criteria import EvalContext
 from branchlab.lp import (
@@ -28,12 +28,6 @@ from branchlab.lp import (
     memo_key,
     probe_single_pivot,
     solve,
-)
-from branchlab.model import (
-    ModelError,
-    detect_fractional,
-    fractional,
-    kept_fractional,
 )
 from branchlab.straddle import StraddleDisjunction, partition_row
 from test_driver import random_ip
@@ -159,38 +153,6 @@ def test_a_failing_apply_branch_keeps_nothing():
     assert not sol.basis.children
 
 
-def test_detect_fractional_keeps_its_map():
-    rng = np.random.default_rng(23)
-    checked = 0
-    for _ in range(20):
-        p, sol, _ = fractional_instance(rng, n=5, m=3)
-        frac = detect_fractional(sol, p)
-        assert frac == fractional(sol.x, p)
-        assert detect_fractional(sol, p) is frac
-        assert kept_fractional(sol, p) is frac
-        # an equal solution object of its own scans again, equally
-        assert detect_fractional(unkept(sol), p) == frac
-        # a looser tolerance is another map
-        loose = detect_fractional(sol, p, tol=0.49)
-        assert loose == fractional(sol.x, p, tol=0.49)
-        assert detect_fractional(sol, p, tol=0.49) is loose
-        # truncated child iterates: make_eval's maps, kept the same way
-        for j in frac:
-            for d in ("up", "down"):
-                child, warm = apply_branch(p.to_lp(), sol, j, d)
-                cut = solve(child, warm_basis=fresh_basis(warm),
-                            budget=PivotBudget(max_pivots=1))
-                if cut.status is not LpStatus.PIVOT_LIMIT_HIT:
-                    continue
-                got = kept_fractional(cut, p)
-                assert got == fractional(cut.x, p)
-                assert kept_fractional(cut, p) is got
-                with pytest.raises(ModelError):
-                    detect_fractional(cut, p)
-                checked += 1
-    assert checked >= 10
-
-
 def test_a_partition_is_made_once_per_key(monkeypatch):
     rows = []
     real = lp.tableau_row_for
@@ -229,14 +191,9 @@ def test_a_search_reads_the_same_when_nothing_is_kept(monkeypatch):
     problems = [random_ip(seed, n=8, m=3, hi=6) for seed in (74, 75, 89)]
     kept = [driver.solve_mip(p, la) for p in problems]
     # keys that never repeat: every probe workspace, child, partition and
-    # solve is made afresh, and every fractional map is scanned afresh
+    # solve is made afresh
     monkeypatch.setattr(lp, "memo_key", lambda model: object())
     monkeypatch.setattr(straddle, "memo_key", lambda model: object())
-    def scan(sol, problem, tol=lp.INT_TOL):
-        return fractional(sol.x, problem, tol)
-
-    monkeypatch.setattr(model_mod, "kept_fractional", scan)
-    monkeypatch.setattr(criteria, "kept_fractional", scan)
     for p, a in zip(problems, kept):
         b = driver.solve_mip(p, la)
         assert driver.trace_to_json(a.trace) == driver.trace_to_json(b.trace)
