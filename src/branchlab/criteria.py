@@ -186,11 +186,19 @@ class EvalContext:
     check_incumbent: bool = True
     k2_default: int | None = None    # driver-calibrated stage-2 budget
 
+    budgets: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)   # branch_budget's, made once each
+
     def branch_budget(self, pivot_limit: int | None = None) -> PivotBudget:
-        if pivot_limit is None:
-            return replace(self.budget, cutoff=self.cutoff)
-        return replace(self.budget, cutoff=self.cutoff,
-                       max_pivots=pivot_limit)
+        """`budget` under the cutoff, and the pivot limit when given."""
+        key = (self.cutoff, pivot_limit)
+        budget = self.budgets.get(key)
+        if budget is None:
+            budget = self.budgets[key] = replace(
+                self.budget, cutoff=self.cutoff,
+                max_pivots=self.budget.max_pivots if pivot_limit is None
+                else pivot_limit)
+        return budget
 
 
 def solve_warm(child: LpModel, warm: Basis, ctx: EvalContext,

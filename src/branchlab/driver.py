@@ -55,6 +55,7 @@ from branchlab.lp import (
     CUTOFF_SLACK,
     LpError,
     LpStatus,
+    LpUnboundedError,
     PivotBudget,
     apply_reversal_update,
     fractional_parts,
@@ -131,7 +132,7 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    status: str                      # optimal | feasible | infeasible | limit
+    status: str         # optimal | feasible | infeasible | limit | unbounded
     objective: float
     bound: float
     x: np.ndarray | None
@@ -647,7 +648,11 @@ class _Search:
         root = self.new_node(None, None, self.problem.lower.copy(),
                              self.problem.upper.copy())
         root.ext_id = 0
-        status = self.ensure_solved(root)
+        try:
+            status = self.ensure_solved(root)
+        except LpUnboundedError:
+            # a relaxation without a finite optimum leaves the MIP none
+            return self.finish("unbounded")
         if status != "ok":
             self.close(root, status)
             return self.finish("limit" if self.incomplete else "optimal")
@@ -825,7 +830,8 @@ class _Search:
                  "depth": r.depth, "compulsory": r.compulsory}
                 for r in self.ext.records]
         return SolveResult(status=status,
-                           objective=self.incumbent.x_o,
+                           objective=-math.inf if status == "unbounded"
+                           else self.incumbent.x_o,
                            bound=bound,
                            x=None if self.incumbent.x is None
                            else self.incumbent.x.copy(),

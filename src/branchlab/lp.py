@@ -35,6 +35,17 @@ Where B^-1 comes from:
   * All single-pivot probes and tableau rows at one (model, basis) pair
     read one loaded workspace, built on the first of them and kept with
     the basis; they never write to it.
+  * A warm run whose model differs from that workspace's model only in
+    the bounds of columns basic there (every branch on a basic x_j)
+    starts from the workspace's own iterate, sharing its B^-1
+    (`_Workspace.start_child`): such bounds move no nonbasic value and
+    no dual-feasibility flip, so a load would compute the same iterate.
+
+Within a run the reduced costs are recomputed, from the same B^-1, only
+when the next ratio test reads them.  A solution derives `reduced` and
+`infeas` from its final iterate on first read (`LpSolution`), except a
+run stopped at its pivot limit, whose workspace a later solve may pivot
+on.
 
 Work done at a basis is kept with the `Basis` and found again by the
 model's content, `memo_key`: its `rows`, `obj` and `rhs` arrays by
@@ -103,6 +114,11 @@ class LpModelError(LpError):
 
 class LpNumericError(LpError):
     """Singular basis that refactorization could not repair."""
+
+
+class LpUnboundedError(LpNumericError):
+    """The optimum rests on a stand-in bound of a column whose reduced
+    cost is nonzero: the objective falls without limit along it."""
 
 
 class LpProbeError(LpError):
@@ -204,6 +220,11 @@ class Basis:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """One run's outcome.  A solution from `solve` derives `reduced` and
+    `infeas` from its final iterate on first read, except one stopped at
+    its pivot limit: a later solve may pivot on in that run's workspace,
+    so it holds them from the start."""
+
     status: LpStatus
     x_o: float
     x: np.ndarray            # structural values (undefined entries possible
@@ -217,6 +238,19 @@ class LpSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
+
+    def __getattr__(self, name: str):
+        # reached only for a field a solution from `solve` left unset:
+        # `reduced` and `infeas` are derived from its final iterate, kept
+        # as `_final`, on first read
+        final = self.__dict__.get("_final")
+        if final is None or name not in ("reduced", "infeas"):
+            raise AttributeError(name)
+        ws, values = final
+        value = _reduced(ws) if name == "reduced" else \
+            ws.infeasibility(values)
+        self.__dict__[name] = value
+        return value
 
 
 def _checked_bounds(lower, upper, n: int):
@@ -300,18 +334,19 @@ class LpModel:
             object.__setattr__(self, "_matrices", (full, cost))
         return self._matrices
 
+    def _derive(self, **fields) -> "LpModel":
+        """This model with the given, already checked, fields replaced."""
+        model = object.__new__(LpModel)
+        for name in LpModel.__slots__:
+            object.__setattr__(model, name, fields[name] if name in fields
+                               else getattr(self, name))
+        return model
+
     def _rebound(self, lower: np.ndarray, upper: np.ndarray,
                  empty_box: bool) -> "LpModel":
         """This model under checked bound vectors, sharing everything else."""
-        matrices = self.matrices()
-        model = object.__new__(LpModel)
-        for name in ("obj", "rows", "rhs", "straddle_rows"):
-            object.__setattr__(model, name, getattr(self, name))
-        object.__setattr__(model, "lower", lower)
-        object.__setattr__(model, "upper", upper)
-        object.__setattr__(model, "empty_box", empty_box)
-        object.__setattr__(model, "_matrices", matrices)
-        return model
+        return self._derive(lower=lower, upper=upper, empty_box=empty_box,
+                            _matrices=self.matrices())
 
     def with_bound_vectors(self, lower, upper) -> "LpModel":
         """This model with every column bound replaced."""
@@ -336,13 +371,27 @@ class LpModel:
 
     def with_row(self, coeffs, rhs_value: float,
                  straddle: bool = False) -> "LpModel":
-        """Append one >= row; its surplus column index is n_cols + n_rows."""
-        rows = np.vstack([self.rows, np.asarray(coeffs, dtype=float)])
-        rhs = np.append(self.rhs, float(rhs_value))
+        """Append one >= row; its surplus column index is n_cols + n_rows.
+
+        Only the new row and right-hand side are checked: the rest is
+        this model's, checked already."""
+        row = np.asarray(coeffs, dtype=float)
+        rhs_value = float(rhs_value)
+        if row.shape != (self.n_cols,):
+            raise LpModelError(
+                f"row of shape {row.shape} does not match {self.n_cols} "
+                "columns")
+        if not (np.isfinite(row).all() and math.isfinite(rhs_value)):
+            raise LpModelError("coefficients must be finite")
+        rows = np.vstack([self.rows, row])
+        rhs = np.append(self.rhs, rhs_value)
+        rows.setflags(write=False)
+        rhs.setflags(write=False)
         marks = self.straddle_rows
         if straddle:
             marks = marks + ((self.n_rows, self.n_cols + self.n_rows),)
-        return LpModel(self.obj, rows, rhs, self.lower, self.upper, marks)
+        return self._derive(rows=rows, rhs=rhs, straddle_rows=marks,
+                            _matrices=None)
 
     def without_rows(self, drop: set[int]) -> "LpModel":
         keep = [i for i in range(self.n_rows) if i not in drop]
@@ -358,10 +407,20 @@ class _Workspace:
 
     Full column space: structural columns then one surplus per row.
     `factor` is the `_Factor` that `binv` and `rc` are equal to (and share
-    their arrays with), or None once a pivot has changed them.
+    their arrays with), or None once a pivot has changed them.  `rc` is
+    None after a pivot until `reduced_costs` recomputes it.
     """
 
     def __init__(self, model: LpModel):
+        self._bind(model)
+        self.basic: list[int] = []
+        self.in_basis = np.zeros(self.ncols, dtype=bool)
+        self.at_upper = np.zeros(self.ncols, dtype=bool)
+        self.factor: _Factor | None = None
+
+    def _bind(self, model: LpModel):
+        """Everything but the basis: the model, its matrices and full
+        bounds, and an empty run."""
         self.model = model
         n, m = model.n_cols, model.n_rows
         self.n = n
@@ -371,10 +430,6 @@ class _Workspace:
         self.lo = np.concatenate([model.lower, np.zeros(m)])
         self.up = np.concatenate([model.upper, np.full(m, INF)])
         self.artificial: set[int] = set()
-        self.basic: list[int] = []
-        self.in_basis = np.zeros(self.ncols, dtype=bool)
-        self.at_upper = np.zeros(self.ncols, dtype=bool)
-        self.factor: _Factor | None = None
         self._objective: float | None = None
         self.path: list[tuple[float, float, int]] = []   # of its last run
 
@@ -432,6 +487,38 @@ class _Workspace:
                 basis._remember("factor", self.factor)
         return self._restore_dual_feasibility()
 
+    def start_child(self, model: LpModel) -> _Workspace | None:
+        """The first iterate of a run of `model` from this loaded probe
+        workspace's basis, or None when a load might differ from it.
+
+        `model` must share this model's `rows`, `obj` and `rhs` arrays,
+        and its bounds may differ, byte for byte, only on columns basic
+        here.  A basic column's bounds enter neither the nonbasic values
+        nor the dual-feasibility flips, so B^-1, the reduced costs and the
+        basic values are this workspace's, as a load would compute them.
+        The child shares the read-only B^-1, reduced costs, factor and
+        nonbasic values; its first pivot copies B^-1 and the nonbasic
+        values before writing.
+        """
+        own = self.model
+        if (model.rows is not own.rows or model.obj is not own.obj
+                or model.rhs is not own.rhs):
+            return None
+        moved = ((model.lower.view(np.int64) != own.lower.view(np.int64))
+                 | (model.upper.view(np.int64) != own.upper.view(np.int64)))
+        if not self.in_basis[:self.n][moved].all():
+            return None
+        ws = object.__new__(type(self))
+        ws._bind(model)
+        ws.basic = list(self.basic)
+        ws.in_basis = self.in_basis.copy()
+        ws.at_upper = self.at_upper.copy()
+        ws.binv, ws.rc, ws.factor = self.binv, self.rc, self.factor
+        ws.beta = self.beta.copy()
+        ws._vN = self._vN
+        ws._objective = self.objective()
+        return ws
+
     def _factorize(self):
         """Fresh B^-1 and raw reduced costs of the current basic set."""
         if self.m == 0:
@@ -470,6 +557,13 @@ class _Workspace:
         rc.setflags(write=False)
         self.rc = rc
 
+    def reduced_costs(self) -> np.ndarray:
+        """Raw reduced costs of the current iterate, read-only; a pivot
+        leaves them to be recomputed here, from the same B^-1."""
+        if self.rc is None:
+            self._recompute_rc()
+        return self.rc
+
     def _restore_dual_feasibility(self) -> bool:
         """Flip nonbasic columns whose reduced-cost sign is wrong, then
         compute the values of the freshly loaded basis.
@@ -478,15 +572,17 @@ class _Workspace:
         when a wrong-signed column has no finite bound to move to.  The
         flips read only the reduced costs, so values are computed once.
         """
-        for j in range(self.ncols):
-            if self.in_basis[j]:
+        for j, (basic, upper, rc, lo, up) in enumerate(zip(
+                self.in_basis.tolist(), self.at_upper.tolist(),
+                self.rc.tolist(), self.lo.tolist(), self.up.tolist())):
+            if basic:
                 continue
-            if not self.at_upper[j] and self.rc[j] < -DUAL_TOL:
-                if math.isinf(self.up[j]):
+            if not upper and rc < -DUAL_TOL:
+                if math.isinf(up):
                     return False
                 self.at_upper[j] = True
-            elif self.at_upper[j] and self.rc[j] > DUAL_TOL:
-                if math.isinf(-self.lo[j]):
+            elif upper and rc > DUAL_TOL:
+                if math.isinf(-lo):
                     return False
                 self.at_upper[j] = False
         self._recompute_values()
@@ -507,8 +603,8 @@ class _Workspace:
             self._objective = float(self.cost[:self.n] @ v[:self.n])
         return self._objective
 
-    def infeasibility(self) -> float:
-        v = self.values()
+    def infeasibility(self, v: np.ndarray) -> float:
+        """Sum of the bound violations of `v`, this iterate's `values()`."""
         below = np.maximum(self.lo - v, 0.0)
         above = np.maximum(v - self.up, 0.0)
         below[np.isinf(below)] = 0.0
@@ -518,11 +614,11 @@ class _Workspace:
         """Largest bound violation among basic columns; ties to lowest column."""
         best_viol = 0.0
         best_pos = -1
-        for pos, c in enumerate(self.basic):
-            val = self.beta[pos]
-            viol = max(self.lo[c] - val, val - self.up[c])
+        basic, lo, up = self.basic, self.lo.tolist(), self.up.tolist()
+        for pos, (c, val) in enumerate(zip(basic, self.beta.tolist())):
+            viol = max(lo[c] - val, val - up[c])
             if viol > best_viol or (best_pos >= 0 and viol == best_viol
-                                    and c < self.basic[best_pos]):
+                                    and c < basic[best_pos]):
                 best_viol = viol
                 best_pos = pos
         return best_viol, best_pos
@@ -532,7 +628,7 @@ class _Workspace:
         return self.binv[pos] @ self.full
 
     def translated_rc(self) -> np.ndarray:
-        rc = self.rc.copy()
+        rc = self.reduced_costs().copy()
         rc[self.at_upper & ~self.in_basis] *= -1.0
         rc[self.in_basis] = 0.0
         return rc
@@ -548,22 +644,19 @@ class _Workspace:
         c_leave = self.basic[pos]
         below = self.beta[pos] < self.lo[c_leave]
         alpha = self.tableau_row(pos)
-        rc_t = self.translated_rc()
         best_ratio = INF
         best_col = -1
-        for j in range(self.ncols):
-            if self.in_basis[j]:
+        # translating a column to 0 only flips the signs of its reduced
+        # cost and coefficient, so the ratio is |raw rc / raw a|
+        for j, (a, rc, basic, upper) in enumerate(zip(
+                alpha.tolist(), self.reduced_costs().tolist(),
+                self.in_basis.tolist(), self.at_upper.tolist())):
+            if basic or abs(a) <= PIVOT_TOL:
                 continue
-            a = alpha[j]
-            if abs(a) <= PIVOT_TOL:
+            t = -a if upper else a
+            if not (t < 0 if below else t > 0):
                 continue
-            if below:
-                elig = (a < 0) if not self.at_upper[j] else (a > 0)
-            else:
-                elig = (a > 0) if not self.at_upper[j] else (a < 0)
-            if not elig:
-                continue
-            ratio = abs(rc_t[j] / a)
+            ratio = abs(rc / a)
             if ratio < best_ratio - 1e-12:
                 best_ratio, best_col = ratio, j
         if best_col < 0:
@@ -589,8 +682,11 @@ class _Workspace:
         self.at_upper[leave] = not below
         self.at_upper[enter] = False
         # eta update of the explicit inverse
-        if self.factor is not None:     # binv is the factor's, read-only
+        if self.factor is not None:
+            # binv is the factor's, read-only, and so may be _vN
+            # (`start_child`)
             self.binv = self.binv.copy()
+            self._vN = self._vN.copy()
             self.factor = None
         piv = w[pos]
         self.binv[pos] /= piv
@@ -598,21 +694,18 @@ class _Workspace:
             if i != pos:
                 self.binv[i] -= w[i] * self.binv[pos]
         self.beta[pos] = enter_val
-        self._recompute_values_keep_beta()
-        self._recompute_rc()
-        return self.objective() - before
-
-    def _recompute_values_keep_beta(self):
-        vN = np.where(self.at_upper, self.up, self.lo)
-        vN[self.in_basis] = 0.0
-        self._vN = vN
+        # the leaving column rests on the bound it left for
+        self._vN[leave] = target
+        self._vN[enter] = 0.0
         self._objective = None
+        self.rc = None
+        return self.objective() - before
 
     def snapshot_basis(self) -> Basis:
         """The current basis, with B^-1 when it is still a fresh inverse."""
         ups = frozenset(int(j) for j in range(self.ncols)
                         if not self.in_basis[j] and self.at_upper[j])
-        return Basis(tuple(int(c) for c in self.basic), ups, self.factor)
+        return Basis(tuple(map(int, self.basic)), ups, self.factor)
 
 
 def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
@@ -714,38 +807,70 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
             *entry, ws = runs[resume]
             runs[resume] = (*entry, None)
     if ws is None:
-        ws = _Workspace(model)
-        loaded = False
-        if warm_basis is not None:
-            loaded = ws.load_basis(warm_basis)
-        if not loaded:
-            ws.load_cold()
-            if not ws._restore_dual_feasibility():
-                raise LpNumericError(
-                    "could not construct a dual-feasible start")
+        ws = _first_iterate(model, warm_basis)
     status, path = _run_dual_simplex(ws, budget)
     values = ws.values()
-    x = values[:model.n_cols].copy()
-    rc = ws.translated_rc()[:model.n_cols].copy()
-    x.setflags(write=False)
-    rc.setflags(write=False)
-    infeas = 0.0 if status is LpStatus.OPTIMAL else ws.infeasibility()
+    values.setflags(write=False)
     if status is LpStatus.OPTIMAL and ws.artificial:
-        for j in ws.artificial:
-            if abs(values[j]) >= BIG_BOUND * 0.5:
-                raise LpNumericError(
-                    "optimum rests on an artificial bound; the LP is likely "
-                    "unbounded below")
+        _check_stand_ins(ws, values)
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
-    sol = LpSolution(status=status, x_o=x_o, x=x, reduced=rc,
-                     infeas=infeas, pivots=len(path) - 1,
-                     basis=ws.snapshot_basis())
+    fields = {"status": status, "x_o": x_o, "x": values[:model.n_cols],
+              "pivots": len(path) - 1, "basis": ws.snapshot_basis()}
+    if status is LpStatus.PIVOT_LIMIT_HIT:
+        # a continuation pivots on in this workspace: derive them now
+        sol = LpSolution(reduced=_reduced(ws),
+                         infeas=ws.infeasibility(values), **fields)
+    else:
+        sol = object.__new__(LpSolution)
+        sol.__dict__.update(fields, _final=(ws, values))
+        if status is LpStatus.OPTIMAL:
+            sol.__dict__["infeas"] = 0.0
     if warm_basis is not None:
         if warm_basis.memo is None:
             warm_basis._remember("memo", {})
         kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
         warm_basis.memo.setdefault(key, []).append((model, path, sol, kept))
     return sol
+
+
+def _first_iterate(model: LpModel, warm_basis: Basis | None) -> _Workspace:
+    """A workspace at the first iterate of a run of `model` from
+    `warm_basis`: the warm basis's probe workspace's own iterate when it
+    is `model`'s (`_Workspace.start_child`), else a load of the warm
+    basis, else a cold start."""
+    kept = None if warm_basis is None else warm_basis.probe_state
+    if kept is not None:
+        ws = kept.start_child(model)
+        if ws is not None:
+            return ws
+    ws = _Workspace(model)
+    if warm_basis is None or not ws.load_basis(warm_basis):
+        ws.load_cold()
+        if not ws._restore_dual_feasibility():
+            raise LpNumericError("could not construct a dual-feasible start")
+    return ws
+
+
+def _check_stand_ins(ws: _Workspace, values: np.ndarray) -> None:
+    """Raise when an optimum rests on a BIG_BOUND stand-in bound:
+    `LpUnboundedError` when such a column's reduced cost is nonzero, so
+    the objective falls without limit along it, `LpNumericError` when it
+    is zero (a dual-degenerate optimum this engine does not resolve)."""
+    resting = [j for j in ws.artificial if abs(values[j]) >= BIG_BOUND * 0.5]
+    if resting:
+        rc = ws.reduced_costs()
+        if any(abs(rc[j]) > DUAL_TOL for j in resting):
+            raise LpUnboundedError("the LP is unbounded below")
+        raise LpNumericError(
+            "optimum rests on an artificial bound with a zero reduced cost")
+
+
+def _reduced(ws: _Workspace) -> np.ndarray:
+    """The structural translated reduced costs of the workspace's
+    iterate, read-only: an `LpSolution`'s `reduced`."""
+    rc = ws.translated_rc()[:ws.n].copy()
+    rc.setflags(write=False)
+    return rc
 
 
 def _infeasible_box(model: LpModel) -> LpSolution:

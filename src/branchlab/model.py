@@ -12,7 +12,6 @@ from branchlab.lp import (
     LpModel,
     LpSolution,
     fractional_parts,
-    is_fractional,
 )
 
 
@@ -154,7 +153,7 @@ def fractional(x, problem: MipProblem,
     out = {}
     for j in problem.integer_indices:
         v = values[j]
-        if is_fractional(v, tol):
+        if abs(v - round(v)) > tol:     # lp.is_fractional, inline
             out[j] = fractional_parts(v)
     return out
 

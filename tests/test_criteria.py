@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from branchlab.criteria import (
     vote,
     weight_eval,
 )
-from branchlab.lp import Basis, LpSolution, LpStatus, solve
+from branchlab.lp import Basis, LpSolution, LpStatus, PivotBudget, solve
 from branchlab.model import MipProblem, detect_fractional
 
 
@@ -369,3 +370,16 @@ class TestEvaluateCandidates:
             assert e.uc_up is not None and e.uc_up > 0
             assert e.eval_up >= -1e-9
         assert ctx.counters.lp_solves == 2 * len(frac)
+
+
+def test_branch_budget_is_made_once_per_cutoff_and_pivot_limit():
+    ctx = EvalContext(problem=None, cutoff=5.0,
+                      budget=PivotBudget(max_pivots=40, max_degenerate=7))
+    full, short = ctx.branch_budget(), ctx.branch_budget(pivot_limit=3)
+    assert full == PivotBudget(max_pivots=40, max_degenerate=7, cutoff=5.0)
+    assert short == PivotBudget(max_pivots=3, max_degenerate=7, cutoff=5.0)
+    assert ctx.branch_budget() is full
+    assert ctx.branch_budget(pivot_limit=3) is short
+    ctx.cutoff = 2.0
+    assert ctx.branch_budget().cutoff == 2.0
+    assert ctx.branch_budget(pivot_limit=40) == replace(full, cutoff=2.0)

@@ -5,6 +5,7 @@ import pytest
 
 from branchlab.lp import (
     LpModel,
+    LpModelError,
     LpProbeError,
     LpStatus,
     PivotBudget,
@@ -304,3 +305,22 @@ def test_reversal_bound_arithmetic_both_sides():
     assert rev2.lower[1] == 6
     assert rev2.upper[1] == 9
     del s
+
+
+def test_with_row_checks_only_the_appended_row():
+    model = two_var_model()
+    grown = model.with_row([1.0, -1.0], 0.25, straddle=True)
+    full = LpModel(model.obj, grown.rows, grown.rhs, model.lower,
+                   model.upper, grown.straddle_rows)
+    for name in ("obj", "rows", "rhs", "lower", "upper"):
+        assert getattr(grown, name).tobytes() == getattr(full, name).tobytes()
+        assert not getattr(grown, name).flags.writeable
+    assert grown.lower is model.lower and grown.upper is model.upper
+    assert grown.empty_box == full.empty_box
+    assert grown.straddle_rows == ((1, 3),)
+    assert solve(grown).x.tobytes() == solve(full).x.tobytes()
+    for coeffs, rhs in (([math.nan, 1.0], 0.0), ([math.inf, 1.0], 0.0),
+                        ([1.0, 1.0], math.nan), ([1.0, 1.0], -math.inf),
+                        ([1.0], 0.0), ([1.0, 1.0, 1.0], 0.0)):
+        with pytest.raises(LpModelError):
+            model.with_row(coeffs, rhs)
