@@ -18,20 +18,12 @@ not production LPs.
 
 Where B^-1 comes from:
 
-  * A fresh inverse (`np.linalg.inv`) is computed the first time a basis
-    is loaded, and carried with the `Basis` together with the raw reduced
-    costs it gives (`_Factor`).  Both depend only on the row matrix, the
-    objective and the basic set, so any later load of that basis into a
-    model that shares the same `rows` and `obj` arrays (a bound-change
-    child, a probe, a tableau row) copies them instead of inverting, and
-    recomputes only the bound-dependent parts: nonbasic values, basic
-    values and the dual-feasibility flips.  A model with other arrays,
-    even equal ones, gets its own fresh inverse.
+  * Every load of a basis into a model computes a fresh inverse
+    (`np.linalg.inv`) and, from it, the raw reduced costs, the
+    dual-feasibility flips and the values.
   * Inside a solve, each pivot updates B^-1 by an eta step, and the
-    inverse is rebuilt fresh every REFACTOR_EVERY pivots.  An eta-updated
-    inverse is never carried: its bits differ from a fresh one, so a
-    later load would pivot differently.  A solve that ends with no pivot
-    since its last fresh inverse hands that inverse on with its basis.
+    inverse is rebuilt fresh every REFACTOR_EVERY pivots.  A fresh
+    inverse is read-only, and the first pivot after it copies it.
   * All single-pivot probes and tableau rows at one (model, basis) pair
     read one loaded workspace, built on the first of them and kept with
     the basis; they never write to it.
@@ -54,7 +46,6 @@ value.  So the node model the driver builds afresh finds what the
 look-ahead did at the same node through its own, equal, child model.
 A basis keeps
 
-  * `factor`: the fresh inverse above;
   * `probe_state`: the probe workspace, with every probe's answer by
     (j, direction);
   * `children`: the bound children `apply_branch` built, and the
@@ -151,29 +142,6 @@ class PivotBudget:
             raise LpModelError("v_lim must be positive when set")
 
 
-class _Factor:
-    """A fresh B^-1 of one basic set and the raw reduced costs it gives.
-
-    Valid for every model whose `rows` and `obj` are these very arrays:
-    the models are immutable, so identity stands for contents.  The
-    arrays are read-only; a workspace copies B^-1 before its first pivot.
-    """
-
-    __slots__ = ("rows", "obj", "basic", "binv", "rc")
-
-    def __init__(self, model: LpModel, basic: tuple[int, ...],
-                 binv: np.ndarray, rc: np.ndarray):
-        self.rows = model.rows
-        self.obj = model.obj
-        self.basic = basic
-        self.binv = binv
-        self.rc = rc
-
-    def fits(self, model: LpModel, basic: tuple[int, ...]) -> bool:
-        return (self.rows is model.rows and self.obj is model.obj
-                and self.basic == basic)
-
-
 @dataclass(frozen=True)
 class Basis:
     """Basic column indices plus the bound side of every nonbasic column.
@@ -181,15 +149,14 @@ class Basis:
     Columns 0..n-1 are structural, n..n+m-1 are row surpluses.  `at_upper`
     holds the nonbasic columns currently sitting at their upper bound.
 
-    `factor`, `probe_state`, `children` and `memo` hold work already
-    done at this basis, found by the model's `memo_key` (see the module
+    `probe_state`, `children` and `memo` hold work already done at this
+    basis, found by the model's `memo_key` (see the module
     docstring).  They are filled in on first use and are not part of the
     basis's value.
     """
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
-    factor: _Factor | None = field(default=None, compare=False, repr=False)
     probe_state: _Workspace | None = field(
         default=None, init=False, compare=False, repr=False)
     memo: dict | None = field(
@@ -406,8 +373,8 @@ class _Workspace:
     """Mutable dual simplex state for one model.
 
     Full column space: structural columns then one surplus per row.
-    `factor` is the `_Factor` that `binv` and `rc` are equal to (and share
-    their arrays with), or None once a pivot has changed them.  `rc` is
+    `binv` is read-only while it is a fresh inverse, which a probe
+    workspace's children may share; the first pivot copies it.  `rc` is
     None after a pivot until `reduced_costs` recomputes it.
     """
 
@@ -416,7 +383,6 @@ class _Workspace:
         self.basic: list[int] = []
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
-        self.factor: _Factor | None = None
 
     def _bind(self, model: LpModel):
         """Everything but the basis: the model, its matrices and full
@@ -475,16 +441,10 @@ class _Workspace:
         for c in basis.at_upper:
             if c < self.ncols and not self.in_basis[c]:
                 self.at_upper[c] = True
-        factor = basis.factor
-        if factor is not None and factor.fits(self.model, basis.basic):
-            self.binv, self.rc, self.factor = factor.binv, factor.rc, factor
-        else:
-            try:
-                self._factorize()
-            except LpNumericError:
-                return False
-            if factor is None:
-                basis._remember("factor", self.factor)
+        try:
+            self._factorize()
+        except LpNumericError:
+            return False
         return self._restore_dual_feasibility()
 
     def start_child(self, model: LpModel) -> _Workspace | None:
@@ -496,9 +456,9 @@ class _Workspace:
         here.  A basic column's bounds enter neither the nonbasic values
         nor the dual-feasibility flips, so B^-1, the reduced costs and the
         basic values are this workspace's, as a load would compute them.
-        The child shares the read-only B^-1, reduced costs, factor and
-        nonbasic values; its first pivot copies B^-1 and the nonbasic
-        values before writing.
+        The child shares the read-only B^-1, reduced costs and nonbasic
+        values; its first pivot copies B^-1 and the nonbasic values before
+        writing.
         """
         own = self.model
         if (model.rows is not own.rows or model.obj is not own.obj
@@ -513,7 +473,7 @@ class _Workspace:
         ws.basic = list(self.basic)
         ws.in_basis = self.in_basis.copy()
         ws.at_upper = self.at_upper.copy()
-        ws.binv, ws.rc, ws.factor = self.binv, self.rc, self.factor
+        ws.binv, ws.rc = self.binv, self.rc
         ws.beta = self.beta.copy()
         ws._vN = self._vN
         ws._objective = self.objective()
@@ -531,7 +491,6 @@ class _Workspace:
         binv.setflags(write=False)
         self.binv = binv
         self._recompute_rc()
-        self.factor = _Factor(self.model, tuple(self.basic), binv, self.rc)
 
     def refactorize(self):
         self._factorize()
@@ -682,12 +641,11 @@ class _Workspace:
         self.at_upper[leave] = not below
         self.at_upper[enter] = False
         # eta update of the explicit inverse
-        if self.factor is not None:
-            # binv is the factor's, read-only, and so may be _vN
-            # (`start_child`)
+        if not self.binv.flags.writeable:
+            # a fresh inverse, which may be a probe workspace's, and so
+            # may _vN (`start_child`)
             self.binv = self.binv.copy()
             self._vN = self._vN.copy()
-            self.factor = None
         piv = w[pos]
         self.binv[pos] /= piv
         for i in range(self.m):
@@ -702,10 +660,10 @@ class _Workspace:
         return self.objective() - before
 
     def snapshot_basis(self) -> Basis:
-        """The current basis, with B^-1 when it is still a fresh inverse."""
+        """The current basis."""
         ups = frozenset(int(j) for j in range(self.ncols)
                         if not self.in_basis[j] and self.at_upper[j])
-        return Basis(tuple(map(int, self.basic)), ups, self.factor)
+        return Basis(tuple(map(int, self.basic)), ups)
 
 
 def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
@@ -732,8 +690,8 @@ def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
     count) at each iterate, so the pivot count is len(path) - 1.  A
     workspace that has run before continues from its last iterate, on a
     copy of its path: that iterate is tested again under `budget`, and
-    the stall count and the refactor cadence go on from the path, so the
-    continued run is the run a fresh start would make.
+    the stall count and the refactorization cadence go on from the path,
+    so the continued run is the run a fresh start would make.
     """
     path = ws.path[:-1]
     stalled = ws.path[-1][2] if ws.path else 0
@@ -1040,9 +998,7 @@ def apply_reversal_update(model: LpModel, sol: LpSolution, j: int,
         bound = model.lower[j]
         child = model.with_bounds(j, lower=antecedent, upper=bound - 1)
         at_upper = sol.basis.at_upper | {j}
-    # same basic set and rows, so the parent's B^-1 still holds
-    return child, Basis(sol.basis.basic, frozenset(at_upper),
-                        sol.basis.factor)
+    return child, Basis(sol.basis.basic, frozenset(at_upper))
 
 
 def tableau_row_for(model: LpModel, basis: Basis, j: int):
