@@ -16,6 +16,7 @@ from branchlab.lookahead import (
     LookaheadConfig,
     PostWinnow,
 )
+from branchlab.lp import LpUnboundedError
 from branchlab.lp import solve as lp_solve
 from branchlab.model import detect_fractional
 from branchlab.mps import MpsParseError, parse_mps
@@ -179,9 +180,14 @@ def run_solve(args) -> int:
     del options["command"]
     trace = options.pop("trace", None)
     if "clist" in options:
-        # the fixed candidate list is the `clist` best root candidates
-        root = lp_solve(problem.to_lp())
-        frac = detect_fractional(root, problem)
+        # the fixed candidate list is the `clist` best root candidates;
+        # a root that is not optimal has none, and solve_mip reports it
+        try:
+            root = lp_solve(problem.to_lp())
+            frac = detect_fractional(root, problem) if root.is_optimal \
+                else {}
+        except LpUnboundedError:
+            frac = {}
         members = sorted(frac, key=lambda j: (abs(frac[j][1] - 0.5), j))
         options["clist"] = frozenset(members[:options["clist"]])
     try:

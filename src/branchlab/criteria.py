@@ -274,13 +274,15 @@ def settle(model: LpModel, sol: LpSolution, ctx: EvalContext, scan,
     A compulsory signal imposes its branch and re-solves the node warm;
     on_forced(signal, model, re-solve) sees every re-solve, whatever its
     status.  The node closes as `integral` (nothing fractional is left),
-    `infeasible` or `cutoff` (both branches dead, or the forced branch's
-    re-solve), `limit` (that re-solve stopped at its pivot budget),
-    `clist-leaf`, or `unsettled` (MAX_FORCED forced branches did not
-    settle it).  A new incumbent propagates as IncumbentSignal.
+    `infeasible` or `cutoff` (both branches dead, or `sol` or a forced
+    branch's re-solve ended so), `limit` (one stopped at its pivot
+    budget), `clist-leaf`, or `unsettled` (MAX_FORCED forced branches
+    did not settle it).  A new incumbent propagates as IncumbentSignal.
     """
     forced = 0
     while True:
+        if sol.status is not LpStatus.OPTIMAL:
+            return Settled(sol, closed=CLOSED[sol.status])
         fractions = detect_fractional(sol, ctx.problem)
         if not fractions:
             return Settled(sol, closed="integral")
@@ -295,8 +297,6 @@ def settle(model: LpModel, sol: LpSolution, ctx: EvalContext, scan,
             ctx.counters.absorb(sol)
             if on_forced is not None:
                 on_forced(sig, model, sol)
-            if sol.status is not LpStatus.OPTIMAL:
-                return Settled(sol, closed=CLOSED[sol.status])
         except NodeInfeasibleSignal as sig:
             return Settled(sol,
                            closed="cutoff" if sig.cutoff else "infeasible")

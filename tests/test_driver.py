@@ -457,6 +457,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
 
+    @pytest.mark.parametrize("status, root", [
+        # min -x0, x0 - x1 >= 0.5, x >= 0
+        ("unbounded", ([-1.0, 0.0], [[1.0, -1.0]], [0.5], [math.inf] * 2)),
+        # x0 >= 5, x0 <= 1
+        ("infeasible", ([1.0], [[1.0]], [5.0], [1.0]))],
+        ids=["unbounded", "infeasible"])
+    def test_a_clist_solve_reports_a_root_that_is_not_optimal(
+            self, tmp_path, capsys, status, root):
+        from branchlab.cli import main
+        from branchlab.mps import write_mps
+
+        obj, rows, rhs, upper = root
+        n = len(obj)
+        inst = tmp_path / "root.mps"
+        inst.write_text(write_mps(MipProblem(
+            name="root", obj=obj, rows=rows, rhs=rhs, lower=[0.0] * n,
+            upper=upper, integer_mask=[True] * n)))
+        assert main(["solve", str(inst), "--clist", "1"]) == 1
+        assert f"status    {status}\n" in capsys.readouterr().out
+
     def test_bench_rejects_reversals_without_lookahead(self, tmp_path,
                                                         capsys):
         from branchlab.cli import main

@@ -6,6 +6,7 @@ import pytest
 
 from branchlab import criteria, lookahead, winnow
 from branchlab.criteria import (
+    BranchSignal,
     CompulsorySignal,
     Criterion,
     CriterionSpec,
@@ -28,8 +29,10 @@ from branchlab.lookahead import (
     _Builder,
     _root_node,
 )
-from branchlab.lp import solve
+from branchlab.instances import corpus_paths
+from branchlab.lp import LpStatus, PivotBudget, solve
 from branchlab.model import MipProblem, detect_fractional
+from branchlab.mps import parse_mps
 from branchlab.winnow import WinnowParams
 
 
@@ -438,3 +441,33 @@ def test_root_mip_feasible_raises_incumbent_signal():
     assert not detect_fractional(sol, p)
     with pytest.raises(IncumbentSignal):
         build_tree(p, p.to_lp(), sol, base_cfg(depth=2), make_ctx(p))
+
+
+def test_a_truncated_pair_solve_closes_its_node_as_limit(monkeypatch):
+    # under a one-pivot budget many pair solves stop at their limit; both
+    # builders settle such a node as a `limit` leaf, without scanning its
+    # unfinished solution for fractions (which raises ModelError)
+    truncated = []
+    real = lookahead.settle
+
+    def watched(model, sol, ctx, scan, on_forced=None):
+        settled = real(model, sol, ctx, scan, on_forced)
+        if sol.status is LpStatus.PIVOT_LIMIT_HIT:
+            assert settled.closed == "limit"
+            truncated.append(sol)
+        return settled
+
+    monkeypatch.setattr(lookahead, "settle", watched)
+    for path in corpus_paths():
+        p = parse_mps(path.read_text())
+        sol = solve(p.to_lp())
+        if not sol.is_optimal:
+            continue
+        for build_with, cfg in ((build_d2_tree, d2_cfg(v=1.0)),
+                                (build_tree, base_cfg(depth=2))):
+            ctx = EvalContext(problem=p, budget=PivotBudget(max_pivots=1))
+            try:
+                build_with(p, p.to_lp(), sol, cfg, ctx)
+            except BranchSignal:
+                pass        # the root's own signals are the driver's
+    assert truncated
