@@ -42,7 +42,6 @@ from branchlab.criteria import (
     evaluate_candidates,
     pair_eval,
     rank,
-    score,
     select,
     settle,
     uc_lookup_from,
@@ -180,7 +179,7 @@ class BuildResult:
 class _Proposal:
     parent: TreeNode
     var: int
-    sel_score: float
+    ev: BranchEval                   # what the post-winnow gate ranks by
     solved: BranchEval | None = None
 
 
@@ -318,9 +317,8 @@ class _Builder:
             j = f2[0]
             # the pair itself is solved only if this proposal survives
             # post-winnow gating
-            sel = score(s2[j], self.spec)
             self.attract.bump(j, s2[j].direction, half)
-            return _Proposal(parent=node, var=j, sel_score=sel)
+            return _Proposal(parent=node, var=j, ev=s2[j])
         est = self.estimator
         evals = self._solve_pairs(
             node, f2, fractions,
@@ -331,8 +329,7 @@ class _Builder:
         for j in f2:
             self.attract.bump(j, evals[j].direction, half)
         ev = evals[chosen.var]
-        return _Proposal(parent=node, var=chosen.var,
-                         sel_score=score(ev, self.spec), solved=ev)
+        return _Proposal(parent=node, var=chosen.var, ev=ev, solved=ev)
 
     def _admit_pair(self, prop: _Proposal, fractions: dict | None = None):
         """Solve (if needed) and attach the chosen pair as tree nodes."""
@@ -395,8 +392,8 @@ class _Builder:
                                            self._fractions(node))[
                                                forced_root_var]
                     proposals.append(_Proposal(
-                        parent=node, var=forced_root_var,
-                        sel_score=score(ev, self.spec), solved=ev))
+                        parent=node, var=forced_root_var, ev=ev,
+                        solved=ev))
                     continue
                 prop = self._propose(node)
                 if prop is not None:
@@ -406,9 +403,8 @@ class _Builder:
             gated = pw is not None and d >= pw.d0
             if gated and d == pw.d0 and len(proposals) > pw.lim:
                 # first gate: rank prospective pairs before solving them
-                proposals.sort(key=lambda p: (-p.sel_score,
-                                              p.parent.path_key()))
-                proposals = proposals[:pw.lim]
+                proposals = _best([(p.parent.path_key(), p.ev, p)
+                                   for p in proposals], self.spec, pw.lim)
             pairs = []
             for prop in proposals:
                 kids = self._admit_pair(prop)
@@ -488,26 +484,19 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
                 already_capped: bool = False) -> list[TreeNode]:
     """Select the nodes carried forward from one generated level.
 
-    2a keeps the lim best sibling pairs; 2b keeps only the lower-eval node
-    of each kept pair; 2c keeps the lim best single nodes across pairs.
+    2a keeps the lim best sibling pairs, ranked under `spec` as
+    `criteria.rank` ranks branches; 2b keeps only the lower-eval node of
+    each kept pair; 2c keeps the lim best single nodes across pairs.
     """
     if mode == "2c":
         nodes = [k for pair in pairs for k in pair]
         nodes.sort(key=lambda k: (k.eval_vs_parent, k.path_key()))
         return nodes[:lim]
-    scored = []
-    for pair in pairs:
-        up = next((k for k in pair if k.direction == "up"), None)
-        dn = next((k for k in pair if k.direction == "down"), None)
-        ev = BranchEval(
-            var=0,
-            eval_up=up.eval_vs_parent if up else math.inf,
-            eval_down=dn.eval_vs_parent if dn else math.inf)
-        scored.append((score(ev, spec), pair))
-    if not already_capped:
-        scored.sort(key=lambda t: (-t[0], t[1][0].path_key()))
-        scored = scored[:lim]
-    kept_pairs = [pair for _, pair in scored]
+    if already_capped:
+        kept_pairs = pairs
+    else:
+        kept_pairs = _best([(pair[0].path_key(), _pair_eval(pair), pair)
+                            for pair in pairs], spec, lim)
     if mode == "2a":
         return [k for pair in kept_pairs for k in pair]
     # 2b: best sibling only
@@ -516,6 +505,23 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
         best = min(pair, key=lambda k: (k.eval_vs_parent, k.path_key()))
         out.append(best)
     return out
+
+
+def _pair_eval(pair: list[TreeNode]) -> BranchEval:
+    """A generated sibling pair's evaluations; a missing sibling's is
+    +inf."""
+    evals = {k.direction: k.eval_vs_parent for k in pair}
+    return BranchEval(var=0, eval_up=evals.get("up", math.inf),
+                      eval_down=evals.get("down", math.inf))
+
+
+def _best(scored: list[tuple], spec: CriterionSpec, lim: int) -> list:
+    """The items of the `lim` best (path key, evaluation, item) triples,
+    best first as `criteria.rank` orders the evaluations under `spec`;
+    ties go to the lower path key."""
+    scored = sorted(scored, key=lambda t: t[0])
+    best = rank({i: ev for i, (_, ev, _) in enumerate(scored)}, spec, lim)
+    return [scored[i][2] for i in best]
 
 
 def _maybe_override(result: BuildResult, builder: _Builder) -> BuildResult:

@@ -108,6 +108,20 @@ class TestTreeCounts:
         assert result.depth_counts[0:2] == [2, 4]
         assert all(c <= 4 for c in result.depth_counts[3:])
 
+    def test_post_winnow_keeps_the_best_pairs_of_a_minimized_criterion(self):
+        from branchlab.lookahead import TreeNode
+
+        # three generated pairs with Min_j 3, 1 and 5; C7 minimizes Min_j
+        pairs = [[TreeNode(node_id=2 * j + k, parent=None, depth=1, var=j,
+                           direction=d, model=None, solution=None,
+                           eval_vs_parent=low + k)
+                  for k, d in enumerate(("down", "up"))]
+                 for j, low in enumerate((3.0, 1.0, 5.0))]
+        c7 = CriterionSpec(criterion=Criterion.C7, w1=1.0, w2=1.0)
+        for mode in ("2a", "2b"):
+            kept = lookahead.post_winnow(pairs, mode, 1, c7)
+            assert {k.var for k in kept} == {1}
+
 
 class TestStepFour:
     def test_choice_is_a_root_fractional(self):
@@ -334,7 +348,7 @@ class TestCriterionHome:
 
             monkeypatch.setattr(module, name, wrapped)
 
-        for name in ("select", "score", "rank"):
+        for name in ("select", "rank"):
             spy(lookahead, name)
         spy(winnow, "rank")
         p = triangle_fixture(5, seed=2)
