@@ -100,8 +100,6 @@ class SolveConfig:
     eps: float = 1e-6
     max_nodes: int = 100_000
     max_time: float = 300.0
-    dump_extended: bool = False       # include extended-tree analytics in
-                                      # the trace JSON
 
     def __post_init__(self):
         if self.pseudo not in ("off", "classic", "analytical"):
@@ -822,13 +820,6 @@ class _Search:
                 "probes": self.counters.probes,
             },
         }
-        if self.config.dump_extended:
-            trace["extended"] = [
-                {"id": r.node_id, "parent": r.parent_id, "var": r.var,
-                 "direction": r.direction, "tentative": r.tentative,
-                 "uc": None if r.uc is None else round(float(r.uc), 9),
-                 "depth": r.depth, "compulsory": r.compulsory}
-                for r in self.ext.records]
         return SolveResult(status=status,
                            objective=-math.inf if status == "unbounded"
                            else self.incumbent.x_o,

@@ -373,18 +373,24 @@ def test_criterion_10_trace_determinism():
             criterion=CriterionSpec(), winnow=WinnowParams(k2=3),
             lookahead=LookaheadConfig(
                 depth=3, postwin=PostWinnow("2a", lim=3, d0=2))),
-        "analytical": SolveConfig(pseudo="analytical",
-                                  dump_extended=True),
+        "analytical": SolveConfig(pseudo="analytical"),
     }
+
+    def output(problem, config):
+        # the trace and the extended tree, every branch evaluated
+        res = solve_mip(problem, config)
+        return trace_to_json(res.trace), [
+            (r.node_id, r.parent_id, r.var, r.direction, r.bound,
+             r.tentative, r.uc, r.depth, r.compulsory)
+            for r in res.ext.records]
+
     identical = 0
     total = 0
     for path in corpus_paths()[:5]:
         problem = parse_mps(path.read_text())
         for config in configs.values():
-            t1 = trace_to_json(solve_mip(problem, config).trace)
-            t2 = trace_to_json(solve_mip(problem, config).trace)
             total += 1
-            identical += t1 == t2
+            identical += output(problem, config) == output(problem, config)
     report(10, identical == total,
            f"byte-identical traces on {identical}/{total} "
            f"(instance, config, seed) repeats")

@@ -30,8 +30,8 @@ from branchlab.winnow import WinnowParams
 
 CONFIG_CLASSES = (SolveConfig, LookaheadConfig, PostWinnow, AttractConfig,
                   D2Config, WinnowParams, CriterionSpec)
-PYTHON_ONLY = {"SolveConfig.dump_extended", "WinnowParams.n2_mid",
-               "WinnowParams.n2_deep", "WinnowParams.clist"}
+PYTHON_ONLY = {"WinnowParams.n2_mid", "WinnowParams.n2_deep",
+               "WinnowParams.clist"}
 
 # one valid, non-default value per strategy option
 SAMPLES = {
