@@ -43,8 +43,8 @@ node's basis (`lp.Basis.kept`), keyed like its LP memo (the model's
 `memo_key`), on x_j and on the integrality mask, until
 `Basis.forget_solves`.  So the estimates, the stage-2 truncated solves
 and the Step-2 pair solves at that node all read one partition and load
-one child model and warm basis: they share its inverse and its memo,
-and answer bit for bit as freshly built children would.  A candidate
+one child model and warm basis: they share its memo, and answer bit for
+bit as freshly built children would.  A candidate
 the winnow drops after its stage-1 estimate builds no child at all.
 """
 
