@@ -26,7 +26,6 @@ from branchlab.cli import main
 from branchlab.driver import solve_mip
 from branchlab.instances import corpus_paths
 from branchlab.lp import (
-    Basis,
     LpModel,
     LpNumericError,
     LpStatus,
@@ -38,7 +37,7 @@ from branchlab.lp import (
 )
 from branchlab.model import MipProblem, detect_fractional
 from branchlab.mps import parse_mps
-from test_lp_memo import assert_same_answer
+from test_lp_memo import assert_same_answer, bare
 
 DEEP = Path(__file__).resolve().parent.parent / "perfbench" / "deep.py"
 
@@ -84,11 +83,6 @@ def budgets(root):
             PivotBudget(cutoff=root.x_o + 3.0)]
 
 
-def fresh(basis):
-    """`basis` with no kept state."""
-    return Basis(basis.basic, basis.at_upper)
-
-
 @pytest.fixture
 def starts(monkeypatch):
     """Counts the runs started from a probe workspace's iterate."""
@@ -115,12 +109,12 @@ def test_a_child_run_from_the_kept_iterate_equals_a_load(index, starts):
     b = root.basis
     for j, d, child in children:
         for budget in budgets(root):
-            warm = fresh(b)
+            warm = bare(b)
             tableau_row_for(model, warm, j)     # loads the probe workspace
             starts.clear()
             got = solve(child, warm_basis=warm, budget=budget)
             assert starts == [True]
-            ref = solve(child, warm_basis=fresh(b), budget=budget)
+            ref = solve(child, warm_basis=bare(b), budget=budget)
             assert_same_answer(got, ref)
 
 
@@ -138,12 +132,12 @@ def test_other_arrays_or_a_nonbasic_bound_load_the_basis(starts):
         arrays[i] = arrays[i].copy()
         others.append(LpModel(*arrays))
     for other in others:
-        warm = fresh(root.basis)
+        warm = bare(root.basis)
         tableau_row_for(model, warm, j)
         starts.clear()
         got = solve(other, warm_basis=warm)
         assert starts == [False]
-        assert_same_answer(got, solve(other, warm_basis=fresh(root.basis)))
+        assert_same_answer(got, solve(other, warm_basis=bare(root.basis)))
 
 
 @pytest.fixture
@@ -199,11 +193,11 @@ def test_a_truncated_solution_keeps_its_values_past_a_continuation(index):
     short = PivotBudget(max_pivots=1)
     continued = 0
     for _, _, child in children:
-        warm = fresh(root.basis)
+        warm = bare(root.basis)
         first = solve(child, warm_basis=warm, budget=short)
         if first.status is not LpStatus.PIVOT_LIMIT_HIT:
             continue
-        ref = solve(child, warm_basis=fresh(root.basis), budget=short)
+        ref = solve(child, warm_basis=bare(root.basis), budget=short)
         solve(child, warm_basis=warm)
         [(_, _, sol, kept)] = warm.memo[lp.memo_key(child)][:1]
         assert sol is first and kept is None      # its workspace moved on
