@@ -45,7 +45,7 @@ from branchlab.lp import (
     probe_single_pivot,
     solve,
 )
-from branchlab.model import MipProblem, detect_fractional, fractional
+from branchlab.model import MipProblem, detect_fractional, kept_fractional
 
 UC_EPS = 1e-9        # stand-in numerator for zero unit costs
 ZERO_SUB = 1e-6      # stand-in for zero factors in product criteria
@@ -189,15 +189,18 @@ class EvalContext:
     budgets: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)   # branch_budget's, made once each
 
-    def branch_budget(self, pivot_limit: int | None = None) -> PivotBudget:
-        """`budget` under the cutoff, and the pivot limit when given."""
-        key = (self.cutoff, pivot_limit)
+    def branch_budget(self, pivot_limit: int | None = None,
+                      v_lim: float | None = None) -> PivotBudget:
+        """`budget` under the cutoff, and the pivot limit and the early
+        stop's violation when given."""
+        key = (self.cutoff, pivot_limit, v_lim)
         budget = self.budgets.get(key)
         if budget is None:
             budget = self.budgets[key] = replace(
                 self.budget, cutoff=self.cutoff,
                 max_pivots=self.budget.max_pivots if pivot_limit is None
-                else pivot_limit)
+                else pivot_limit,
+                v_lim=self.budget.v_lim if v_lim is None else v_lim)
         return budget
 
 
@@ -347,8 +350,8 @@ def make_eval(var: int, node_x_o: float, sol_up: LpSolution,
         ctx.x_o_star - node_x_o, signal_compulsory, cutoff,
         infeas_up=0.0 if up is None else up.infeas,
         infeas_down=0.0 if dn is None else dn.infeas,
-        frac_up={} if up is None else fractional(up.x, problem),
-        frac_down={} if dn is None else fractional(dn.x, problem),
+        frac_up={} if up is None else kept_fractional(up, problem),
+        frac_down={} if dn is None else kept_fractional(dn, problem),
         sol_up=up, sol_down=dn)
 
 

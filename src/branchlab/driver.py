@@ -203,7 +203,11 @@ class _Search:
         self.order += 1
 
     def node_model(self, node: NodeState):
-        return self.problem.lp_with_bounds(node.lower, node.upper)
+        """The node's LP, built once and kept on the node; it shares
+        `node.lower` and `node.upper`, which the build makes read-only."""
+        if node.model is None:
+            node.model = self.problem.lp_with_bounds(node.lower, node.upper)
+        return node.model
 
     def trace_node(self, node: NodeState, status: str, reason=None):
         """Upsert the node's trace record (one record per node id)."""
@@ -761,7 +765,7 @@ class _Search:
         """Record a forced branch on the node, whatever its re-solve."""
         if node.ext_id is not None:
             self.ext.add_compulsory(node.ext_id)
-        node.lower, node.upper = model.lower, model.upper
+        node.lower, node.upper, node.model = model.lower, model.upper, model
         bound = float(model.lower[sig.var] if sig.direction == "up"
                       else model.upper[sig.var])
         node.implied.append(BranchRecord(var=sig.var,

@@ -21,9 +21,10 @@ Where B^-1 comes from:
   * Every load of a basis into a model computes a fresh inverse
     (`np.linalg.inv`) and, from it, the raw reduced costs, the
     dual-feasibility flips and the values.
-  * Inside a solve, each pivot updates B^-1 by an eta step, and the
-    inverse is rebuilt fresh every REFACTOR_EVERY pivots.  A fresh
-    inverse is read-only, and the first pivot after it copies it.
+  * Inside a solve, each pivot updates B^-1 by an eta step, one rank-1
+    numpy update written into a new array, and the inverse is rebuilt
+    fresh every REFACTOR_EVERY pivots.  A fresh inverse is read-only; no
+    pivot writes to the array it reads.
   * All single-pivot probes and tableau rows at one (model, basis) pair
     read one loaded workspace, built on the first of them and kept with
     the basis; they never write to it.
@@ -42,8 +43,9 @@ on.
 Work done at a basis is kept with the `Basis` and found again by the
 model's content, `memo_key`: its `rows`, `obj` and `rhs` arrays by
 identity (models and their arrays are immutable) and its bounds by
-value.  So the node model the driver builds afresh finds what the
-look-ahead did at the same node through its own, equal, child model.
+value.  So the node model the driver builds, once per node, finds what
+the look-ahead did at the same node through its own, equal, child
+model.
 A basis keeps
 
   * `probe_state`: the probe workspace, with every probe's answer by
@@ -62,11 +64,19 @@ model's `memo_key`, each with its solution and its path: the objective,
 the largest violation and the stall count at every iterate.  A later
 solve of the same key returns a stored solution when replaying that path
 through `_stop` under its own budget stops at the same iterate with the
-same status.  A run that hit its pivot limit also keeps its workspace,
-and a later solve whose budget stops that path nowhere continues it from
-its last iterate instead of pivoting from the warm basis again; the
-continuation takes the workspace, so each truncated run is continued at
-most once.  Otherwise the solve runs from the warm basis.
+same status.  When that budget's cutoff first stops the path at its
+last iterate instead, whatever the stored status, the answer is built
+from the stored run without a run: its values, basis and pivots, the
+objective recorded at that iterate, and `reduced` and `infeas` from its
+final iterate (or the truncated run's own, below).  A run that hit its
+pivot limit also keeps its workspace, and a later solve whose budget
+stops that path nowhere continues it from its last iterate instead of
+pivoting from the warm basis again; the continuation takes the
+workspace, so each truncated run is continued at most once.  Otherwise
+the solve runs from the warm basis.
+
+A solution also keeps its fractional map once scanned
+(`model.kept_fractional`), shared by every reader.
 """
 
 from __future__ import annotations
@@ -374,8 +384,10 @@ class _Workspace:
 
     Full column space: structural columns then one surplus per row.
     `binv` is read-only while it is a fresh inverse, which a probe
-    workspace's children may share; the first pivot copies it.  `rc` is
-    None after a pivot until `reduced_costs` recomputes it.
+    workspace's children may share; each pivot writes its eta step into a
+    new array, and the first one after a fresh inverse copies `_vN`,
+    which may be shared too.  `rc` is None after a pivot until
+    `reduced_costs` recomputes it.
     """
 
     def __init__(self, model: LpModel):
@@ -457,8 +469,8 @@ class _Workspace:
         nor the dual-feasibility flips, so B^-1, the reduced costs and the
         basic values are this workspace's, as a load would compute them.
         The child shares the read-only B^-1, reduced costs and nonbasic
-        values; its first pivot copies B^-1 and the nonbasic values before
-        writing.
+        values; its pivots write B^-1 into new arrays, and the first copies
+        the nonbasic values before writing.
         """
         own = self.model
         if (model.rows is not own.rows or model.obj is not own.obj
@@ -640,17 +652,15 @@ class _Workspace:
         self.in_basis[enter] = True
         self.at_upper[leave] = not below
         self.at_upper[enter] = False
-        # eta update of the explicit inverse
         if not self.binv.flags.writeable:
             # a fresh inverse, which may be a probe workspace's, and so
             # may _vN (`start_child`)
-            self.binv = self.binv.copy()
             self._vN = self._vN.copy()
-        piv = w[pos]
-        self.binv[pos] /= piv
-        for i in range(self.m):
-            if i != pos:
-                self.binv[i] -= w[i] * self.binv[pos]
+        # eta update of the explicit inverse, as one rank-1 step into a
+        # new array: row i loses w[i] times the new pivot row
+        row = self.binv[pos] / w[pos]
+        self.binv = self.binv - np.multiply.outer(w, row)
+        self.binv[pos] = row
         self.beta[pos] = enter_val
         # the leaving column rests on the bound it left for
         self._vN[leave] = target
@@ -753,6 +763,8 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
             stop = _first_stop(path, budget)
             if stop == (len(path) - 1, sol.status):
                 return sol
+            if stop == (len(path) - 1, LpStatus.CUTOFF_INFEASIBLE):
+                return _cutoff_answer(sol, path)
             if stop is None:
                 # no stop test ended the run, so its ratio test came up
                 # empty, or its budget ended it before this one would
@@ -789,6 +801,23 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
         kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
         warm_basis.memo.setdefault(key, []).append((model, path, sol, kept))
     return sol
+
+
+def _cutoff_answer(sol: LpSolution, path) -> LpSolution:
+    """What a run would return that follows the stored run of `sol` and
+    `path` and is cut off at its last iterate: that iterate's values,
+    basis and objective.  `reduced` and `infeas` derive from the stored
+    run's final iterate, or are a truncated run's own, as its workspace
+    may have been continued since."""
+    answer = object.__new__(LpSolution)
+    answer.__dict__.update(status=LpStatus.CUTOFF_INFEASIBLE,
+                           x_o=path[-1][0], x=sol.x, pivots=sol.pivots,
+                           basis=sol.basis)
+    if sol.status is LpStatus.PIVOT_LIMIT_HIT:
+        answer.__dict__.update(reduced=sol.reduced, infeas=sol.infeas)
+    else:
+        answer.__dict__["_final"] = sol.__dict__["_final"]
+    return answer
 
 
 def _first_iterate(model: LpModel, warm_basis: Basis | None) -> _Workspace:

@@ -134,6 +134,8 @@ class NodeState:
     bound: float = -math.inf    # best known lower bound on this subtree
     ext_id: int | None = None   # matching node in the extended-tree log
     dval_parts: tuple | None = None
+    # the LP under lower and upper, built once (`_Search.node_model`)
+    model: LpModel | None = field(default=None, repr=False, compare=False)
 
     def child_bounds(self, record: BranchRecord):
         lo = self.lower.copy()
@@ -158,13 +160,25 @@ def fractional(x, problem: MipProblem,
     return out
 
 
-def detect_fractional(sol: LpSolution, problem: MipProblem,
-                      tol: float = INT_TOL) -> dict[int, tuple[float, float]]:
-    """Fractional integer variables of an optimal solution; empty means
-    MIP feasible."""
+def kept_fractional(sol: LpSolution,
+                    problem: MipProblem) -> dict[int, tuple[float, float]]:
+    """`fractional(sol.x, problem)`, scanned once per solution and kept on
+    it as `_fractions`: a solution is only ever scanned for the problem
+    its model came from.  Every caller shares the one map, so none may
+    change it."""
+    kept = sol.__dict__.get("_fractions")
+    if kept is None:
+        kept = sol.__dict__["_fractions"] = fractional(sol.x, problem)
+    return kept
+
+
+def detect_fractional(sol: LpSolution,
+                      problem: MipProblem) -> dict[int, tuple[float, float]]:
+    """Fractional integer variables of an optimal solution, the kept map
+    (`kept_fractional`); empty means MIP feasible."""
     if not sol.is_optimal:
         raise ModelError("fractional detection needs an optimal solution")
-    return fractional(sol.x, problem, tol)
+    return kept_fractional(sol, problem)
 
 
 @dataclass

@@ -15,7 +15,7 @@ violation falls below a fraction of the node's own fractionality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from branchlab.criteria import (
     BoundDisjunction,
@@ -106,8 +106,8 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
     n1 = params.n1 if params.n1 is not None else max(1, math.ceil(len(pool) / 4))
     n1 = min(n1, len(f0))
     # single-pivot probes carry no fractional sets or infeasibility sums,
-    # so criteria that want them degrade to their plain form here
-    f1 = rank(evals, replace(params.spec, w1=0.0, w2=0.0), n1)
+    # and ranking reads no weights, so every criterion ranks its plain form
+    f1 = rank(evals, params.spec, n1)
     return f0, f1, evals
 
 
@@ -122,7 +122,7 @@ def stage2(model: LpModel, sol: LpSolution, f1: list[int], fractions: dict,
     """
     k2 = params.k2 if params.k2 is not None else (ctx.k2_default or 25)
     vlim = v_lim_for(fractions, params.vlim_mult)
-    budget = replace(ctx.branch_budget(pivot_limit=k2), v_lim=vlim)
+    budget = ctx.branch_budget(pivot_limit=k2, v_lim=vlim)
     scored = evaluate_candidates(model, sol, f1, ctx, params.spec, fractions,
                                  disjunction, budget)
     n2 = min(params.n2_for(depth), len(f1))

@@ -376,10 +376,14 @@ def test_branch_budget_is_made_once_per_cutoff_and_pivot_limit():
     ctx = EvalContext(problem=None, cutoff=5.0,
                       budget=PivotBudget(max_pivots=40, max_degenerate=7))
     full, short = ctx.branch_budget(), ctx.branch_budget(pivot_limit=3)
+    early = ctx.branch_budget(pivot_limit=3, v_lim=0.25)
     assert full == PivotBudget(max_pivots=40, max_degenerate=7, cutoff=5.0)
     assert short == PivotBudget(max_pivots=3, max_degenerate=7, cutoff=5.0)
+    assert early == replace(short, v_lim=0.25)
     assert ctx.branch_budget() is full
     assert ctx.branch_budget(pivot_limit=3) is short
+    assert ctx.branch_budget(pivot_limit=3, v_lim=None) is short
+    assert ctx.branch_budget(pivot_limit=3, v_lim=0.25) is early
     ctx.cutoff = 2.0
     assert ctx.branch_budget().cutoff == 2.0
     assert ctx.branch_budget(pivot_limit=40) == replace(full, cutoff=2.0)

@@ -2,7 +2,8 @@
 
 A basis keeps its probe workspace with every probe's answer, the bound
 children `apply_branch` built at it and the straddle row partitions, all
-found by the model's `memo_key`.
+found by the model's `memo_key`.  A solution keeps its fractional map and
+a search node its LP model.
 These tests check every kept value against the same computation from
 scratch, that a distinct model with the same content finds the kept
 work, that a failing call keeps nothing, what `forget_solves` frees, and
@@ -14,11 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import branchlab.criteria as criteria
 import branchlab.driver as driver
 import branchlab.lp as lp
+import branchlab.model as model_module
 from branchlab import straddle
 from branchlab.bench import default_matrix
 from branchlab.criteria import EvalContext
+from branchlab.instances import corpus_paths
 from branchlab.lp import (
     LpModel,
     LpProbeError,
@@ -29,6 +33,8 @@ from branchlab.lp import (
     probe_single_pivot,
     solve,
 )
+from branchlab.model import fractional
+from branchlab.mps import parse_mps
 from branchlab.straddle import StraddleDisjunction, partition_row
 from test_driver import random_ip
 from test_lp_factor import _probe_instance, fresh_basis
@@ -199,3 +205,35 @@ def test_a_search_reads_the_same_when_nothing_is_kept(monkeypatch):
         assert driver.trace_to_json(a.trace) == driver.trace_to_json(b.trace)
         assert a.counters == b.counters
         assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_kept_fractional_maps_and_node_models_equal_fresh_ones(monkeypatch):
+    """After every default-matrix search of the corpus, no caller has
+    changed a solution's shared fractional map, and every node's kept
+    model is its bounds' model."""
+    scanned = []
+    real = model_module.kept_fractional
+
+    def spy(sol, problem):
+        scanned.append(sol)     # keeps every scanned solution alive
+        return real(sol, problem)
+
+    monkeypatch.setattr(model_module, "kept_fractional", spy)
+    monkeypatch.setattr(criteria, "kept_fractional", spy)
+    models = 0
+    for path in corpus_paths():
+        problem = parse_mps(path.read_text())
+        for config in default_matrix().values():
+            scanned.clear()
+            search = driver._Search(problem, config)
+            search.run()
+            for sol in scanned:
+                assert sol.__dict__["_fractions"] == \
+                    fractional(sol.x, problem)
+            for node in search.nodes.values():
+                if node.model is None:
+                    continue
+                models += 1
+                assert memo_key(node.model) == memo_key(
+                    problem.lp_with_bounds(node.lower, node.upper))
+    assert models > 1000

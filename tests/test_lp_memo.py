@@ -9,6 +9,7 @@ cases that must miss and the driver's release of node memos.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,73 @@ def test_a_straddle_child_with_other_rows_misses(runs):
     assert_same_answer(second, first)
     assert solve(a, warm_basis=row_warm) is first
     assert len(runs) == 2
+
+
+def cutoff_at_last(path):
+    """A cutoff that first stops `path` at its last iterate, or None when
+    no earlier iterate's objective stays clear below the last one's."""
+    *head, (last, _, _) = path
+    if not head:
+        return None
+    top = max(objective for objective, _, _ in head)
+    return (top + last) / 2 if last - top > 1e-6 else None
+
+
+def stored_runs(seed=808):
+    """{status: (child, warm basis, budget, cutoff)} for one stored run of
+    each of OPTIMAL, INFEASIBLE and PIVOT_LIMIT_HIT, whose last iterate a
+    cutoff stops first."""
+    rng = np.random.default_rng(seed)
+    found = {}
+    while len(found) < 3:
+        model = random_model(rng, int(rng.integers(4, 8)),
+                             int(rng.integers(2, 5)))
+        root = solve(model)
+        if root.status is not LpStatus.OPTIMAL:
+            continue
+        for j in range(model.n_cols):
+            f = math.floor(root.x[j])
+            for child in (model.with_bounds(j, upper=f - 1),
+                          model.with_bounds(j, lower=f + 2)):
+                if child.empty_box:
+                    continue
+                path = path_of(child, root.basis)
+                status = solve(child, warm_basis=bare(root.basis)).status
+                budget = PivotBudget()
+                if status is LpStatus.OPTIMAL and len(path) > 3:
+                    # truncated one pivot before its end
+                    budget = PivotBudget(max_pivots=len(path) - 2)
+                    status, path = LpStatus.PIVOT_LIMIT_HIT, path[:-1]
+                cutoff = cutoff_at_last(path)
+                if cutoff is not None and status not in found:
+                    found[status] = (child, bare(root.basis), budget, cutoff)
+    return found
+
+
+def test_a_cutoff_at_a_stored_last_iterate_is_answered_without_a_run(runs):
+    """An OPTIMAL, INFEASIBLE or truncated stored run answers a tighter
+    cutoff that first stops it at its last iterate, as a fresh run would;
+    the truncated run answers so again after its workspace is continued."""
+
+    def assert_answered(child, warm, tight, pivots):
+        runs.clear()
+        got = solve(child, warm_basis=warm, budget=tight)
+        assert not runs
+        want = solve(child, warm_basis=bare(warm), budget=tight)
+        assert want.status is LpStatus.CUTOFF_INFEASIBLE
+        assert want.pivots == pivots
+        assert_same_answer(got, want)
+
+    for status, (child, warm, budget, cutoff) in stored_runs().items():
+        sol = solve(child, warm_basis=warm, budget=budget)
+        assert sol.status is status
+        tight = replace(budget, cutoff=cutoff)
+        assert_answered(child, warm, tight, sol.pivots)
+        if status is LpStatus.PIVOT_LIMIT_HIT:
+            runs.clear()
+            assert solve(child, warm_basis=warm).status is LpStatus.OPTIMAL
+            assert len(runs) == 1     # the continuation pivoted on
+            assert_answered(child, warm, tight, sol.pivots)
 
 
 def test_solutions_are_read_only():
