@@ -188,6 +188,8 @@ class EvalContext:
 
     budgets: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)   # branch_budget's, made once each
+    # the search's cold runs, for `lp.solve`'s `cold_memo`
+    cold_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def branch_budget(self, pivot_limit: int | None = None,
                       v_lim: float | None = None) -> PivotBudget:

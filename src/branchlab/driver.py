@@ -168,6 +168,7 @@ class _Search:
         self.full_solves = 0
         self.full_pivots = 0
         self.unsolved_children: dict[int, int] = {}   # by parent node id
+        self.cold_memo: dict = {}     # this search's cold runs (`lp.solve`)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -176,7 +177,8 @@ class _Search:
                            x_o_star=self.incumbent.x_o,
                            cutoff=self.incumbent.cutoff,
                            counters=self.counters,
-                           k2_default=self.k2_default())
+                           k2_default=self.k2_default(),
+                           cold_memo=self.cold_memo)
 
     def k2_default(self) -> int | None:
         """One sixth of the running average pivots per full node solve."""
@@ -521,7 +523,8 @@ class _Search:
         budget = PivotBudget(max_pivots=NODE_BUDGET.max_pivots,
                              max_degenerate=NODE_BUDGET.max_degenerate,
                              cutoff=self.incumbent.cutoff)
-        sol = solve(self.node_model(node), warm_basis=warm, budget=budget)
+        sol = solve(self.node_model(node), warm_basis=warm, budget=budget,
+                    cold_memo=self.cold_memo)
         self.counters.absorb(sol)
         node.solution = sol
         self.child_done(node)

@@ -248,7 +248,8 @@ class _Builder:
             return True
         node.model = model
         if basis is None:
-            sol = solve(model, budget=self.ctx.branch_budget())
+            sol = solve(model, budget=self.ctx.branch_budget(),
+                        cold_memo=self.ctx.cold_memo)
             self.ctx.counters.absorb(sol)
             if sol.status is not LpStatus.OPTIMAL:
                 return False

@@ -41,11 +41,13 @@ run stopped at its pivot limit, whose workspace a later solve may pivot
 on.
 
 Work done at a basis is kept with the `Basis` and found again by the
-model's content, `memo_key`: its `rows`, `obj` and `rhs` arrays by
-identity (models and their arrays are immutable) and its bounds by
-value.  So the node model the driver builds, once per node, finds what
-the look-ahead did at the same node through its own, equal, child
-model.
+model's content, `memo_key`: its `rows`, `obj`, `rhs` and straddle
+marks, built into one key once per model (`LpModel.content_key`) and
+shared by the models a bound change derives from it, and its bounds,
+all by value.  So the node model the driver builds, once per node, finds
+what the look-ahead did at the same node through its own, equal, child
+model, and a model rebuilt with equal rows (a straddle row dropped again,
+`LpModel.without_rows`) finds what was done for the first.
 A basis keeps
 
   * `probe_state`: the probe workspace, with every probe's answer by
@@ -54,26 +56,28 @@ A basis keeps
     straddle row partitions and children (`straddle`);
   * `memo`: the solves warm-started from it, below.
 
-Every kept entry holds the model its key came from, so the ids in the
-key stay unique.  `Basis.forget_solves` frees the children and the memo.
+`Basis.forget_solves` frees the children and the memo.
 
 Whole solves are reused too.  A warm solve's run depends only on the warm
-basis and the model; the budget decides only where it stops.  So each
-warm basis keeps a memo of the runs started from it, keyed on the
-model's `memo_key`, each with its solution and its path: the objective,
-the largest violation and the stall count at every iterate.  A later
-solve of the same key returns a stored solution when replaying that path
-through `_stop` under its own budget stops at the same iterate with the
-same status.  When that budget's cutoff first stops the path at its
-last iterate instead, whatever the stored status, the answer is built
-from the stored run without a run: its values, basis and pivots, the
-objective recorded at that iterate, and `reduced` and `infeas` from its
-final iterate (or the truncated run's own, below).  A run that hit its
-pivot limit also keeps its workspace, and a later solve whose budget
-stops that path nowhere continues it from its last iterate instead of
-pivoting from the warm basis again; the continuation takes the
+basis and the model, a cold one's on the model alone; the budget decides
+only where it stops.  So each warm basis keeps a memo of the runs started
+from it, and a search keeps one of its cold runs (`solve`'s `cold_memo`),
+both keyed on the model's `memo_key`, each run with its solution and its
+path: the objective, the largest violation and the stall count at every
+iterate.  A later solve of the same key returns a stored solution when
+replaying that path through `_stop` under its own budget stops at the
+same iterate with the same status.  When that budget's cutoff first
+stops the path at its last iterate instead, whatever the stored status,
+the answer is built from the stored run without a run: its values, basis
+and pivots, the objective recorded at that iterate, and `reduced` and
+`infeas` from its final iterate (or the truncated run's own, below).  A
+run that hit its pivot limit also keeps its workspace, and a later solve
+whose budget stops that path nowhere continues it from its last iterate
+instead of pivoting from its start again; the continuation takes the
 workspace, so each truncated run is continued at most once.  Otherwise
-the solve runs from the warm basis.
+the solve runs from the warm basis, or cold.  A cold solve answered from
+the cold memo returns the stored solution, and so the stored `Basis`, at
+which the straddle children and their solves are kept already.
 
 A solution also keeps its fractional map once scanned
 (`model.kept_fractional`), shared by every reader.
@@ -177,16 +181,16 @@ class Basis:
     def _remember(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
 
-    def kept(self, key: tuple, model: LpModel, make):
+    def kept(self, key: tuple, make):
         """The value kept in `children` under `key`, a tuple that starts
-        with `memo_key(model)`; `make()` gives it on the first call.  The
-        entry keeps `model`, so the ids in its key stay unique."""
+        with the model's `memo_key`; `make()` gives it on the first
+        call."""
         if self.children is None:
             self._remember("children", {})
-        entry = self.children.get(key)
-        if entry is None:
-            entry = self.children[key] = (model, make())
-        return entry[1]
+        value = self.children.get(key)
+        if value is None:
+            value = self.children[key] = make()
+        return value
 
     def forget_solves(self) -> None:
         """Drop the memo of solves warm-started from this basis and the
@@ -257,7 +261,7 @@ class LpModel:
     """
 
     __slots__ = ("obj", "rows", "rhs", "lower", "upper", "empty_box",
-                 "straddle_rows", "_matrices")
+                 "straddle_rows", "_matrices", "_content")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
         obj = np.asarray(obj, dtype=float)
@@ -287,6 +291,7 @@ class LpModel:
         # (row index, surplus column) pairs of appended straddle rows
         object.__setattr__(self, "straddle_rows", tuple(straddle_rows))
         object.__setattr__(self, "_matrices", None)
+        object.__setattr__(self, "_content", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LpModel is immutable")
@@ -311,6 +316,16 @@ class LpModel:
             object.__setattr__(self, "_matrices", (full, cost))
         return self._matrices
 
+    def content_key(self) -> tuple:
+        """Everything but the bounds, by value, built once: the row
+        matrix's shape and the bytes of `rows`, `obj` and `rhs`, and
+        `straddle_rows`."""
+        if self._content is None:
+            object.__setattr__(self, "_content", (
+                self.rows.shape, self.rows.tobytes(), self.obj.tobytes(),
+                self.rhs.tobytes(), self.straddle_rows))
+        return self._content
+
     def _derive(self, **fields) -> "LpModel":
         """This model with the given, already checked, fields replaced."""
         model = object.__new__(LpModel)
@@ -323,7 +338,8 @@ class LpModel:
                  empty_box: bool) -> "LpModel":
         """This model under checked bound vectors, sharing everything else."""
         return self._derive(lower=lower, upper=upper, empty_box=empty_box,
-                            _matrices=self.matrices())
+                            _matrices=self.matrices(),
+                            _content=self.content_key())
 
     def with_bound_vectors(self, lower, upper) -> "LpModel":
         """This model with every column bound replaced."""
@@ -368,7 +384,7 @@ class LpModel:
         if straddle:
             marks = marks + ((self.n_rows, self.n_cols + self.n_rows),)
         return self._derive(rows=rows, rhs=rhs, straddle_rows=marks,
-                            _matrices=None)
+                            _matrices=None, _content=None)
 
     def without_rows(self, drop: set[int]) -> "LpModel":
         keep = [i for i in range(self.n_rows) if i not in drop]
@@ -385,8 +401,8 @@ class _Workspace:
     Full column space: structural columns then one surplus per row.
     `binv` is read-only while it is a fresh inverse, which a probe
     workspace's children may share; each pivot writes its eta step into a
-    new array, and the first one after a fresh inverse copies `_vN`,
-    which may be shared too.  `rc` is None after a pivot until
+    new array.  A child shares the probe workspace's read-only `_vN`
+    too, which its first pivot copies.  `rc` is None after a pivot until
     `reduced_costs` recomputes it.
     """
 
@@ -652,9 +668,9 @@ class _Workspace:
         self.in_basis[enter] = True
         self.at_upper[leave] = not below
         self.at_upper[enter] = False
-        if not self.binv.flags.writeable:
-            # a fresh inverse, which may be a probe workspace's, and so
-            # may _vN (`start_child`)
+        if not self._vN.flags.writeable:
+            # a probe workspace's, shared by a run it started
+            # (`start_child`)
             self._vN = self._vN.copy()
         # eta update of the explicit inverse, as one rank-1 step into a
         # new array: row i loses w[i] times the new pivot row
@@ -735,31 +751,41 @@ def _first_stop(path: list[tuple[float, float, int]],
 
 
 def memo_key(model: LpModel) -> tuple:
-    """The model's content: its arrays by identity, its bounds by value.
-    The ids are safe while whatever is kept under the key keeps the
-    model, hence these arrays."""
-    return (id(model.rows), id(model.obj), id(model.rhs),
-            model.lower.tobytes(), model.upper.tobytes())
+    """The model's content, all by value: its `content_key`, built once
+    per model and shared by the models a bound change derives from it,
+    and the bytes of its bounds.  Models built apart with equal content
+    have equal keys."""
+    return (model.content_key(), model.lower.tobytes(),
+            model.upper.tobytes())
 
 
 def solve(model: LpModel, warm_basis: Basis | None = None,
-          budget: PivotBudget | None = None) -> LpSolution:
+          budget: PivotBudget | None = None,
+          cold_memo: dict | None = None) -> LpSolution:
     """Dual simplex solve; warm basis must be dual-feasible or flippable.
 
     A warm solve may be answered from the basis's memo, or continue a
-    truncated run kept there (module docstring); a memo answer is shared
+    truncated run kept there (module docstring); a cold solve may be so
+    answered from `cold_memo`, when given, a dict of the same kind kept
+    by the caller (a search keeps one for its cold runs).  Both are
+    keyed by the model's content, `memo_key`.  A memo answer is shared
     with earlier callers, which is why a solution's arrays are read-only.
     A model with an empty column box is INFEASIBLE without a pivot.
     """
     if model.empty_box:
         return _infeasible_box(model)
     budget = budget or PivotBudget()
-    ws = None
+    memo = cold_memo
     if warm_basis is not None:
+        if warm_basis.memo is None:
+            warm_basis._remember("memo", {})
+        memo = warm_basis.memo
+    ws = None
+    if memo is not None:
         key = memo_key(model)
-        runs = (warm_basis.memo or {}).get(key, ())
+        runs = memo.get(key, ())
         resume = None
-        for i, (_, path, sol, kept) in enumerate(runs):
+        for i, (path, sol, kept) in enumerate(runs):
             stop = _first_stop(path, budget)
             if stop == (len(path) - 1, sol.status):
                 return sol
@@ -795,11 +821,9 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
         sol.__dict__.update(fields, _final=(ws, values))
         if status is LpStatus.OPTIMAL:
             sol.__dict__["infeas"] = 0.0
-    if warm_basis is not None:
-        if warm_basis.memo is None:
-            warm_basis._remember("memo", {})
+    if memo is not None:
         kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
-        warm_basis.memo.setdefault(key, []).append((model, path, sol, kept))
+        memo.setdefault(key, []).append((path, sol, kept))
     return sol
 
 
@@ -1001,7 +1025,7 @@ def apply_branch(model: LpModel, sol: LpSolution, j: int,
         bounds = {"upper": math.floor(value)}
     else:
         raise LpProbeError(f"bad direction {direction!r}")
-    child = sol.basis.kept((memo_key(model), j, direction, value), model,
+    child = sol.basis.kept((memo_key(model), j, direction, value),
                            lambda: model.with_bounds(j, **bounds))
     return child, sol.basis
 

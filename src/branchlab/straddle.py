@@ -27,7 +27,10 @@ Each row is appended to the child model as one >= constraint over the
 original variables (translated columns substituted back, surplus columns
 eliminated through their defining rows); the appended row's surplus IS the
 z slack.  Straddle rows whose slack has gone nonbasic are dropped before
-deriving further children.
+deriving further children, and the row-dropped model is re-solved cold;
+different straddle paths that drop down to the same model are answered
+from the search's cold memo, keyed by the model's content, so they share
+one solution and one basis and the children kept at it.
 
 A child's first dual pivot needs no child model: at the node's basis
 plus the z slack, z's tableau row is its straddle row above, so
@@ -40,7 +43,7 @@ StraddleDisjunction partitions the tableau row on its first estimate
 and builds both children on its first child() or solve(), for
 criteria.evaluate_pair.  The partition and the children are kept on the
 node's basis (`lp.Basis.kept`), keyed like its LP memo (the model's
-`memo_key`), on x_j and on the integrality mask, until
+content and bounds, `memo_key`), on x_j and on the integrality mask, until
 `Basis.forget_solves`.  So the estimates, the stage-2 truncated solves
 and the Step-2 pair solves at that node all read one partition and load
 one child model and warm basis: they share its memo, and answer bit for
@@ -106,7 +109,7 @@ def partition_row(model: LpModel, basis: Basis, j: int,
     and 0.0 for a column the row leaves out.  The result is kept on
     `basis`, so every caller shares it and none may change it.
     """
-    return basis.kept((memo_key(model), j, integer_mask.tobytes()), model,
+    return basis.kept((memo_key(model), j, integer_mask.tobytes()),
                       lambda: _partition(model, basis, j, integer_mask))
 
 
@@ -264,7 +267,7 @@ def _kept_children(model: LpModel, sol: LpSolution, j: int,
                 for d in ("up", "down")}
 
     return sol.basis.kept((memo_key(model), j, mask.tobytes(), "straddle"),
-                          model, build)
+                          build)
 
 
 def drop_inactive_straddle_rows(model: LpModel,
@@ -272,7 +275,11 @@ def drop_inactive_straddle_rows(model: LpModel,
     """Remove straddle rows whose z slack has left the basis.
 
     Dropping a row invalidates the basis shape, so the caller gets a cold
-    start (None) whenever anything was dropped.
+    start (None) whenever anything was dropped.  Other straddle paths
+    often drop down to the same rows: the caller's cold re-solve, with the
+    search's cold memo (`lp.solve`'s `cold_memo`), then finds the first
+    one's run by content and returns its solution and basis, with the
+    children kept there.
     """
     if not model.straddle_rows:
         return model, sol.basis

@@ -193,14 +193,17 @@ def test_a_partition_is_made_once_per_key(monkeypatch):
 
 
 def test_a_search_reads_the_same_when_nothing_is_kept(monkeypatch):
-    la = default_matrix()["la-d3-2a"]
+    """Under plain look-ahead and under straddle look-ahead, whose
+    row-dropped cold re-solves the search's cold memo answers."""
+    strategies = [default_matrix()[s] for s in ("la-d3-2a", "la-straddle")]
     problems = [random_ip(seed, n=8, m=3, hi=6) for seed in (74, 75, 89)]
-    kept = [driver.solve_mip(p, la) for p in problems]
+    cases = [(p, la) for la in strategies for p in problems]
+    kept = [driver.solve_mip(p, la) for p, la in cases]
     # keys that never repeat: every probe workspace, child, partition and
-    # solve is made afresh
+    # solve, warm or cold, is made afresh
     monkeypatch.setattr(lp, "memo_key", lambda model: object())
     monkeypatch.setattr(straddle, "memo_key", lambda model: object())
-    for p, a in zip(problems, kept):
+    for (p, la), a in zip(cases, kept):
         b = driver.solve_mip(p, la)
         assert driver.trace_to_json(a.trace) == driver.trace_to_json(b.trace)
         assert a.counters == b.counters

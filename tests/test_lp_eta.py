@@ -5,7 +5,9 @@ new array.  `eta_rows` below is the row loop it replaced, kept here as the
 reference: divide the pivot row by the pivot element, then take w[i]
 times the new pivot row from every other row i.  Each element gets the
 same product and the same subtraction, so the tests compare with
-`np.array_equal`, never with a tolerance.
+`np.array_equal`, never with a tolerance.  A pivot copies the nonbasic
+values `_vN` only when they are a probe workspace's, read-only and
+shared with a run it started; any other run writes its own in place.
 """
 
 import numpy as np
@@ -36,7 +38,8 @@ def eta_rows(binv, w, pos):
 
 def pivots_checked(ws, limit=30):
     """Run dual simplex steps on `ws`, checking each B^-1 update against
-    `eta_rows`, with a refactorization after the first step.  Returns the
+    `eta_rows` and that `_vN` is updated in place, with a
+    refactorization after the first step.  Returns the
     number of steps and of those that read a fresh, read-only inverse:
     the first after the load and the first after the refactorization."""
     steps = fresh = 0
@@ -48,12 +51,16 @@ def pivots_checked(ws, limit=30):
         if found is None:
             break
         enter, alpha = found
-        before = ws.binv
+        before, vn = ws.binv, ws._vN
         fresh += not before.flags.writeable
         want = eta_rows(before, before @ ws.full[:, enter], pos)
         ws.pivot(pos, enter, alpha)
         assert np.array_equal(ws.binv, want)
         assert ws.binv is not before and ws.binv.flags.writeable
+        # a loaded or refactorized run's nonbasic values are its own, so
+        # every pivot, the first after a fresh inverse too, writes them
+        # in place
+        assert ws._vN is vn
         steps += 1
         if steps == 1:
             ws.refactorize()
@@ -103,6 +110,7 @@ def test_a_child_run_leaves_the_probe_workspace_unchanged():
             if ws is None:
                 continue
             assert ws.binv is probe.binv and ws._vN is probe._vN
+            assert not probe._vN.flags.writeable
             sol = solve(child, warm_basis=warm)
             checked += sol.pivots > 0
             assert np.array_equal(probe.binv, binv)

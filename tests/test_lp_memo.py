@@ -1,11 +1,13 @@
-"""The per-basis solve memo answers exactly as a fresh run would.
+"""The solve memos answer exactly as a fresh run would.
 
-A warm basis keeps the runs started from it, keyed on the model's arrays
-and bounds, with the path of each run.  A stored run may answer a solve
-under another budget only when that budget stops its path at the same
-iterate with the same status.  These tests compare every memo answer with
-a solve from an equal basis that has no memo, bit for bit, and check the
-cases that must miss and the driver's release of node memos.
+A warm basis keeps the runs started from it, and a search its cold runs,
+keyed on the model's content and bounds, with the path of each run.  A
+stored run may answer a solve under another budget only when that budget
+stops its path at the same iterate with the same status.  These tests
+compare every memo answer with a solve that has no memo, bit for bit,
+and check that equal content found through other arrays hits, the cases
+that must miss, the driver's release of node memos and that no memo
+outlives its search.
 """
 
 import math
@@ -15,10 +17,12 @@ import numpy as np
 import pytest
 
 import branchlab.driver as driver
+import branchlab.lookahead as lookahead
 import branchlab.lp as lp
+from branchlab.bench import default_matrix
 from branchlab.criteria import CriterionSpec
 from branchlab.lookahead import LookaheadConfig, PostWinnow
-from branchlab.lp import Basis, LpStatus, PivotBudget, solve
+from branchlab.lp import Basis, LpModel, LpStatus, PivotBudget, memo_key, solve
 from branchlab.winnow import WinnowParams
 from test_driver import random_ip
 from test_lp import random_model
@@ -27,12 +31,6 @@ from test_lp_factor import fresh_model, random_bases
 
 def bare(basis):
     return Basis(tuple(basis.basic), frozenset(basis.at_upper))
-
-
-def stored(basis):
-    """Every solution in a basis's memo, by identity."""
-    return {id(sol) for runs in (basis.memo or {}).values()
-            for _, _, sol, _ in runs}
 
 
 def assert_same_answer(a, b):
@@ -46,10 +44,12 @@ def assert_same_answer(a, b):
 
 
 def path_of(model, basis):
-    """The path of an unbudgeted run from a copy of `basis`."""
-    probe = bare(basis)
-    solve(model, warm_basis=probe)
-    [[(_, path, _, _)]] = probe.memo.values()
+    """The path of an unbudgeted run from a copy of `basis`, or of a
+    cold run when `basis` is None."""
+    probe = None if basis is None else bare(basis)
+    memo = {}
+    solve(model, warm_basis=probe, cold_memo=memo)
+    [[(path, _, _)]] = (memo if probe is None else probe.memo).values()
     return path
 
 
@@ -83,7 +83,7 @@ def runs(monkeypatch):
     return calls
 
 
-def test_memo_answers_equal_fresh_solves():
+def test_memo_answers_equal_fresh_solves(runs):
     rng = np.random.default_rng(606)
     hits = misses = 0
     kinds = set()
@@ -110,15 +110,16 @@ def test_memo_answers_equal_fresh_solves():
                 order = rng.permutation(len(budgets))
                 for i in list(order) + list(order):
                     budget = budgets[i]
-                    before = stored(warm)
+                    before = len(runs)
                     got = solve(child, warm_basis=warm, budget=budget)
+                    ran = len(runs) > before
                     want = solve(child, warm_basis=bare(warm), budget=budget)
                     assert_same_answer(got, want)
-                    if id(got) in before:
+                    if ran:
+                        misses += 1
+                    else:
                         hits += 1
                         kinds.add(got.status)
-                    else:
-                        misses += 1
     assert hits >= 2000 and misses >= 500
     assert kinds == set(LpStatus)
 
@@ -152,17 +153,17 @@ def test_a_budget_that_stops_earlier_misses(runs):
     assert len(runs) == 2
 
 
-def test_other_arrays_miss(runs):
+def test_equal_content_in_other_arrays_hits(runs):
     child, warm = _branching_child()
     runs.clear()
     first = solve(child, warm_basis=warm)
-    # equal contents in other arrays: the key is identity, so this runs
+    # the key is the content, so a model built apart finds the run
     copy = solve(fresh_model(child), warm_basis=warm)
-    assert len(runs) == 2 and copy is not first
-    assert_same_answer(copy, first)
+    assert len(runs) == 1 and copy is first
+    assert_same_answer(copy, solve(fresh_model(child), warm_basis=bare(warm)))
 
 
-def test_a_straddle_child_with_other_rows_misses(runs):
+def test_a_straddle_child_with_other_rows_hits(runs):
     child, warm = _branching_child()
     n, m = child.n_cols, child.n_rows
     slack = n + m
@@ -170,12 +171,69 @@ def test_a_straddle_child_with_other_rows_misses(runs):
     runs.clear()
     a = child.with_row(np.ones(n), 1.0, straddle=True)
     b = child.with_row(np.ones(n), 1.0, straddle=True)
+    assert a.rows is not b.rows
     first = solve(a, warm_basis=row_warm)
     second = solve(b, warm_basis=row_warm)
-    assert len(runs) == 2 and second is not first
-    assert_same_answer(second, first)
-    assert solve(a, warm_basis=row_warm) is first
-    assert len(runs) == 2
+    assert len(runs) == 1 and second is first
+    assert_same_answer(second, solve(b, warm_basis=bare(row_warm)))
+
+
+def test_other_content_misses(runs):
+    """A model that differs from a stored one only in its row matrix, its
+    objective, its right-hand side or its straddle marks is another key:
+    it makes its own run."""
+    child, warm = _branching_child()
+    solve(child, warm_basis=warm)
+    changed = {}
+    for name in ("rows", "obj", "rhs"):
+        array = getattr(child, name).copy()
+        array.flat[0] += 0.5
+        changed[name] = array
+    others = [LpModel(**{**fields(child), name: array})
+              for name, array in changed.items()]
+    others.append(LpModel(**fields(child),
+                          straddle_rows=((0, child.n_cols),)))
+    for other in others:
+        assert memo_key(other) != memo_key(child)
+        runs.clear()
+        got = solve(other, warm_basis=warm)
+        assert len(runs) == 1
+        assert_same_answer(got, solve(other, warm_basis=bare(warm)))
+
+
+def fields(model):
+    """The constructor arguments of `model`, but its straddle marks."""
+    return {name: getattr(model, name)
+            for name in ("obj", "rows", "rhs", "lower", "upper")}
+
+
+def test_a_cold_solve_of_a_rederived_model_is_answered_without_a_run(runs):
+    """A model built apart and an equal one derived by adding a straddle
+    row and dropping it again share a cold memo: every budget asked of
+    the first answers the second without a run, byte-equal to a solve
+    with no memo."""
+    rng = np.random.default_rng(707)
+    checked = 0
+    while checked < 12:
+        n, m = int(rng.integers(4, 8)), int(rng.integers(2, 5))
+        model = random_model(rng, n, m)
+        path = path_of(model, None)
+        if len(path) < 3:
+            continue
+        apart = fresh_model(model)
+        derived = model.with_row(rng.normal(size=n), 0.0, straddle=True) \
+            .without_rows({m})
+        assert derived.rows is not apart.rows
+        budgets = budgets_for(path)
+        memo = {}
+        for budget in budgets:
+            solve(apart, budget=budget, cold_memo=memo)
+        for budget in budgets:
+            runs.clear()
+            got = solve(derived, budget=budget, cold_memo=memo)
+            assert not runs
+            assert_same_answer(got, solve(model, budget=budget))
+        checked += 1
 
 
 def cutoff_at_last(path):
@@ -259,20 +317,43 @@ LOOKAHEAD = driver.SolveConfig(
                               postwin=PostWinnow("2a", lim=3, d0=2)))
 
 
-def test_memos_do_not_outlive_a_search(monkeypatch):
-    built = []
-    real = lp._Workspace.__init__
+def test_memos_do_not_outlive_a_search(runs, monkeypatch):
+    """A second search of one problem builds as many workspaces and makes
+    as many runs as the first: no basis memo, and not the search's cold
+    memo, carries over.  Under straddle look-ahead the cold memo answers
+    some of the look-ahead's row-dropped re-solves within a search."""
+    built, asks, started = [], [], []
+    real_init = lp._Workspace.__init__
+    real_solve = lookahead.solve
+    real_first = lp._first_iterate
 
     def counted(self, model):
         built.append(model)
-        real(self, model)
+        real_init(self, model)
+
+    def ask(model, warm_basis=None, budget=None, cold_memo=None):
+        asks.append(warm_basis is None)
+        return real_solve(model, warm_basis, budget, cold_memo)
+
+    def first(model, warm_basis):
+        started.append(warm_basis is None)
+        return real_first(model, warm_basis)
 
     monkeypatch.setattr(lp._Workspace, "__init__", counted)
-    problem = random_ip(66, n=8, m=3, hi=6)
-    driver.solve_mip(problem, LOOKAHEAD)
-    first = len(built)
-    driver.solve_mip(problem, LOOKAHEAD)
-    assert first > 0 and len(built) == 2 * first
+    monkeypatch.setattr(lookahead, "solve", ask)
+    monkeypatch.setattr(lp, "_first_iterate", first)
+    for config, seed in ((LOOKAHEAD, 66),
+                         (default_matrix()["la-straddle"], 75)):
+        problem = random_ip(seed, n=8, m=3, hi=6)
+        counts = []
+        for _ in range(2):
+            for seen in (built, runs, asks, started):
+                seen.clear()
+            driver.solve_mip(problem, config)
+            counts.append((len(built), len(runs), sum(asks), sum(started)))
+        assert counts[0] == counts[1] and counts[0][0] > 0
+    cold_asks, cold_runs = counts[0][2:]
+    assert cold_asks > cold_runs > 0
 
 
 def test_node_memo_is_freed_once_both_children_are_solved(monkeypatch):

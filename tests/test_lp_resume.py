@@ -198,7 +198,7 @@ def test_a_truncated_run_is_continued_once(engine):
         warm = bare(basis)
         solve(child, warm_basis=warm, budget=PivotBudget(max_pivots=1))
         solve(child, warm_basis=warm, budget=PivotBudget(max_pivots=2))
-        [kept] = [path for _, path, _, ws in warm.memo[lp.memo_key(child)]
+        [kept] = [path for path, _, ws in warm.memo[lp.memo_key(child)]
                   if ws is not None]
         assert len(kept) == 3
         before = Counter(seen)
@@ -232,7 +232,7 @@ def test_only_truncated_runs_keep_their_workspace():
         for budget in [PivotBudget(), PivotBudget(max_pivots=1),
                        PivotBudget(cutoff=full[0][0] - 1.0)]:
             solve(child, warm_basis=warm, budget=budget)
-        for _, _, sol, ws in warm.memo[lp.memo_key(child)]:
+        for _, sol, ws in warm.memo[lp.memo_key(child)]:
             assert (ws is not None) == \
                 (sol.status is LpStatus.PIVOT_LIMIT_HIT)
             statuses[sol.status] += 1

@@ -1,13 +1,13 @@
 """Straddle children are built once per node basis and answer as fresh ones.
 
 `StraddleDisjunction` keeps both children of x_j on the node's basis,
-keyed on the node model's arrays and bounds, on j and on the integrality
-mask.  These tests compare every solve through the kept children, in the
-order the winnow and Step 2 make them, with a solve of a freshly built
-child, bit for bit.  They check that the rows are built once per key,
-that another model at the same basis misses, that `forget_solves` frees
-the children, and that a look-ahead search reads the same with and
-without the cache and keeps no children once it ends.
+keyed on the node model's content and bounds, on j and on the
+integrality mask.  These tests compare every solve through the kept
+children, in the order the winnow and Step 2 make them, with a solve of
+a freshly built child, bit for bit.  They check that the rows are built
+once per key, that another model at the same basis misses, that
+`forget_solves` frees the children, and that a look-ahead search reads
+the same with and without the cache and keeps no children once it ends.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from branchlab.straddle import (
 )
 from oracles import straddle_lp_estimate
 from test_driver import random_ip as driver_ip
-from test_lp_memo import assert_same_answer, stored
+from test_lp_memo import assert_same_answer, runs  # noqa: F401 (fixture)
 from test_straddle import fractional_instance
 
 
@@ -50,7 +50,7 @@ def nodes(rng):
 
 def straddle_children(basis):
     """The straddle children kept on `basis`, one dict per key."""
-    return [children for key, (_, children) in (basis.children or {}).items()
+    return [children for key, children in (basis.children or {}).items()
             if key[-1] == "straddle"]
 
 
@@ -59,7 +59,7 @@ def fresh_solve(model, sol, j, d, mask, budget):
     return solve(child, warm_basis=warm, budget=budget)
 
 
-def test_kept_children_answer_as_fresh_ones():
+def test_kept_children_answer_as_fresh_ones(runs):
     rng = np.random.default_rng(707)
     compared = hits = shared = 0
     for draw in range(25):
@@ -80,12 +80,12 @@ def test_kept_children_answer_as_fresh_ones():
                     disj = StraddleDisjunction(model, sol, j, ctx)
                     for d in ("up", "down"):
                         child, warm = disj.child(d)
-                        before = stored(warm)
+                        before = len(runs)
                         got = solve(child, warm_basis=warm, budget=budget)
+                        hits += len(runs) == before
                         want = fresh_solve(model, sol, j, d, mask, budget)
                         assert_same_answer(got, want)
                         compared += 1
-                        hits += id(got) in before
                         again = StraddleDisjunction(model, sol, j, ctx)
                         a_child, a_warm = again.child(d)
                         shared += a_child is child and a_warm is warm

@@ -199,7 +199,7 @@ def test_a_truncated_solution_keeps_its_values_past_a_continuation(index):
             continue
         ref = solve(child, warm_basis=bare(root.basis), budget=short)
         solve(child, warm_basis=warm)
-        [(_, _, sol, kept)] = warm.memo[lp.memo_key(child)][:1]
+        [(_, sol, kept)] = warm.memo[lp.memo_key(child)][:1]
         assert sol is first and kept is None      # its workspace moved on
         continued += 1
         assert first.reduced.tobytes() == ref.reduced.tobytes()
