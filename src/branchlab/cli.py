@@ -16,9 +16,6 @@ from branchlab.lookahead import (
     LookaheadConfig,
     PostWinnow,
 )
-from branchlab.lp import LpUnboundedError
-from branchlab.lp import solve as lp_solve
-from branchlab.model import detect_fractional
 from branchlab.mps import MpsParseError, parse_mps
 
 # `solve` options a `bench --configs` entry may not use: the input, the
@@ -145,7 +142,7 @@ def config_from_options(opt: dict) -> SolveConfig:
     Only the options given (and not None) are passed on, so every other
     field keeps its dataclass default.  The selection criterion also
     ranks the winnow; vote, with no score of its own, ranks it by its
-    panel's first criterion.  `clist` is the CList's member set.
+    panel's first criterion.  `clist` is the CList's size.
     Look-ahead depth 0 is plain branching.
     """
     parts = {group: {} for group in (*_GROUPS, "solve")}
@@ -179,17 +176,6 @@ def run_solve(args) -> int:
         return 2
     del options["command"]
     trace = options.pop("trace", None)
-    if "clist" in options:
-        # the fixed candidate list is the `clist` best root candidates;
-        # a root that is not optimal has none, and solve_mip reports it
-        try:
-            root = lp_solve(problem.to_lp())
-            frac = detect_fractional(root, problem) if root.is_optimal \
-                else {}
-        except LpUnboundedError:
-            frac = {}
-        members = sorted(frac, key=lambda j: (abs(frac[j][1] - 0.5), j))
-        options["clist"] = frozenset(members[:options["clist"]])
     try:
         config = config_from_options(options)
     except ValueError as err:

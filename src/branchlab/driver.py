@@ -68,7 +68,7 @@ from branchlab.model import (
     NodeState,
     detect_fractional,
 )
-from branchlab.winnow import WinnowParams
+from branchlab.winnow import WinnowParams, nearest_half
 from branchlab.winnow import run as winnow_run
 
 TRACE_SCHEMA = 2
@@ -662,6 +662,7 @@ class _Search:
             self.close(root, status)
             return self.finish("limit" if self.incomplete else "optimal")
         self.root_x = root.solution.x.copy()
+        self.fix_clist(root)
         if cfg.refset_theta is not None:
             self.refset = ReferenceSet(root_x=self.root_x,
                                        root_x_o=root.solution.x_o)
@@ -681,6 +682,16 @@ class _Search:
             expansions += self.visit(node)
             self.release(node)
         return self.finish("limit" if self.incomplete else "optimal")
+
+    def fix_clist(self, root: NodeState):
+        """Turn a CList given by its size K into the K root candidates
+        nearest 0.5."""
+        k = self.config.winnow.clist
+        if isinstance(k, int):
+            frac = detect_fractional(root.solution, self.problem)
+            members = frozenset(nearest_half(frac, frac)[:k])
+            self.config = replace(self.config, winnow=replace(
+                self.config.winnow, clist=members))
 
     def close(self, node: NodeState, status: str):
         """Close a node whose LP ended `status` other than "ok", or a CList

@@ -4,8 +4,16 @@ The builder scans depths 0..D-1.  Each scanned node is winnowed down to a
 candidate set F2, both children of every candidate are solved (Step 2),
 one branching variable is chosen per node, and its child pair joins the
 tree.  Sibling leaf pairs at depth D are scored against the *root*
-objective (Step 3) and the depth-0 branch above the winning pair is the
-answer (Step 4), or the whole root-to-leaf path in path-accept mode.
+objective (Step 3), and the variable of the depth-0 branch above the
+winning pair is the answer's (Step 4).  The answer dives into that
+variable's child with the lower LP bound, read from the root pair the
+tree already solved, ties going down; in path-accept mode the winning
+root-to-leaf path is taken when it starts in that child.  The winning
+leaf's own root side can be the worse child: on one deep instance it
+leads a depth-2 tree into the child the plain search prunes, at 148
+nodes against 12.  The two-level mode (`build_d2_tree`) keeps its
+second-order leaf rule: the same dive makes it worse on the bundled
+corpus.
 
 Post-winnowing caps the sibling pairs carried forward from depth d0 on.
 At the first gated depth the cap is applied to the prospective pairs
@@ -425,7 +433,7 @@ class _Builder:
                 if pw.early_exit and \
                         len({k.root_side for k in carried}) == 1:
                     return self._finish(root, pairs_by_depth,
-                                        early_node=carried[0])
+                                        early_exit=True)
             scan = sorted(carried, key=lambda k: k.path_key())
         return self._finish(root, pairs_by_depth)
 
@@ -445,16 +453,26 @@ class _Builder:
             handles[idx] = (up_node, dn_node)
         return bundles, handles
 
-    def _finish(self, root, pairs_by_depth, early_node=None) -> BuildResult:
+    @staticmethod
+    def _dive(pairs_by_depth) -> tuple[int, str]:
+        """The root variable and its child with the lower LP bound, read
+        from the LP-solved root pair; a dead child's bound is +inf, and a
+        tie goes down, as `BranchEval.direction` breaks it."""
+        (pair,) = pairs_by_depth[1]
+        bound = {k.direction: k.solution.x_o for k in pair}
+        up, down = bound.get("up", math.inf), bound.get("down", math.inf)
+        return pair[0].var, "up" if up < down else "down"
+
+    def _finish(self, root, pairs_by_depth,
+                early_exit=False) -> BuildResult:
         total = sum(self.depth_counts)
         leaves = [k for pair in pairs_by_depth.get(self.cfg.depth, [])
                   for k in pair]
-        if early_node is not None:
-            # an early exit: every carried node shares this root side
-            choice_var = early_node.path_records()[0].var
-            side = early_node.root_side
+        if early_exit:
+            # every carried node shares one root side
+            var, direction = self._dive(pairs_by_depth)
             return BuildResult(
-                var=choice_var, direction=side, path=[(choice_var, side)],
+                var=var, direction=direction, path=[(var, direction)],
                 depth_counts=self.depth_counts, total_nodes=total,
                 leaves=leaves, winner_leaf=None, attract=self.attract,
                 early_exit=True, nodes=self.all_nodes)
@@ -469,11 +487,12 @@ class _Builder:
         winner = up_node if pick.direction == "up" else dn_node
         if winner is None:
             winner = up_node or dn_node
-        top = winner.path_records()[0]
+        var, direction = self._dive(pairs_by_depth)
         path = [(rec.var, rec.direction) for rec in winner.path_records()]
+        if self.cfg.accept != "path" or path[0] != (var, direction):
+            path = [(var, direction)]
         return BuildResult(
-            var=top.var, direction=top.direction,
-            path=path if self.cfg.accept == "path" else path[:1],
+            var=var, direction=direction, path=path,
             depth_counts=self.depth_counts, total_nodes=total,
             leaves=leaves, winner_leaf=winner, attract=self.attract,
             pair_scores={k: pick.scores.get(k) for k in bundles},

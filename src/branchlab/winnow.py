@@ -37,7 +37,9 @@ class WinnowParams:
     n0 defaults to |F| (admit everything), n1 to ceil(|F|/4), k2 to one
     sixth of the running average pivots per full solve.  n2 is depth
     indexed: n2_root at d=0, n2_mid at d=1, n2_deep at d>=2.  spec ranks
-    the survivors of both stages, not the branch.
+    the survivors of both stages, not the branch.  clist is the CList's
+    member set, or its size K: a search fixes the K root candidates
+    nearest 0.5 (`nearest_half`) once its root LP is solved.
     """
 
     n0: int | None = None
@@ -47,7 +49,7 @@ class WinnowParams:
     n2_deep: int = 1
     k2: int | None = None
     spec: CriterionSpec = field(default_factory=CriterionSpec)
-    clist: frozenset | None = None
+    clist: frozenset | int | None = None
     vlim_mult: float | None = None
 
     def __post_init__(self):
@@ -73,6 +75,11 @@ def v_lim_for(fractions: dict, mult: float | None) -> float | None:
     return mult * max(min(fp, fm) for fp, fm in fractions.values())
 
 
+def nearest_half(fractions: dict, pool) -> list[int]:
+    """The pool by closeness of f_j to 0.5, ties to the lower index."""
+    return sorted(pool, key=lambda j: (abs(fractions[j][1] - 0.5), j))
+
+
 def stage1(model: LpModel, sol: LpSolution, fractions: dict,
            params: WinnowParams, ctx: EvalContext,
            disjunction=BoundDisjunction
@@ -93,7 +100,7 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
     if not pool:
         raise ValueError("stage1 needs a nonempty fractional set")
     n0 = params.n0 if params.n0 is not None else len(pool)
-    f0 = sorted(pool, key=lambda j: (abs(fractions[j][1] - 0.5), j))[:n0]
+    f0 = nearest_half(fractions, pool)[:n0]
     gap = ctx.x_o_star - sol.x_o
     evals: dict[int, BranchEval] = {}
     for j in sorted(f0):

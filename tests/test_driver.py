@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import branchlab.driver as driver_module
-from branchlab import cli
+from branchlab import cli, lp
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
 from branchlab.criteria import CriterionSpec
 from branchlab.driver import (
@@ -19,7 +20,7 @@ from branchlab.driver import (
 from branchlab.instances import corpus_dir
 from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import LpModelError, LpProbeError, PivotBudget
-from branchlab.model import MipProblem
+from branchlab.model import MipProblem, detect_fractional
 from branchlab.mps import parse_mps
 from branchlab.winnow import WinnowParams
 from oracles import mip_lattice_minimum
@@ -532,3 +533,52 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "'typo'" in err and "'lookahed'" in err
+
+    @pytest.mark.parametrize("instance, options", [
+        ("lab01", ["--clist", "1"]),
+        ("lab01", ["--clist", "3"]),
+        ("lab08", ["--lookahead", "2", "--clist", "1"]),
+        ("lab04", ["--lookahead", "3", "--clist", "2"]),
+        ("lab10", ["--clist", "2"])])
+    def test_a_clist_size_is_fixed_by_the_search_after_one_root_solve(
+            self, monkeypatch, capsys, instance, options):
+        # the search's CList is the K root candidates nearest 0.5, picked
+        # after its own root solve: the same search as that member set
+        # given outright, and no other cold solve of the root
+        path = corpus_dir() / f"{instance}.mps"
+        problem = parse_mps(path.read_text())
+        root = lp.solve(problem.to_lp())
+        frac = detect_fractional(root, problem)
+        k = int(options[-1])
+        members = frozenset(sorted(
+            frac, key=lambda j: (abs(frac[j][1] - 0.5), j))[:k])
+        by_size = cli.config_from_options(dict(zip(
+            (o.removeprefix("--") for o in options[::2]),
+            map(int, options[1::2]))))
+        search = _Search(problem, by_size)
+        result = search.run()
+        assert search.config.winnow.clist == members
+        given = replace(by_size, winnow=replace(by_size.winnow,
+                                                clist=members))
+        assert trace_to_json(result.trace) == \
+            trace_to_json(solve_mip(problem, given).trace)
+
+        cold_root_solves = []
+        real = lp.solve
+
+        def counted(model, *args, **kw):
+            if kw.get("warm_basis") is None and \
+                    np.array_equal(model.lower, problem.lower) and \
+                    np.array_equal(model.upper, problem.upper):
+                cold_root_solves.append(model)
+            return real(model, *args, **kw)
+
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("branchlab")]:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counted)
+        cli.main(["solve", str(path), *options])
+        out = capsys.readouterr().out
+        assert f"lp solves {result.counters.lp_solves}\n" in out
+        assert len(cold_root_solves) == 1

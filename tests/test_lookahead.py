@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from branchlab.criteria import (
     score,
     select,
 )
-from branchlab.driver import SolveConfig
+from branchlab.driver import SolveConfig, solve_mip
 from branchlab.lookahead import (
     AttractConfig,
     AttractCounters,
@@ -29,11 +30,12 @@ from branchlab.lookahead import (
     _Builder,
     _root_node,
 )
-from branchlab.instances import corpus_paths
+from branchlab.instances import corpus_dir, corpus_paths
 from branchlab.lp import LpStatus, PivotBudget, solve
 from branchlab.model import MipProblem, detect_fractional
 from branchlab.mps import parse_mps
 from branchlab.winnow import WinnowParams
+from test_warm_iterate import FIRST_DEEP, problems
 
 
 def triangle_fixture(n_triangles=7, seed=0):
@@ -133,10 +135,13 @@ class TestStepFour:
         assert result.direction in ("up", "down")
 
     def test_full_path_accept_returns_whole_path(self):
-        p = triangle_fixture()
+        # lab04's winning leaf descends from the root's better-bound child
+        p = parse_mps((corpus_dir() / "lab04.mps").read_text())
         result = build(p, base_cfg(accept="path"))
         assert len(result.path) == 3
         assert result.path[0] == (result.var, result.direction)
+        assert result.path == [(r.var, r.direction) for r in
+                               result.winner_leaf.path_records()]
 
     def test_missing_sibling_scored_at_incumbent(self):
         from branchlab.lookahead import TreeNode
@@ -153,6 +158,85 @@ class TestStepFour:
         (bundle,) = bundles.values()
         assert bundle.eval_down == pytest.approx(9.0 - sol.x_o)
         del handles
+
+
+class TestDive:
+    """Step 4 answers the chosen root variable's child with the lower LP
+    bound, read from the tree's root pair; the tree's path is kept only
+    when it starts in that child."""
+
+    @staticmethod
+    def pair(**bounds):
+        return [lookahead.TreeNode(
+            node_id=k, parent=None, depth=1, var=5, direction=direction,
+            model=None, solution=SimpleNamespace(x_o=x_o))
+            for k, (direction, x_o) in enumerate(bounds.items())]
+
+    def test_the_lower_bound_wins_and_a_tie_goes_down(self):
+        dive = _Builder._dive
+        assert dive({1: [self.pair(up=-3.0, down=-2.0)]}) == (5, "up")
+        assert dive({1: [self.pair(up=-2.0, down=-3.0)]}) == (5, "down")
+        assert dive({1: [self.pair(up=-2.0, down=-2.0)]}) == (5, "down")
+        # a dead child has no bound
+        assert dive({1: [self.pair(up=7.0)]}) == (5, "up")
+        assert dive({1: [self.pair(down=7.0)]}) == (5, "down")
+
+    def test_bundled_roots_dive_into_the_better_bound_child(
+            self, monkeypatch):
+        lp_solves_in_finish = []
+        real = _Builder._finish
+
+        def finish(self, *args, **kw):
+            before = self.ctx.counters.lp_solves
+            result = real(self, *args, **kw)
+            lp_solves_in_finish.append(self.ctx.counters.lp_solves - before)
+            return result
+
+        monkeypatch.setattr(_Builder, "_finish", finish)
+        kept = cut = 0
+        for path in corpus_paths():
+            p = parse_mps(path.read_text())
+            sol = solve(p.to_lp())
+            for depth in (2, 3):
+                ctx = EvalContext(problem=p)
+                try:
+                    result = build_tree(p, p.to_lp(), sol, base_cfg(
+                        depth=depth, accept="path"), ctx)
+                except BranchSignal:
+                    continue    # the root's own signals are the driver's
+                bound = {k.direction: k.solution.x_o
+                         for k in result.nodes if k.depth == 1}
+                assert result.var == result.nodes[0].var
+                assert result.direction == min(
+                    bound, key=lambda d: (bound[d], d == "up"))
+                tree_path = [(r.var, r.direction) for r in
+                             result.winner_leaf.path_records()]
+                if tree_path[0] == (result.var, result.direction):
+                    assert result.path == tree_path
+                    kept += 1
+                else:
+                    assert result.path == [(result.var, result.direction)]
+                    cut += 1
+        assert kept and cut
+        assert lp_solves_in_finish and not any(lp_solves_in_finish)
+
+    def test_a_depth_1_tree_is_plain_branching(self):
+        # both pick by C1 from the same F2 and dive into the better bound
+        plain = SolveConfig(criterion=CriterionSpec(),
+                            winnow=WinnowParams(k2=5))
+        tree = replace(plain, lookahead=LookaheadConfig(depth=1))
+        deep = problems()[FIRST_DEEP:FIRST_DEEP + 8]
+
+        def rows(cfg):
+            return [(r.status, r.objective, r.counters.nodes,
+                     r.counters.lp_solves, r.counters.pivots,
+                     r.counters.probes)
+                    for r in (solve_mip(p, cfg) for p in deep)]
+
+        got = rows(plain)
+        assert rows(tree) == got
+        assert sum(row[2] for row in got) == 266
+        assert sum(row[3] for row in got) == 1583
 
 
 class TestEarlyExit:
