@@ -186,8 +186,9 @@ class EvalContext:
     check_incumbent: bool = True
     k2_default: int | None = None    # driver-calibrated stage-2 budget
 
-    budgets: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)   # branch_budget's, made once each
+    # branch_budget's, made once each; a search passes one dict to all
+    # its contexts
+    budgets: dict = field(default_factory=dict, repr=False, compare=False)
     # the search's cold runs, for `lp.solve`'s `cold_memo`
     cold_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -195,7 +196,7 @@ class EvalContext:
                       v_lim: float | None = None) -> PivotBudget:
         """`budget` under the cutoff, and the pivot limit and the early
         stop's violation when given."""
-        key = (self.cutoff, pivot_limit, v_lim)
+        key = (self.budget, self.cutoff, pivot_limit, v_lim)
         budget = self.budgets.get(key)
         if budget is None:
             budget = self.budgets[key] = replace(

@@ -169,6 +169,7 @@ class _Search:
         self.full_pivots = 0
         self.unsolved_children: dict[int, int] = {}   # by parent node id
         self.cold_memo: dict = {}     # this search's cold runs (`lp.solve`)
+        self.budgets: dict = {}       # `EvalContext.branch_budget`'s
 
     # -- plumbing ---------------------------------------------------------
 
@@ -178,7 +179,7 @@ class _Search:
                            cutoff=self.incumbent.cutoff,
                            counters=self.counters,
                            k2_default=self.k2_default(),
-                           cold_memo=self.cold_memo)
+                           budgets=self.budgets, cold_memo=self.cold_memo)
 
     def k2_default(self) -> int | None:
         """One sixth of the running average pivots per full node solve."""

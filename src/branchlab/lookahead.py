@@ -313,8 +313,12 @@ class _Builder:
             raise IncumbentSignal(settled.sol)
         return settled.result
 
-    def _scan(self, node: TreeNode, fractions: dict) -> _Proposal:
-        """Winnow + Step 2 over the node's eligible fractional set."""
+    def _scan(self, node: TreeNode, fractions: dict) -> _Proposal | None:
+        """Winnow + Step 2 over the node's eligible fractional set; None,
+        so the node stays a leaf, when every fractional variable is
+        excluded (a later tree of `build_multi_trees`)."""
+        if not fractions:
+            return None
         f2, s2, f1, _ = self._winnow(node, fractions)
         if node.depth == 0:
             self.root_f2 = list(f2)

@@ -261,7 +261,7 @@ class LpModel:
     """
 
     __slots__ = ("obj", "rows", "rhs", "lower", "upper", "empty_box",
-                 "straddle_rows", "_matrices", "_content")
+                 "straddle_rows", "_matrices", "_content", "_key")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
         obj = np.asarray(obj, dtype=float)
@@ -292,6 +292,7 @@ class LpModel:
         object.__setattr__(self, "straddle_rows", tuple(straddle_rows))
         object.__setattr__(self, "_matrices", None)
         object.__setattr__(self, "_content", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LpModel is immutable")
@@ -339,7 +340,7 @@ class LpModel:
         """This model under checked bound vectors, sharing everything else."""
         return self._derive(lower=lower, upper=upper, empty_box=empty_box,
                             _matrices=self.matrices(),
-                            _content=self.content_key())
+                            _content=self.content_key(), _key=None)
 
     def with_bound_vectors(self, lower, upper) -> "LpModel":
         """This model with every column bound replaced."""
@@ -384,7 +385,7 @@ class LpModel:
         if straddle:
             marks = marks + ((self.n_rows, self.n_cols + self.n_rows),)
         return self._derive(rows=rows, rhs=rhs, straddle_rows=marks,
-                            _matrices=None, _content=None)
+                            _matrices=None, _content=None, _key=None)
 
     def without_rows(self, drop: set[int]) -> "LpModel":
         keep = [i for i in range(self.n_rows) if i not in drop]
@@ -414,15 +415,18 @@ class _Workspace:
 
     def _bind(self, model: LpModel):
         """Everything but the basis: the model, its matrices and full
-        bounds, and an empty run."""
+        bounds, as arrays and as lists (`_lo`, `_up`) for the loops that
+        read one entry at a time, and an empty run."""
         self.model = model
         n, m = model.n_cols, model.n_rows
         self.n = n
         self.m = m
         self.ncols = n + m
         self.full, self.cost = model.matrices()
-        self.lo = np.concatenate([model.lower, np.zeros(m)])
-        self.up = np.concatenate([model.upper, np.full(m, INF)])
+        self._lo = model.lower.tolist() + [0.0] * m
+        self._up = model.upper.tolist() + [INF] * m
+        self.lo = np.array(self._lo)
+        self.up = np.array(self._up)
         self.artificial: set[int] = set()
         self._objective: float | None = None
         self.path: list[tuple[float, float, int]] = []   # of its last run
@@ -440,17 +444,18 @@ class _Workspace:
         self.in_basis[:] = False
         self.in_basis[self.n:] = True
         self.at_upper[:] = False
-        for j in range(self.n):
-            if self.cost[j] < 0:
-                if math.isinf(self.up[j]):
-                    self.up[j] = BIG_BOUND
+        lo, up = self._lo, self._up
+        for j, cost in enumerate(self.model.obj.tolist()):
+            if cost < 0:
+                if math.isinf(up[j]):
+                    self.up[j] = up[j] = BIG_BOUND
                     self.artificial.add(j)
                 self.at_upper[j] = True
-            elif math.isinf(self.lo[j]):
-                if self.cost[j] == 0 and not math.isinf(self.up[j]):
+            elif math.isinf(lo[j]):
+                if cost == 0 and not math.isinf(up[j]):
                     self.at_upper[j] = True
                 else:
-                    self.lo[j] = -BIG_BOUND
+                    self.lo[j] = lo[j] = -BIG_BOUND
                     self.artificial.add(j)
         self._factorize()
 
@@ -458,8 +463,8 @@ class _Workspace:
         if len(basis.basic) != self.m:
             return False
         cols = set(basis.basic)
-        if len(cols) != self.m or any(not 0 <= c < self.ncols
-                                      for c in cols):
+        if len(cols) != self.m or cols and (min(cols) < 0
+                                            or max(cols) >= self.ncols):
             return False
         self.basic = list(basis.basic)
         self.in_basis[:] = False
@@ -492,10 +497,13 @@ class _Workspace:
         if (model.rows is not own.rows or model.obj is not own.obj
                 or model.rhs is not own.rhs):
             return None
-        moved = ((model.lower.view(np.int64) != own.lower.view(np.int64))
-                 | (model.upper.view(np.int64) != own.upper.view(np.int64)))
-        if not self.in_basis[:self.n][moved].all():
-            return None
+        # every column whose bounds differ, bit for bit, must be basic
+        for new, old in ((model.lower, own.lower), (model.upper, own.upper)):
+            if new.tobytes() != old.tobytes():
+                for j, (a, b) in enumerate(zip(new.view(np.int64).tolist(),
+                                               old.view(np.int64).tolist())):
+                    if a != b and not self.in_basis[j]:
+                        return None
         ws = object.__new__(type(self))
         ws._bind(model)
         ws.basic = list(self.basic)
@@ -512,9 +520,14 @@ class _Workspace:
         if self.m == 0:
             binv = np.zeros((0, 0))
         else:
+            # the gufunc `np.linalg.inv` calls, under the floating-point
+            # error state it sets, without its checks and conversions of
+            # the argument: one contiguous float64 square matrix
             try:
-                binv = np.linalg.inv(self.full[:, self.basic])
-            except np.linalg.LinAlgError:
+                with np.errstate(all="ignore", invalid="raise"):
+                    binv = np.linalg._umath_linalg.inv(
+                        self.full.take(self.basic, axis=1), signature="d->d")
+            except FloatingPointError:
                 raise LpNumericError("singular basis")
         binv.setflags(write=False)
         self.binv = binv
@@ -526,7 +539,7 @@ class _Workspace:
 
     def _recompute_values(self):
         vN = np.where(self.at_upper, self.up, self.lo)
-        vN[self.in_basis] = 0.0
+        vN.put(self.basic, 0.0)
         if self.m:
             self.beta = self.binv @ (self.model.rhs - self.full @ vN)
         else:
@@ -536,11 +549,11 @@ class _Workspace:
 
     def _recompute_rc(self):
         if self.m:
-            y = self.cost[self.basic] @ self.binv
+            y = self.cost.take(self.basic) @ self.binv
             rc = self.cost - y @ self.full
         else:
             rc = self.cost.copy()
-        rc[self.basic] = 0.0
+        rc.put(self.basic, 0.0)
         rc.setflags(write=False)
         self.rc = rc
 
@@ -561,7 +574,7 @@ class _Workspace:
         """
         for j, (basic, upper, rc, lo, up) in enumerate(zip(
                 self.in_basis.tolist(), self.at_upper.tolist(),
-                self.rc.tolist(), self.lo.tolist(), self.up.tolist())):
+                self.rc.tolist(), self._lo, self._up)):
             if basic:
                 continue
             if not upper and rc < -DUAL_TOL:
@@ -579,29 +592,33 @@ class _Workspace:
 
     def values(self) -> np.ndarray:
         v = self._vN.copy()
-        for pos, c in enumerate(self.basic):
-            v[c] = self.beta[pos]
+        v.put(self.basic, self.beta)
         return v
 
     def objective(self) -> float:
         """Objective of the current iterate, computed once per iterate."""
         if self._objective is None:
             v = self.values()
-            self._objective = float(self.cost[:self.n] @ v[:self.n])
+            self._objective = float(self.model.obj @ v[:self.n])
         return self._objective
 
     def infeasibility(self, v: np.ndarray) -> float:
-        """Sum of the bound violations of `v`, this iterate's `values()`."""
+        """Sum of the bound violations of `v`, this iterate's `values()`.
+
+        An infinite violation below counts 0; it needs a value at -inf, so
+        the mask is built only when the sum says one is there."""
         below = np.maximum(self.lo - v, 0.0)
-        above = np.maximum(v - self.up, 0.0)
-        below[np.isinf(below)] = 0.0
-        return float(np.sum(below) + np.sum(above))
+        total = below.sum()
+        if math.isinf(total):
+            below[np.isinf(below)] = 0.0
+            total = below.sum()
+        return float(total + np.maximum(v - self.up, 0.0).sum())
 
     def max_violation(self) -> tuple[float, int]:
         """Largest bound violation among basic columns; ties to lowest column."""
         best_viol = 0.0
         best_pos = -1
-        basic, lo, up = self.basic, self.lo.tolist(), self.up.tolist()
+        basic, lo, up = self.basic, self._lo, self._up
         for pos, (c, val) in enumerate(zip(basic, self.beta.tolist())):
             viol = max(lo[c] - val, val - up[c])
             if viol > best_viol or (best_pos >= 0 and viol == best_viol
@@ -615,10 +632,11 @@ class _Workspace:
         return self.binv[pos] @ self.full
 
     def translated_rc(self) -> np.ndarray:
-        rc = self.reduced_costs().copy()
-        rc[self.at_upper & ~self.in_basis] *= -1.0
-        rc[self.in_basis] = 0.0
-        return rc
+        """The reduced costs with the sign of each nonbasic column at its
+        upper bound flipped; a basic column's is 0 already
+        (`_recompute_rc`)."""
+        rc = self.reduced_costs()
+        return np.where(self.at_upper > self.in_basis, rc * -1.0, rc)
 
     # -- pivoting ----------------------------------------------------------
 
@@ -628,8 +646,7 @@ class _Workspace:
         Returns (entering column, tableau row) or None when the ratio test
         is empty (dual unbounded, hence the LP is primal infeasible).
         """
-        c_leave = self.basic[pos]
-        below = self.beta[pos] < self.lo[c_leave]
+        below = self.beta.item(pos) < self._lo[self.basic[pos]]
         alpha = self.tableau_row(pos)
         best_ratio = INF
         best_col = -1
@@ -653,15 +670,16 @@ class _Workspace:
     def pivot(self, pos: int, enter: int, alpha: np.ndarray) -> float:
         """Swap basic position pos for column enter; returns objective delta."""
         leave = self.basic[pos]
-        below = self.beta[pos] < self.lo[leave]
-        target = self.lo[leave] if below else self.up[leave]
-        step = (self.beta[pos] - target) / alpha[enter]
+        lo, up = self._lo, self._up
+        value = self.beta.item(pos)
+        below = value < lo[leave]
+        target = lo[leave] if below else up[leave]
+        step = (value - target) / alpha.item(enter)
         before = self.objective()
         w = self.binv @ self.full[:, enter]
         # basic values move against the entering column's direction
         self.beta -= w * step
-        enter_val = (self.up[enter] if self.at_upper[enter]
-                     else self.lo[enter]) + step
+        enter_val = (up[enter] if self.at_upper[enter] else lo[enter]) + step
         # basis exchange
         self.basic[pos] = enter
         self.in_basis[leave] = False
@@ -687,9 +705,8 @@ class _Workspace:
 
     def snapshot_basis(self) -> Basis:
         """The current basis."""
-        ups = frozenset(int(j) for j in range(self.ncols)
-                        if not self.in_basis[j] and self.at_upper[j])
-        return Basis(tuple(map(int, self.basic)), ups)
+        ups = (self.at_upper > self.in_basis).nonzero()[0].tolist()
+        return Basis(tuple(map(int, self.basic)), frozenset(ups))
 
 
 def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
@@ -751,12 +768,15 @@ def _first_stop(path: list[tuple[float, float, int]],
 
 
 def memo_key(model: LpModel) -> tuple:
-    """The model's content, all by value: its `content_key`, built once
-    per model and shared by the models a bound change derives from it,
+    """The model's content, all by value, built once per model: its
+    `content_key`, shared by the models a bound change derives from it,
     and the bytes of its bounds.  Models built apart with equal content
     have equal keys."""
-    return (model.content_key(), model.lower.tobytes(),
-            model.upper.tobytes())
+    if model._key is None:
+        object.__setattr__(model, "_key", (
+            model.content_key(), model.lower.tobytes(),
+            model.upper.tobytes()))
+    return model._key
 
 
 def solve(model: LpModel, warm_basis: Basis | None = None,
@@ -812,12 +832,12 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
     fields = {"status": status, "x_o": x_o, "x": values[:model.n_cols],
               "pivots": len(path) - 1, "basis": ws.snapshot_basis()}
+    sol = object.__new__(LpSolution)
     if status is LpStatus.PIVOT_LIMIT_HIT:
         # a continuation pivots on in this workspace: derive them now
-        sol = LpSolution(reduced=_reduced(ws),
-                         infeas=ws.infeasibility(values), **fields)
+        sol.__dict__.update(fields, reduced=_reduced(ws),
+                            infeas=ws.infeasibility(values))
     else:
-        sol = object.__new__(LpSolution)
         sol.__dict__.update(fields, _final=(ws, values))
         if status is LpStatus.OPTIMAL:
             sol.__dict__["infeas"] = 0.0
@@ -879,7 +899,7 @@ def _check_stand_ins(ws: _Workspace, values: np.ndarray) -> None:
 def _reduced(ws: _Workspace) -> np.ndarray:
     """The structural translated reduced costs of the workspace's
     iterate, read-only: an `LpSolution`'s `reduced`."""
-    rc = ws.translated_rc()[:ws.n].copy()
+    rc = ws.translated_rc()[:ws.n]
     rc.setflags(write=False)
     return rc
 
@@ -909,11 +929,10 @@ def _probe_workspace(model: LpModel, basis: Basis,
                      misfit: str) -> _Workspace:
     """`model` loaded at `basis`, shared by every probe and tableau row at
     that pair and kept with the basis; a model with the same `memo_key`
-    finds it too.  Its arrays are read-only.  It also holds the
-    translated reduced costs as `probe_rc`, as `probe_cols` (column,
-    translated reduced cost, at upper bound) for every nonbasic column,
-    the operands of `_min_ratio`, and `probe_single_pivot`'s answers by
-    (j, direction) as `answers`."""
+    finds it too.  Its arrays are read-only.  It also holds `probe_cols`,
+    (column, translated reduced cost, at upper bound) for every nonbasic
+    column, the operands of `_min_ratio`, and `probe_single_pivot`'s
+    answers by (j, direction) as `answers`."""
     ws = basis.probe_state
     key = memo_key(model)
     if ws is not None and ws.key == key:
@@ -923,14 +942,14 @@ def _probe_workspace(model: LpModel, basis: Basis,
         raise LpProbeError(misfit)
     ws.key = key
     ws.basic = tuple(ws.basic)
-    ws.probe_rc = ws.translated_rc()
+    # translated as `translated_rc` translates them
     ws.probe_cols = [
-        (col, rc, upper) for col, (rc, upper, basic) in enumerate(zip(
-            ws.probe_rc.tolist(), ws.at_upper.tolist(),
-            ws.in_basis.tolist())) if not basic]
+        (col, -rc if upper else rc, upper)
+        for col, (rc, upper, basic) in enumerate(zip(
+            ws.rc.tolist(), ws.at_upper.tolist(), ws.in_basis.tolist()))
+        if not basic]
     ws.answers = {}
-    for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN,
-              ws.probe_rc):
+    for a in (ws.lo, ws.up, ws.in_basis, ws.at_upper, ws.beta, ws._vN):
         a.setflags(write=False)
     basis._remember("probe_state", ws)
     return ws

@@ -92,6 +92,9 @@ def stage1(model: LpModel, sol: LpSolution, fractions: dict,
     disjunction forces its sibling; otherwise (a straddle row, which only
     restricts the derived variable) it is scored at the incumbent gap.
     """
+    if isinstance(params.clist, int):
+        raise ValueError("clist is a size: solve_mip must fix the CList's "
+                         "members first")
     pool = sorted(fractions)
     if params.clist is not None:
         pool = [j for j in pool if j in params.clist]

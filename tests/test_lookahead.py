@@ -389,6 +389,20 @@ class TestMultiTree:
         out = build_multi_trees(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert out.var is not None
 
+    def test_later_trees_with_every_fractional_excluded_end(self):
+        # with the winnow open, several root candidates reach the trees;
+        # the k-th tree excludes the better-ranked roots, so a deeper node
+        # can have no eligible variable, and it stays a leaf
+        open_winnow = WinnowParams(n0=99, n1=99, n2_root=99, n2_mid=99,
+                                   n2_deep=99)
+        cfg = SolveConfig(winnow=open_winnow,
+                          lookahead=LookaheadConfig(depth=2, n_trees=4))
+        for p in problems()[:FIRST_DEEP + 8]:
+            out = solve_mip(p, cfg)
+            plain = solve_mip(p, SolveConfig())
+            assert out.status == plain.status == "optimal", p.name
+            assert out.objective == pytest.approx(plain.objective), p.name
+
     def test_c3_roots_the_first_tree_at_the_selection(self, monkeypatch):
         p = triangle_fixture(5, seed=2)
         sol = solve(p.to_lp())

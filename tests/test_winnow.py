@@ -11,6 +11,13 @@ from branchlab.criteria import (
     NodeInfeasibleSignal,
     evaluate_candidates,
 )
+from branchlab.driver import SolveConfig
+from branchlab.lookahead import (
+    D2Config,
+    LookaheadConfig,
+    build_d2_tree,
+    build_tree,
+)
 from branchlab.lp import solve
 from branchlab.model import MipProblem, detect_fractional
 from branchlab.winnow import CListLeafSignal, WinnowParams, run, stage1
@@ -60,6 +67,32 @@ def test_clist_excluding_all_fractionals_makes_a_leaf():
     dead = frozenset(j for j in range(p.n_cols) if j not in frac)
     with pytest.raises(CListLeafSignal):
         stage1(p.to_lp(), sol, frac, WinnowParams(clist=dead), ctx)
+
+
+def ctx_of(p):
+    return EvalContext(problem=p, check_incumbent=False)
+
+
+# each entry point that winnows under the caller's `WinnowParams`
+CLIST_ENTRIES = {
+    "winnow.run": lambda p, sol, frac, params: run(
+        p.to_lp(), sol, frac, params, ctx_of(p), depth=0),
+    "build_tree": lambda p, sol, frac, params: build_tree(
+        p, p.to_lp(), sol, SolveConfig(
+            winnow=params, lookahead=LookaheadConfig(depth=2)), ctx_of(p)),
+    "build_d2_tree": lambda p, sol, frac, params: build_d2_tree(
+        p, p.to_lp(), sol, SolveConfig(
+            winnow=params, lookahead=D2Config(v=1.0)), ctx_of(p)),
+}
+
+
+@pytest.mark.parametrize("entry", CLIST_ENTRIES)
+def test_a_clist_size_reaching_the_winnow_says_what_is_wrong(entry):
+    # a CList given by its size K means something only to `solve_mip`,
+    # which fixes the K members once its root LP is solved
+    p, sol, frac = fractional_problem()
+    with pytest.raises(ValueError, match="solve_mip must fix"):
+        CLIST_ENTRIES[entry](p, sol, frac, WinnowParams(clist=2))
 
 
 def test_stage2_counts_and_nesting():
