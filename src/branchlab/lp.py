@@ -18,9 +18,9 @@ not production LPs.
 
 Where B^-1 comes from:
 
-  * Every load of a basis into a model computes a fresh inverse
-    (`np.linalg.inv`) and, from it, the raw reduced costs, the
-    dual-feasibility flips and the values.
+  * Every load of a basis into a model computes a fresh inverse (the
+    gufunc behind `np.linalg.inv`) and, from it, the raw reduced costs,
+    the dual-feasibility flips and the values.
   * Inside a solve, each pivot updates B^-1 by an eta step, one rank-1
     numpy update written into a new array, and the inverse is rebuilt
     fresh every REFACTOR_EVERY pivots.  A fresh inverse is read-only; no
@@ -81,6 +81,16 @@ which the straddle children and their solves are kept already.
 
 A solution also keeps its fractional map once scanned
 (`model.kept_fractional`), shared by every reader.
+
+At this engine's sizes (a few rows, about ten columns) a call's time goes
+to numpy's fixed cost per call, not to arithmetic.  So every
+floating-point operation that feeds a value stays as it is, and the
+bookkeeping around them is trimmed: bound lists beside the bound arrays
+for the loops that read one entry at a time, float reads in the pivot,
+one `take` or `put` for a gather or scatter over the basic set, and the
+inverse gufunc called without `np.linalg.inv`'s checks of its argument.
+`tests/test_lp_fixed_cost.py` checks each against the form it replaced,
+bit for bit.
 """
 
 from __future__ import annotations
