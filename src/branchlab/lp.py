@@ -33,12 +33,13 @@ Where B^-1 comes from:
     starts from the workspace's own iterate, sharing its B^-1
     (`_Workspace.start_child`): such bounds move no nonbasic value and
     no dual-feasibility flip, so a load would compute the same iterate.
+    It copies the workspace's bounds and replaces the moved columns'.
 
 Within a run the reduced costs are recomputed, from the same B^-1, only
 when the next ratio test reads them.  A solution derives `reduced` and
-`infeas` from its final iterate on first read (`LpSolution`), except a
-run stopped at its pivot limit, whose workspace a later solve may pivot
-on.
+`infeas` from its final iterate on first read (`LpSolution`).  A run
+stopped at its pivot limit, whose workspace a later solve may pivot on,
+holds `infeas` and derives `reduced` from a frozen copy of that iterate.
 
 Work done at a basis is kept with the `Basis` and found again by the
 model's content, `memo_key`: its `rows`, `obj`, `rhs` and straddle
@@ -70,7 +71,7 @@ same iterate with the same status.  When that budget's cutoff first
 stops the path at its last iterate instead, whatever the stored status,
 the answer is built from the stored run without a run: its values, basis
 and pivots, the objective recorded at that iterate, and `reduced` and
-`infeas` from its final iterate (or the truncated run's own, below).  A
+`infeas` as the stored solution derives or holds them.  A
 run that hit its pivot limit also keeps its workspace, and a later solve
 whose budget stops that path nowhere continues it from its last iterate
 instead of pivoting from its start again; the continuation takes the
@@ -87,10 +88,14 @@ to numpy's fixed cost per call, not to arithmetic.  So every
 floating-point operation that feeds a value stays as it is, and the
 bookkeeping around them is trimmed: bound lists beside the bound arrays
 for the loops that read one entry at a time, float reads in the pivot,
-one `take` or `put` for a gather or scatter over the basic set, and the
-inverse gufunc called without `np.linalg.inv`'s checks of its argument.
-`tests/test_lp_fixed_cost.py` checks each against the form it replaced,
-bit for bit.
+one `take` or `put` for a gather or scatter over the basic set, the
+inverse gufunc called without `np.linalg.inv`'s checks of its argument,
+and the final values taken from the objective's.  Each product is
+`ndarray.dot`, about 1 us sooner than `@` and the same BLAS call, except
+where an operand has one entry (one row, or one column in the objective):
+there `dot` multiplies and keeps a zero's sign that `@`'s sum makes +0.0,
+so those keep `@`.  `tests/test_lp_fixed_cost.py` checks each against the
+form it replaced, bit for bit.
 """
 
 from __future__ import annotations
@@ -212,9 +217,10 @@ class Basis:
 @dataclass(frozen=True)
 class LpSolution:
     """One run's outcome.  A solution from `solve` derives `reduced` and
-    `infeas` from its final iterate on first read, except one stopped at
-    its pivot limit: a later solve may pivot on in that run's workspace,
-    so it holds them from the start."""
+    `infeas` from its final iterate on first read.  One stopped at its
+    pivot limit holds `infeas` from the start, and derives `reduced` from
+    a frozen copy of that iterate (`_Workspace.frozen`): a later solve may
+    pivot on in the run's workspace."""
 
     status: LpStatus
     x_o: float
@@ -233,7 +239,8 @@ class LpSolution:
     def __getattr__(self, name: str):
         # reached only for a field a solution from `solve` left unset:
         # `reduced` and `infeas` are derived from its final iterate, kept
-        # as `_final`, on first read
+        # as `_final` (the workspace, or its frozen copy, and the values),
+        # on first read
         final = self.__dict__.get("_final")
         if final is None or name not in ("reduced", "infeas"):
             raise AttributeError(name)
@@ -244,13 +251,17 @@ class LpSolution:
         return value
 
 
+_BAD_BOUND = "bounds must not be NaN; lower bounds < +inf, uppers > -inf"
+
+
 def _checked_bounds(lower, upper, n: int):
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape[0] != n or upper.shape[0] != n:
         raise LpModelError("bound vectors do not match column count")
-    if (lower == INF).any() or (upper == -INF).any():
-        raise LpModelError("lower bounds must be < +inf, uppers > -inf")
+    # NaN fails both comparisons
+    if not ((lower < INF).all() and (upper > -INF).all()):
+        raise LpModelError(_BAD_BOUND)
     lower.setflags(write=False)
     upper.setflags(write=False)
     return lower, upper, _has_empty_box(lower, upper)
@@ -364,8 +375,8 @@ class LpModel:
             lo[j] = lower
         if upper is not None:
             up[j] = upper
-        if lo[j] == INF or up[j] == -INF:
-            raise LpModelError("lower bounds must be < +inf, uppers > -inf")
+        if not (lo[j] < INF and up[j] > -INF):
+            raise LpModelError(_BAD_BOUND)
         lo.setflags(write=False)
         up.setflags(write=False)
         # only column j can have emptied its box, unless one already was
@@ -423,20 +434,22 @@ class _Workspace:
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
 
-    def _bind(self, model: LpModel):
+    def _bind(self, model: LpModel, bounds=None):
         """Everything but the basis: the model, its matrices and full
-        bounds, as arrays and as lists (`_lo`, `_up`) for the loops that
-        read one entry at a time, and an empty run."""
+        bounds, as lists (`_lo`, `_up`) for the loops that read one entry
+        at a time and as arrays (`lo`, `up`), given as `bounds` in that
+        order or built from the model, and an empty run."""
         self.model = model
         n, m = model.n_cols, model.n_rows
         self.n = n
         self.m = m
         self.ncols = n + m
         self.full, self.cost = model.matrices()
-        self._lo = model.lower.tolist() + [0.0] * m
-        self._up = model.upper.tolist() + [INF] * m
-        self.lo = np.array(self._lo)
-        self.up = np.array(self._up)
+        if bounds is None:
+            lo = model.lower.tolist() + [0.0] * m
+            up = model.upper.tolist() + [INF] * m
+            bounds = lo, up, np.array(lo), np.array(up)
+        self._lo, self._up, self.lo, self.up = bounds
         self.artificial: set[int] = set()
         self._objective: float | None = None
         self.path: list[tuple[float, float, int]] = []   # of its last run
@@ -501,21 +514,30 @@ class _Workspace:
         basic values are this workspace's, as a load would compute them.
         The child shares the read-only B^-1, reduced costs and nonbasic
         values; its pivots write B^-1 into new arrays, and the first copies
-        the nonbasic values before writing.
+        the nonbasic values before writing.  Its bounds are copies of this
+        workspace's, with the moved columns' replaced: a probe workspace
+        is loaded from a basis, so it has no stand-in bounds.
         """
         own = self.model
         if (model.rows is not own.rows or model.obj is not own.obj
                 or model.rhs is not own.rhs):
             return None
         # every column whose bounds differ, bit for bit, must be basic
+        moved = []
         for new, old in ((model.lower, own.lower), (model.upper, own.upper)):
             if new.tobytes() != old.tobytes():
                 for j, (a, b) in enumerate(zip(new.view(np.int64).tolist(),
                                                old.view(np.int64).tolist())):
-                    if a != b and not self.in_basis[j]:
-                        return None
+                    if a != b:
+                        if not self.in_basis[j]:
+                            return None
+                        moved.append(j)
         ws = object.__new__(type(self))
-        ws._bind(model)
+        ws._bind(model, (self._lo[:], self._up[:], self.lo.copy(),
+                         self.up.copy()))
+        for j in moved:
+            ws._lo[j] = ws.lo[j] = model.lower.item(j)
+            ws._up[j] = ws.up[j] = model.upper.item(j)
         ws.basic = list(self.basic)
         ws.in_basis = self.in_basis.copy()
         ws.at_upper = self.at_upper.copy()
@@ -523,6 +545,7 @@ class _Workspace:
         ws.beta = self.beta.copy()
         ws._vN = self._vN
         ws._objective = self.objective()
+        ws._values = self._values
         return ws
 
     def _factorize(self):
@@ -550,7 +573,10 @@ class _Workspace:
     def _recompute_values(self):
         vN = np.where(self.at_upper, self.up, self.lo)
         vN.put(self.basic, 0.0)
-        if self.m:
+        # `ndarray.dot` for `@` from two rows on (module docstring)
+        if self.m > 1:
+            self.beta = self.binv.dot(self.model.rhs - self.full.dot(vN))
+        elif self.m:
             self.beta = self.binv @ (self.model.rhs - self.full @ vN)
         else:
             self.beta = np.zeros(0)
@@ -558,7 +584,10 @@ class _Workspace:
         self._objective = None
 
     def _recompute_rc(self):
-        if self.m:
+        if self.m > 1:
+            y = self.cost.take(self.basic).dot(self.binv)
+            rc = self.cost - y.dot(self.full)
+        elif self.m:
             y = self.cost.take(self.basic) @ self.binv
             rc = self.cost - y @ self.full
         else:
@@ -606,10 +635,13 @@ class _Workspace:
         return v
 
     def objective(self) -> float:
-        """Objective of the current iterate, computed once per iterate."""
+        """Objective of the current iterate, computed once per iterate
+        with its values, kept as `_values` for `solve` to read."""
         if self._objective is None:
-            v = self.values()
-            self._objective = float(self.model.obj @ v[:self.n])
+            obj, v = self.model.obj, self.values()
+            self._values = v
+            v = v[:self.n]
+            self._objective = float(obj.dot(v) if self.n > 1 else obj @ v)
         return self._objective
 
     def infeasibility(self, v: np.ndarray) -> float:
@@ -639,7 +671,8 @@ class _Workspace:
 
     def tableau_row(self, pos: int) -> np.ndarray:
         """Row of B^-1 A for basis position pos, over all columns (raw signs)."""
-        return self.binv[pos] @ self.full
+        row = self.binv[pos]
+        return row.dot(self.full) if self.m > 1 else row @ self.full
 
     def translated_rc(self) -> np.ndarray:
         """The reduced costs with the sign of each nonbasic column at its
@@ -686,7 +719,8 @@ class _Workspace:
         target = lo[leave] if below else up[leave]
         step = (value - target) / alpha.item(enter)
         before = self.objective()
-        w = self.binv @ self.full[:, enter]
+        col = self.full[:, enter]
+        w = self.binv.dot(col) if self.m > 1 else self.binv @ col
         # basic values move against the entering column's direction
         self.beta -= w * step
         enter_val = (up[enter] if self.at_upper[enter] else lo[enter]) + step
@@ -717,6 +751,18 @@ class _Workspace:
         """The current basis."""
         ups = (self.at_upper > self.in_basis).nonzero()[0].tolist()
         return Basis(tuple(map(int, self.basic)), frozenset(ups))
+
+    def frozen(self) -> _Workspace:
+        """What `_reduced` reads of the current iterate, apart from this
+        workspace, which a later run may pivot on: B^-1 and the reduced
+        costs, which no pivot writes, shared, and copies of the basis."""
+        ws = object.__new__(_Workspace)
+        ws.n, ws.m, ws.full, ws.cost = self.n, self.m, self.full, self.cost
+        ws.binv, ws.rc = self.binv, self.rc
+        ws.basic = list(self.basic)
+        ws.in_basis = self.in_basis.copy()
+        ws.at_upper = self.at_upper.copy()
+        return ws
 
 
 def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
@@ -835,22 +881,24 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
     if ws is None:
         ws = _first_iterate(model, warm_basis)
     status, path = _run_dual_simplex(ws, budget)
-    values = ws.values()
+    # the run read the objective, so the values, at its last iterate
+    values = ws._values
     values.setflags(write=False)
     if status is LpStatus.OPTIMAL and ws.artificial:
         _check_stand_ins(ws, values)
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
     fields = {"status": status, "x_o": x_o, "x": values[:model.n_cols],
               "pivots": len(path) - 1, "basis": ws.snapshot_basis()}
-    sol = object.__new__(LpSolution)
+    final = ws
     if status is LpStatus.PIVOT_LIMIT_HIT:
-        # a continuation pivots on in this workspace: derive them now
-        sol.__dict__.update(fields, reduced=_reduced(ws),
-                            infeas=ws.infeasibility(values))
-    else:
-        sol.__dict__.update(fields, _final=(ws, values))
-        if status is LpStatus.OPTIMAL:
-            sol.__dict__["infeas"] = 0.0
+        # a continuation pivots on in this workspace; the search reads
+        # `infeas` of every truncated run
+        final = ws.frozen()
+        fields["infeas"] = ws.infeasibility(values)
+    elif status is LpStatus.OPTIMAL:
+        fields["infeas"] = 0.0
+    sol = object.__new__(LpSolution)
+    sol.__dict__.update(fields, _final=(final, values))
     if memo is not None:
         kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
         memo.setdefault(key, []).append((path, sol, kept))
@@ -861,16 +909,14 @@ def _cutoff_answer(sol: LpSolution, path) -> LpSolution:
     """What a run would return that follows the stored run of `sol` and
     `path` and is cut off at its last iterate: that iterate's values,
     basis and objective.  `reduced` and `infeas` derive from the stored
-    run's final iterate, or are a truncated run's own, as its workspace
-    may have been continued since."""
+    run's final iterate, or its frozen copy, except a truncated run's
+    `infeas`, which it holds."""
     answer = object.__new__(LpSolution)
     answer.__dict__.update(status=LpStatus.CUTOFF_INFEASIBLE,
                            x_o=path[-1][0], x=sol.x, pivots=sol.pivots,
-                           basis=sol.basis)
+                           basis=sol.basis, _final=sol.__dict__["_final"])
     if sol.status is LpStatus.PIVOT_LIMIT_HIT:
-        answer.__dict__.update(reduced=sol.reduced, infeas=sol.infeas)
-    else:
-        answer.__dict__["_final"] = sol.__dict__["_final"]
+        answer.__dict__["infeas"] = sol.infeas
     return answer
 
 

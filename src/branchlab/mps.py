@@ -26,6 +26,18 @@ class MpsParseError(Exception):
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "RANGES", "ENDATA"}
 
 
+def _number(text: str, line_no: int, finite: bool = True) -> float:
+    """A COLUMNS, RHS or BOUNDS value: never NaN, and infinite only where
+    `finite` is False (a bound)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value) or finite and math.isinf(value):
+        raise MpsParseError(f"bad numeric value {text!r}", line_no)
+    return value
+
+
 def parse_mps(text: str) -> MipProblem:
     name = ""
     section = None
@@ -102,11 +114,7 @@ def parse_mps(text: str) -> MipProblem:
                     raise MpsParseError(
                         f"column {col!r} references undeclared row {row!r}",
                         line_no)
-                try:
-                    val = float(fields[k + 1])
-                except ValueError:
-                    raise MpsParseError(
-                        f"bad numeric value {fields[k + 1]!r}", line_no)
+                val = _number(fields[k + 1], line_no)
                 col_entries[col][row] = col_entries[col].get(row, 0.0) + val
         elif section == "RHS":
             if len(fields) < 3 or len(fields) % 2 == 0:
@@ -117,11 +125,7 @@ def parse_mps(text: str) -> MipProblem:
                 if row not in row_sense:
                     raise MpsParseError(
                         f"RHS references undeclared row {row!r}", line_no)
-                try:
-                    rhs_values[row] = float(fields[k + 1])
-                except ValueError:
-                    raise MpsParseError(
-                        f"bad numeric value {fields[k + 1]!r}", line_no)
+                rhs_values[row] = _number(fields[k + 1], line_no)
         elif section == "BOUNDS":
             if len(fields) < 3:
                 raise MpsParseError("BOUNDS entries need a type, set name "
@@ -135,7 +139,11 @@ def parse_mps(text: str) -> MipProblem:
             if needs_value and len(fields) < 4:
                 raise MpsParseError(f"bound type {btype} needs a value",
                                     line_no)
-            value = float(fields[3]) if needs_value else 0.0
+            value = _number(fields[3], line_no, btype == "FX") \
+                if needs_value else 0.0
+            if value == (-INF if btype in ("UP", "UI") else INF):
+                raise MpsParseError(f"bound type {btype} cannot be {value}",
+                                    line_no)
             b = col_bounds(col)
             if btype in ("LO", "LI"):
                 b[0] = value

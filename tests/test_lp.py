@@ -324,3 +324,24 @@ def test_with_row_checks_only_the_appended_row():
                         ([1.0], 0.0), ([1.0, 1.0, 1.0], 0.0)):
         with pytest.raises(LpModelError):
             model.with_row(coeffs, rhs)
+
+
+def test_nan_bounds_are_rejected_at_every_entry_point():
+    nan, inf = math.nan, math.inf
+    # a NaN bound once built and solved to OPTIMAL with x_o = nan
+    with pytest.raises(LpModelError):
+        LpModel([1, 1], [[1, 1]], [1], [0, nan], [5, 5])
+    with pytest.raises(LpModelError):
+        LpModel([1, 1], [[1, 1]], [1], [0, 0], [nan, 5])
+    model = LpModel([1, 1], [[1, 1]], [1], [0, -inf], [5, inf])
+    for lower, upper in (([nan, 0], [5, 5]), ([0, 0], [5, nan])):
+        with pytest.raises(LpModelError):
+            model.with_bound_vectors(lower, upper)
+    for bound in ({"lower": nan}, {"upper": nan}):
+        with pytest.raises(LpModelError):
+            model.with_bounds(0, **bound)
+    # infinite bounds on their own side stay legal
+    free = model.with_bound_vectors([-inf, -inf], [inf, inf])
+    assert model.with_bounds(0, lower=-inf, upper=inf).upper[0] == inf
+    assert solve(model).x_o == pytest.approx(1.0)
+    assert free.lower.tolist() == [-inf, -inf]

@@ -3,11 +3,11 @@
 The queries and the pivot of `_Workspace` read and write the workspace
 with fewer numpy calls: bound lists kept beside the bound arrays, float
 reads, one `put`, `take` or `nonzero` in place of a loop or a fancy index,
-and the gufunc behind `np.linalg.inv` called directly.  The functions
-below are the forms they replaced, kept here as references.  Every
-floating-point operation that feeds a value is the same, so the tests
-compare bits (`same`), never with a tolerance, and not even with `==`,
-which takes -0.0 for 0.0.
+the gufunc behind `np.linalg.inv` called directly, and `ndarray.dot` for
+`@`.  The functions below are the forms they replaced, kept here as
+references, with `@` for every product.  Every floating-point operation
+that feeds a value is the same, so the tests compare bits (`same`), never
+with a tolerance, and not even with `==`, which takes -0.0 for 0.0.
 """
 
 import warnings
@@ -304,9 +304,80 @@ def test_a_child_starts_from_the_probe_workspace_as_the_replaced_test_says():
             if child.empty_box:
                 continue
             fits = fits_child_ref(probe, child)
-            assert (probe.start_child(child) is not None) == fits
+            started = probe.start_child(child)
+            assert (started is not None) == fits
             seen[fits] += 1
+            if fits:
+                # the bounds a `_bind` of the child's model builds
+                bound = _Workspace(child)
+                for name in ("_lo", "_up", "lo", "up"):
+                    assert same(getattr(started, name), getattr(bound, name))
+                assert all(type(v) is float
+                           for v in started._lo + started._up)
     assert min(seen.values()) >= 20
+
+
+def engine_products(rng, m):
+    """The operands of every product the engine forms, by name, at a
+    random basis of a random integer model with m rows and 1 to 5
+    columns, with many zeros; the entering column is a strided view of
+    [A | -I], as in `pivot`.  None when the basis is singular."""
+    n = int(rng.integers(1, 6))
+    full = np.hstack([rng.integers(-3, 4, size=(m, n)).astype(float),
+                      -np.eye(m)])
+    basic = rng.permutation(n + m)[:m]
+    try:
+        binv = np.linalg.inv(full[:, basic])
+    except np.linalg.LinAlgError:
+        return None
+    cost = np.concatenate([rng.integers(-2, 3, size=n).astype(float),
+                           np.zeros(m)])
+    vN = np.where(rng.random(n + m) < 0.5, 0.0,
+                  rng.integers(-3, 4, size=n + m).astype(float))
+    vN[basic] = 0.0
+    rhs = rng.integers(-3, 4, size=m).astype(float)
+    y = cost[basic] @ binv
+    return {"A vN": (full, vN),
+            "B^-1 (b - A vN)": (binv, rhs - full @ vN),
+            "c_B B^-1": (cost[basic], binv),
+            "y A": (y, full),
+            "tableau row": (binv[int(rng.integers(0, m))], full),
+            "B^-1 a_q": (binv, full[:, int(rng.integers(0, n + m))]),
+            "c x": (cost[:n], vN[:n])}
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dot_gives_the_bits_of_matmul_for_every_engine_product(m):
+    rng = np.random.default_rng(2200 + m)
+    checked, differ = 0, set()
+    while checked < 300:
+        products = engine_products(rng, m)
+        if products is None:
+            continue
+        checked += 1
+        for name, (a, b) in products.items():
+            if not same(a.dot(b), a @ b):
+                # `dot` multiplies by an operand of one entry, and keeps
+                # the sign of a zero product that `@`'s sum makes +0.0:
+                # the engine keeps `@` there
+                assert a.size == 1 or b.size == 1, name
+                assert not (a @ b).any()
+                differ.add(name)
+    if m == 1:
+        assert {"c_B B^-1", "B^-1 (b - A vN)"} <= differ
+
+
+def test_one_row_or_one_column_keeps_the_bits_of_matmul():
+    # the cold surplus value -1 * 0 and the objective -1 * 0 are -0.0 by
+    # `dot`, 0.0 by `@`
+    one_row = LpModel([1.0, 1.0], [[1.0, 1.0]], [0.0], np.zeros(2),
+                      np.full(2, 5.0))
+    one_col = LpModel([-1.0], [[1.0], [2.0]], [-1.0, -1.0], [0.0], [0.0])
+    for model in (one_row, one_col):
+        ws, ref = twins(model)
+        steps_checked(ws, ref)
+        assert not np.signbit(ws.values()).any()
+        assert not np.signbit(ws.objective())
 
 
 def singular_model():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from branchlab.cli import main
 from branchlab.mps import MpsParseError, parse_mps, write_mps
 
 KNAPSACK = """\
@@ -104,3 +105,36 @@ def test_integer_bounds_are_tightened_inward():
 def test_column_order_is_first_appearance():
     p = parse_mps(KNAPSACK)
     assert p.col_names == ("X1", "X2")
+
+
+@pytest.mark.parametrize("old, new, line_no", [
+    # each once ended in a traceback or solved: a BOUNDS value that is no
+    # number, a NaN right-hand side, a NaN bound
+    (" UP BND  X1  1", " UP BND  X1  abc", 13),
+    ("    RHS  CAP  4", "    RHS  CAP  nan", 11),
+    (" UP BND  X1  1", " UP BND  X1  nan", 13),
+    ("X2  COST  -4   CAP  2", "X2  COST  -4   CAP  NaN", 8),
+    ("X2  COST  -4   CAP  2", "X2  COST  -4   CAP  inf", 8),
+    ("    RHS  CAP  4", "    RHS  CAP  -inf", 11),
+    (" UP BND  X1  1", " FX BND  X1  inf", 13),
+    (" UP BND  X1  1", " LO BND  X1  inf", 13),
+    (" UP BND  X1  1", " UP BND  X1  -inf", 13),
+])
+def test_bad_numbers_are_parse_errors_with_their_line(old, new, line_no,
+                                                      tmp_path, capsys):
+    bad = KNAPSACK.replace(old, new)
+    assert bad != KNAPSACK
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(bad)
+    assert err.value.line_no == line_no
+    path = tmp_path / "bad.mps"
+    path.write_text(bad)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+
+
+def test_infinite_bounds_on_their_own_side_parse():
+    text = KNAPSACK.replace(" UP BND  X1  1", " UP BND  X1  inf") \
+                   .replace(" UP BND  X2  1", " LO BND  X2  -inf")
+    p = parse_mps(text)
+    assert p.upper[0] == np.inf and p.lower[1] == -np.inf
