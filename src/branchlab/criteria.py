@@ -86,9 +86,10 @@ class CriterionSpec:
     mu: float = 1.0 / 6.0
 
     def __post_init__(self):
-        if self.p < 0 or not 0 <= self.lam <= 1 or not 0 <= self.mu <= 1:
+        # NaN fails every comparison, so each test rejects it
+        if not (self.p >= 0 and 0 <= self.lam <= 1 and 0 <= self.mu <= 1):
             raise ValueError("bad criterion parameters")
-        if self.w1 < 0 or self.w2 < 0:
+        if not (self.w1 >= 0 and self.w2 >= 0):
             raise ValueError("weights must be nonnegative")
 
     def eval_flavor(self) -> Flavor:

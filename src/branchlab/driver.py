@@ -106,8 +106,11 @@ class SolveConfig:
             raise ValueError(f"unknown pseudo mode {self.pseudo!r}")
         if self.dval_approach not in (None, 1, 2):
             raise ValueError(f"unknown Dval approach {self.dval_approach!r}")
-        if self.max_nodes <= 0 or self.max_time <= 0:
+        # NaN fails every comparison, so each test below rejects it
+        if not (self.max_nodes > 0 and self.max_time > 0):
             raise ValueError("limits must be positive")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, not {self.eps}")
         for name in ("reversal_beta", "refset_theta"):
             weight = getattr(self, name)
             if weight is not None and not 0.0 <= weight <= 1.0:

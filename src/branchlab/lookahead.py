@@ -74,6 +74,10 @@ class AttractConfig:
     restart: bool = False             # restart once, re-rooted on the most
                                       # persistently attractive branch
 
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise ValueError("the attractiveness threshold must not be NaN")
+
 
 @dataclass(frozen=True)
 class PostWinnow:
@@ -86,7 +90,7 @@ class PostWinnow:
     def __post_init__(self):
         if self.mode not in ("2a", "2b", "2c"):
             raise ValueError(f"unknown post-winnow mode {self.mode!r}")
-        if self.lim < 1 or self.d0 < 1:
+        if not (self.lim >= 1 and self.d0 >= 1):
             raise ValueError("post-winnowing needs lim >= 1 and d0 >= 1")
 
 
@@ -100,7 +104,7 @@ class LookaheadConfig:
     attract: AttractConfig | None = None
 
     def __post_init__(self):
-        if self.depth < 1:
+        if not self.depth >= 1:
             raise ValueError("look-ahead depth must be >= 1")
         if self.accept not in ("first", "path"):
             raise ValueError(f"unknown accept mode {self.accept!r}")

@@ -27,13 +27,17 @@ Where B^-1 comes from:
     pivot writes to the array it reads.
   * All single-pivot probes and tableau rows at one (model, basis) pair
     read one loaded workspace, built on the first of them and kept with
-    the basis; they never write to it.
+    the basis; they never write to it.  The first probe of x_j prices
+    both branch directions in one pass over its tableau row
+    (`_min_ratios`) and keeps both answers.
   * A warm run whose model differs from that workspace's model only in
     the bounds of columns basic there (every branch on a basic x_j)
     starts from the workspace's own iterate, sharing its B^-1
     (`_Workspace.start_child`): such bounds move no nonbasic value and
     no dual-feasibility flip, so a load would compute the same iterate.
-    It copies the workspace's bounds and replaces the moved columns'.
+    It copies the workspace's bounds and replaces the moved columns':
+    the one column `with_bounds` recorded when the workspace's model is
+    that child's parent, else those a comparison of the bounds finds.
 
 Within a run the reduced costs are recomputed, from the same B^-1, only
 when the next ratio test reads them.  A solution derives `reduced` and
@@ -163,12 +167,15 @@ class PivotBudget:
     v_lim: float | None = None
 
     def __post_init__(self):
-        if self.max_pivots <= 0:
+        # written so that NaN, which fails every comparison, fails each
+        if not self.max_pivots > 0:
             raise LpModelError("max_pivots must be positive")
-        if self.max_degenerate <= 0:
+        if not self.max_degenerate > 0:
             raise LpModelError("max_degenerate must be positive")
-        if self.v_lim is not None and self.v_lim <= 0:
+        if self.v_lim is not None and not self.v_lim > 0:
             raise LpModelError("v_lim must be positive when set")
+        if self.cutoff != self.cutoff:
+            raise LpModelError("cutoff must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -278,11 +285,14 @@ class LpModel:
     Models derived by a bound change share their parent's validated
     `obj`, `rows` and `rhs` arrays and its full matrix [A | -I].
     `empty_box` is set when some column's lower bound exceeds its upper
-    bound, so the model is infeasible whatever its rows.
+    bound, so the model is infeasible whatever its rows.  A model from
+    `with_bounds` keeps, as `_moved`, its parent's bound arrays and the
+    one column whose bounds it may have changed
+    (`_Workspace.start_child`).
     """
 
     __slots__ = ("obj", "rows", "rhs", "lower", "upper", "empty_box",
-                 "straddle_rows", "_matrices", "_content", "_key")
+                 "straddle_rows", "_matrices", "_content", "_key", "_moved")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
         obj = np.asarray(obj, dtype=float)
@@ -314,6 +324,7 @@ class LpModel:
         object.__setattr__(self, "_matrices", None)
         object.__setattr__(self, "_content", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_moved", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LpModel is immutable")
@@ -357,11 +368,12 @@ class LpModel:
         return model
 
     def _rebound(self, lower: np.ndarray, upper: np.ndarray,
-                 empty_box: bool) -> "LpModel":
+                 empty_box: bool, moved=None) -> "LpModel":
         """This model under checked bound vectors, sharing everything else."""
         return self._derive(lower=lower, upper=upper, empty_box=empty_box,
                             _matrices=self.matrices(),
-                            _content=self.content_key(), _key=None)
+                            _content=self.content_key(), _key=None,
+                            _moved=moved)
 
     def with_bound_vectors(self, lower, upper) -> "LpModel":
         """This model with every column bound replaced."""
@@ -382,7 +394,7 @@ class LpModel:
         # only column j can have emptied its box, unless one already was
         empty_box = bool(lo[j] > up[j] + FEAS_TOL) or \
             (self.empty_box and _has_empty_box(lo, up))
-        return self._rebound(lo, up, empty_box)
+        return self._rebound(lo, up, empty_box, (self.lower, self.upper, j))
 
     def with_row(self, coeffs, rhs_value: float,
                  straddle: bool = False) -> "LpModel":
@@ -406,7 +418,8 @@ class LpModel:
         if straddle:
             marks = marks + ((self.n_rows, self.n_cols + self.n_rows),)
         return self._derive(rows=rows, rhs=rhs, straddle_rows=marks,
-                            _matrices=None, _content=None, _key=None)
+                            _matrices=None, _content=None, _key=None,
+                            _moved=None)
 
     def without_rows(self, drop: set[int]) -> "LpModel":
         keep = [i for i in range(self.n_rows) if i not in drop]
@@ -516,22 +529,31 @@ class _Workspace:
         values; its pivots write B^-1 into new arrays, and the first copies
         the nonbasic values before writing.  Its bounds are copies of this
         workspace's, with the moved columns' replaced: a probe workspace
-        is loaded from a basis, so it has no stand-in bounds.
+        is loaded from a basis, so it has no stand-in bounds.  A model
+        `with_bounds` derived from this one names its one moved column;
+        any other has its bounds compared with these.
         """
         own = self.model
         if (model.rows is not own.rows or model.obj is not own.obj
                 or model.rhs is not own.rhs):
             return None
-        # every column whose bounds differ, bit for bit, must be basic
-        moved = []
-        for new, old in ((model.lower, own.lower), (model.upper, own.upper)):
-            if new.tobytes() != old.tobytes():
-                for j, (a, b) in enumerate(zip(new.view(np.int64).tolist(),
-                                               old.view(np.int64).tolist())):
-                    if a != b:
-                        if not self.in_basis[j]:
-                            return None
-                        moved.append(j)
+        record = model._moved
+        if record is not None and record[0] is own.lower \
+                and record[1] is own.upper and self.in_basis[record[2]]:
+            moved = (record[2],)
+        else:
+            # every column whose bounds differ, bit for bit, must be basic
+            moved = []
+            for new, old in ((model.lower, own.lower),
+                             (model.upper, own.upper)):
+                if new.tobytes() != old.tobytes():
+                    for j, (a, b) in enumerate(zip(
+                            new.view(np.int64).tolist(),
+                            old.view(np.int64).tolist())):
+                        if a != b:
+                            if not self.in_basis[j]:
+                                return None
+                            moved.append(j)
         ws = object.__new__(type(self))
         ws._bind(model, (self._lo[:], self._up[:], self.lo.copy(),
                          self.up.copy()))
@@ -987,7 +1009,7 @@ def _probe_workspace(model: LpModel, basis: Basis,
     that pair and kept with the basis; a model with the same `memo_key`
     finds it too.  Its arrays are read-only.  It also holds `probe_cols`,
     (column, translated reduced cost, at upper bound) for every nonbasic
-    column, the operands of `_min_ratio`, and `probe_single_pivot`'s
+    column, the operands of `_min_ratios`, and `probe_single_pivot`'s
     answers by (j, direction) as `answers`."""
     ws = basis.probe_state
     key = memo_key(model)
@@ -1016,12 +1038,13 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     """Objective-increase estimate for one dual pivot of a branch on x_j.
 
     Eligible ratios pair the (nonnegative, translated) reduced costs with
-    the variable's translated tableau-row coefficient (`_min_ratio`): an
+    the variable's translated tableau-row coefficient (`_min_ratios`): an
     up branch admits negative ones, a down branch positive ones.  The
     smallest ratio magnitude times the relevant fractional part is the
     first-pivot objective change.  Returns +inf when no ratio is eligible
-    (that branch is LP infeasible).  The answer is kept with the probe
-    workspace; a call that raises keeps nothing.
+    (that branch is LP infeasible).  The first call for x_j prices both
+    directions in one pass over its tableau row, and both answers are
+    kept with the probe workspace; a call that raises keeps nothing.
     """
     if direction not in ("up", "down"):
         raise LpProbeError(f"bad direction {direction!r}")
@@ -1036,51 +1059,54 @@ def probe_single_pivot(model: LpModel, sol: LpSolution, j: int,
     value = ws.beta[pos]
     if not is_fractional(value):
         raise LpProbeError(f"x_{j} = {value} is not fractional")
-    f_plus, f_minus = fractional_parts(value)
-    frac = f_plus if direction == "up" else f_minus
     # an up branch leaves x_j below its new lower bound
-    best = _min_ratio(ws, ws.tableau_row(pos).tolist(),
-                      below=direction == "up")
-    answer = best * frac if math.isfinite(best) else INF
-    ws.answers[j, direction] = answer
-    return answer
+    for d, best, frac in zip(("up", "down"),
+                             _min_ratios(ws, ws.tableau_row(pos).tolist()),
+                             fractional_parts(value)):
+        ws.answers[j, d] = best * frac if math.isfinite(best) else INF
+    return ws.answers[j, direction]
 
 
-def _min_ratio(ws: _Workspace, row, below: bool) -> float:
-    """First dual ratio test of a basic variable leaving at a probe
-    workspace, whose tableau row over all columns is `row` (raw signs, as
-    `tableau_row` gives them).
+def _min_ratios(ws: _Workspace, row) -> tuple[float, float]:
+    """First dual ratio tests of a basic variable leaving at a probe
+    workspace, below its bound and above it, whose tableau row over all
+    columns is `row` (raw signs, as `tableau_row` gives them).
 
     Translated so that every nonbasic column sits at 0, a variable below
     its bound admits the columns with a negative coefficient, one above
-    its bound those with a positive one.  Returns the smallest
-    |rc / coefficient| among them, over the translated reduced costs, or
-    +inf when none is admitted.
+    its bound those with a positive one.  Each is the smallest
+    |rc / coefficient| among the admitted columns, over the translated
+    reduced costs, or +inf when none is admitted.
     """
-    best = INF
+    below = above = INF
     for col, rc, upper in ws.probe_cols:
         a = row[col]
-        if abs(a) <= PIVOT_TOL:
+        # NaN passes no comparison, so it is skipped here as by both tests
+        if not abs(a) > PIVOT_TOL:
             continue
         if upper:
             a = -a
-        if a < 0 if below else a > 0:
-            best = min(best, abs(rc / a))
-    return best
+        ratio = abs(rc / a)
+        if a < 0:
+            if ratio < below:
+                below = ratio
+        elif ratio < above:
+            above = ratio
+    return below, above
 
 
-def first_pivot_ratio(model: LpModel, basis: Basis, row,
-                      below: bool) -> float:
-    """`_min_ratio` of a row over the columns of `model` at `basis`.
+def first_pivot_ratios(model: LpModel, basis: Basis,
+                       row) -> tuple[float, float]:
+    """`_min_ratios` of a row over the columns of `model` at `basis`.
 
-    Times the row variable's distance to its bound, this is the objective
-    change of the first dual pivot the row would make if it were added to
-    `model` with its variable basic; no such model is built and nothing
-    pivots (`straddle.straddle_pivot_estimate`).
+    Times the row variable's distance to its bound, each is the objective
+    change of the first dual pivot the row would make, its variable below
+    or above that bound, if it were added to `model` with its variable
+    basic; no such model is built and nothing pivots
+    (`straddle.straddle_pivot_estimate`).
     """
-    return _min_ratio(_probe_workspace(model, basis,
-                                       "basis does not fit the model"),
-                      row, below)
+    return _min_ratios(_probe_workspace(model, basis,
+                                        "basis does not fit the model"), row)
 
 
 def apply_branch(model: LpModel, sol: LpSolution, j: int,
@@ -1089,9 +1115,16 @@ def apply_branch(model: LpModel, sol: LpSolution, j: int,
 
     The child is kept on sol's basis (`Basis.kept`), keyed on the model's
     `memo_key`, j, the direction and x_j's value: a repeat call, with
-    this model or an equal one, returns the same child object.
+    this model or an equal one, returns the same child object.  It is
+    looked up first: a child is kept only once its value passed the
+    checks below.
     """
-    value = float(sol.x[j])
+    value = sol.x.item(j)
+    key = (memo_key(model), j, direction, value)
+    children = sol.basis.children
+    child = None if children is None else children.get(key)
+    if child is not None:
+        return child, sol.basis
     if not is_fractional(value):
         raise LpProbeError(f"x_{j} = {value} is not fractional")
     if direction == "up":
@@ -1100,8 +1133,7 @@ def apply_branch(model: LpModel, sol: LpSolution, j: int,
         bounds = {"upper": math.floor(value)}
     else:
         raise LpProbeError(f"bad direction {direction!r}")
-    child = sol.basis.kept((memo_key(model), j, direction, value),
-                           lambda: model.with_bounds(j, **bounds))
+    child = sol.basis.kept(key, lambda: model.with_bounds(j, **bounds))
     return child, sol.basis
 
 

@@ -71,7 +71,7 @@ from branchlab.lp import (
     LpProbeError,
     LpSolution,
     PivotBudget,
-    first_pivot_ratio,
+    first_pivot_ratios,
     fractional_parts,
     is_fractional,
     memo_key,
@@ -240,6 +240,8 @@ class StraddleDisjunction:
                  ctx: EvalContext):
         self.model, self.sol, self.j, self.ctx = model, sol, j, ctx
         self.children = None        # both children, on the first child()
+        self.ratios = None          # both first-pivot ratios, on the first
+                                    # estimate (`straddle_pivot_estimate`)
         self.cut_off: set[str] = set()  # sides estimated past the cutoff
 
     def child(self, direction: str) -> tuple[LpModel, Basis]:
@@ -321,19 +323,22 @@ def straddle_pivot_estimate(disj: StraddleDisjunction,
         up:    s_o * min(rc_i / |c_i|)  over c_i < 0
         down:  r_o * min(rc_i / c_i)    over c_i > 0
 
-    with no child model built and no LP solved.  +inf means that side of
-    the derived disjunction is empty (no column is eligible), or that its
-    first pivot already passes the cutoff, as a budgeted solve of the
-    child would stop there; the disjunction notes the latter in
-    `cut_off`.
+    with no child model built and no LP solved.  The first estimate
+    takes both minima in one pass over the row and keeps them on the
+    disjunction as `ratios`.  +inf means that side of the derived
+    disjunction is empty (no column is eligible), or that its first
+    pivot already passes the cutoff, as a budgeted solve of the child
+    would stop there; the disjunction notes the latter in `cut_off`.
     """
     sol, ctx = disj.sol, disj.ctx
     common, z_row = partition_row(disj.model, sol.basis, disj.j,
                                   ctx.problem.integer_mask)
     up = direction == "up"
+    if disj.ratios is None:
+        disj.ratios = first_pivot_ratios(disj.model, sol.basis, z_row)
     # z- has the row -z_row, and leaving below 0 there is the same ratio
     # test as z_row above its bound
-    ratio = first_pivot_ratio(disj.model, sol.basis, z_row, below=up)
+    ratio = disj.ratios[0 if up else 1]
     ctx.counters.probes += 1
     if math.isinf(ratio):
         return math.inf

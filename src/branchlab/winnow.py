@@ -53,10 +53,11 @@ class WinnowParams:
     vlim_mult: float | None = None
 
     def __post_init__(self):
+        # NaN fails every comparison, so each test rejects it
         for v in (self.n0, self.n1, self.k2):
-            if v is not None and v < 1:
+            if v is not None and not v >= 1:
                 raise ValueError("stage sizes and budgets must be >= 1")
-        if min(self.n2_root, self.n2_mid, self.n2_deep) < 1:
+        if not all(n >= 1 for n in (self.n2_root, self.n2_mid, self.n2_deep)):
             raise ValueError("n2 must be >= 1 at every depth")
         if self.vlim_mult is not None and not 0 < self.vlim_mult < 1:
             raise ValueError("the v_lim multiplier must lie in (0, 1)")

@@ -9,6 +9,8 @@ set without one of its options is unspellable or rejected.
 """
 
 import argparse
+import json
+import math
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -311,3 +313,37 @@ def test_convex_weights_take_both_ends_of_the_unit_interval():
     for weight in (0.0, 1.0):
         SolveConfig(lookahead=LookaheadConfig(), reversal_beta=weight)
         SolveConfig(refset_theta=weight)
+
+
+@pytest.mark.parametrize("options, argv", [
+    ({"eps": math.inf}, ["--eps", "inf"]),
+    ({"eps": math.nan}, ["--eps", "nan"]),
+    ({"eps": -1.0}, ["--eps", "-1"]),
+    ({"p": math.nan}, ["--p", "nan"]),
+    ({"w1": math.nan}, ["--w1", "nan"]),
+    ({"w2": math.nan}, ["--w2", "nan"]),
+    ({"max_time": math.nan}, ["--max-time", "nan"]),
+    ({"lookahead": 3, "attract": math.nan},
+     ["--lookahead", "3", "--attract", "nan"]),
+    ({"n1": math.nan}, None),
+    ({"lookahead": 2, "postwin": "2a", "lim": math.nan}, None),
+], ids=["eps-inf", "eps-nan", "eps-minus", "p-nan", "w1-nan", "w2-nan",
+        "max-time-nan", "attract-nan", "n1-nan", "lim-nan"])
+def test_non_finite_eps_and_nan_options_are_refused(options, argv, tmp_path,
+                                                    capsys):
+    # `--eps inf` once ended `optimal` at a worse objective, and `--eps
+    # nan` turned pruning off
+    with pytest.raises(ValueError):
+        config_from_options(options)
+    if argv is not None:
+        assert cli.main(["solve", _instance(tmp_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and not captured.out
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps({"configs": {"bad": options}}))
+    assert cli.main(["bench", str(tmp_path), "--configs", str(configs)]) == 2
+    assert "error: config 'bad'" in capsys.readouterr().err
+
+
+def test_eps_zero_and_an_unlimited_time_stay_legal():
+    config_from_options({"eps": 0.0, "max_time": math.inf})

@@ -326,6 +326,18 @@ def test_with_row_checks_only_the_appended_row():
             model.with_row(coeffs, rhs)
 
 
+@pytest.mark.parametrize("field", ["max_pivots", "max_degenerate",
+                                   "cutoff", "v_lim"])
+def test_a_nan_budget_field_is_rejected(field):
+    # a NaN cutoff or v_lim once passed every stop test unnoticed, so a
+    # run that should be cut off ended OPTIMAL
+    with pytest.raises(LpModelError):
+        PivotBudget(**{field: math.nan})
+    model = LpModel([1, 1], [[1, 1]], [3], [0, 0], [5, 5])
+    assert solve(model, budget=PivotBudget(cutoff=0.5)).status is \
+        LpStatus.CUTOFF_INFEASIBLE
+
+
 def test_nan_bounds_are_rejected_at_every_entry_point():
     nan, inf = math.nan, math.inf
     # a NaN bound once built and solved to OPTIMAL with x_o = nan
