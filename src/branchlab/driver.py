@@ -57,6 +57,7 @@ from branchlab.lp import (
     LpStatus,
     LpUnboundedError,
     PivotBudget,
+    apply_branch,
     apply_reversal_update,
     fractional_parts,
     solve,
@@ -190,12 +191,12 @@ class _Search:
             return None
         return max(1, math.ceil(self.full_pivots / self.full_solves / 6))
 
-    def new_node(self, parent: NodeState | None, record, lower, upper,
+    def new_node(self, parent: NodeState | None, record, model,
                  dval_parts=None) -> NodeState:
         node = NodeState(node_id=self.next_id,
                          parent_id=parent.node_id if parent else None,
                          depth=parent.depth + 1 if parent else 0,
-                         branch=record, lower=lower, upper=upper,
+                         branch=record, model=model,
                          bound=parent.solution.x_o if parent and
                          parent.solution else -math.inf)
         node.dval_parts = dval_parts
@@ -207,13 +208,6 @@ class _Search:
     def push(self, node: NodeState):
         self.open.append((node.node_id, self.order))
         self.order += 1
-
-    def node_model(self, node: NodeState):
-        """The node's LP, built once and kept on the node; it shares
-        `node.lower` and `node.upper`, which the build makes read-only."""
-        if node.model is None:
-            node.model = self.problem.lp_with_bounds(node.lower, node.upper)
-        return node.model
 
     def trace_node(self, node: NodeState, status: str, reason=None):
         """Upsert the node's trace record (one record per node id)."""
@@ -358,9 +352,9 @@ class _Search:
         if self.refset is None or not len(self.refset):
             return True
         if direction == "up":
-            acc = max(0.0, node.lower[j] - float(self.root_x[j]))
+            acc = max(0.0, node.model.lower[j] - float(self.root_x[j]))
         else:
-            acc = max(0.0, float(self.root_x[j]) - node.upper[j])
+            acc = max(0.0, float(self.root_x[j]) - node.model.upper[j])
         return self.refset.gate(j, direction, acc,
                                 theta=self.config.refset_theta,
                                 is_binary=self.problem.is_binary(j))
@@ -475,11 +469,11 @@ class _Search:
                     # the branch imposed a lower bound; the variable must
                     # still sit on it, tightened relative to the owner
                     if at_upper or \
-                            leaf.model.lower[j] <= owner.lower[j]:
+                            leaf.model.lower[j] <= owner.model.lower[j]:
                         continue
                 else:
                     if not at_upper or \
-                            leaf.model.upper[j] >= owner.upper[j]:
+                            leaf.model.upper[j] >= owner.model.upper[j]:
                         continue
                 rc = float(leaf.solution.reduced[j])
                 candidates.append((rc, j, rec.direction, leaf))
@@ -491,8 +485,8 @@ class _Search:
         if not eligible:
             return
         rc, j, direction, leaf = max(eligible, key=lambda c: (c[0], -c[1]))
-        antecedent = (owner.lower[j] if direction == "up"
-                      else owner.upper[j])
+        antecedent = (owner.model.lower[j] if direction == "up"
+                      else owner.model.upper[j])
         try:
             rev_model, warm = apply_reversal_update(
                 leaf.model, leaf.solution, j, antecedent)
@@ -527,7 +521,7 @@ class _Search:
         budget = PivotBudget(max_pivots=NODE_BUDGET.max_pivots,
                              max_degenerate=NODE_BUDGET.max_degenerate,
                              cutoff=self.incumbent.cutoff)
-        sol = solve(self.node_model(node), warm_basis=warm, budget=budget,
+        sol = solve(node.model, warm_basis=warm, budget=budget,
                     cold_memo=self.cold_memo)
         self.counters.absorb(sol)
         node.solution = sol
@@ -568,25 +562,21 @@ class _Search:
 
     def make_children(self, node: NodeState, var: int, direction: str,
                       seed) -> tuple[NodeState, NodeState]:
-        value = float(node.solution.x[var])
-        up_rec = BranchRecord(var=var, direction="up",
-                              bound=math.ceil(value))
-        dn_rec = BranchRecord(var=var, direction="down",
-                              bound=math.floor(value))
         kids = {}
-        for rec in (up_rec, dn_rec):
-            lo, up = node.child_bounds(rec)
+        for side in ("up", "down"):
+            model, _ = apply_branch(node.model, node.solution, var, side)
+            rec = BranchRecord(var=var, direction=side, bound=float(
+                model.lower[var] if side == "up" else model.upper[var]))
             parts = None
             if seed is not None:
-                plain, mincost = seed[rec.direction]
+                plain, mincost = seed[side]
                 parts = (plain, mincost, max(node.depth, 1))
-            child = self.new_node(node, rec, lo, up, dval_parts=parts)
+            child = self.new_node(node, rec, model, dval_parts=parts)
             ext_rec = self.ext.add(node.ext_id or 0, var=var,
-                                   direction=rec.direction,
-                                   bound=rec.bound, tentative=False,
-                                   uc=None)
+                                   direction=side, bound=rec.bound,
+                                   tentative=False, uc=None)
             child.ext_id = ext_rec.node_id
-            kids[rec.direction] = child
+            kids[side] = child
         self.counters.nodes += 2
         self.unsolved_children[node.node_id] = 2
         preferred = kids[direction]
@@ -654,8 +644,7 @@ class _Search:
 
     def run(self) -> SolveResult:
         cfg = self.config
-        root = self.new_node(None, None, self.problem.lower.copy(),
-                             self.problem.upper.copy())
+        root = self.new_node(None, None, self.problem.to_lp())
         root.ext_id = 0
         try:
             status = self.ensure_solved(root)
@@ -747,7 +736,7 @@ class _Search:
         # new incumbents restart the pick, capped like forced branches
         for _ in range(MAX_FORCED):
             try:
-                settled = settle(self.node_model(node), node.solution,
+                settled = settle(node.model, node.solution,
                                  self.ctx(), partial(self.pick_branch, node),
                                  partial(self.record_forced, node))
             except IncumbentSignal as sig:
@@ -783,7 +772,7 @@ class _Search:
         """Record a forced branch on the node, whatever its re-solve."""
         if node.ext_id is not None:
             self.ext.add_compulsory(node.ext_id)
-        node.lower, node.upper, node.model = model.lower, model.upper, model
+        node.model = model
         bound = float(model.lower[sig.var] if sig.direction == "up"
                       else model.upper[sig.var])
         node.implied.append(BranchRecord(var=sig.var,
@@ -805,8 +794,7 @@ class _Search:
                             reason="attract restart")
             self.child_done(self.nodes[node_id])
         self.open = []
-        fresh = self.new_node(None, None, self.problem.lower.copy(),
-                              self.problem.upper.copy())
+        fresh = self.new_node(None, None, self.problem.to_lp())
         fresh.ext_id = 0
         self.push(fresh)
 

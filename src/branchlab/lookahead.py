@@ -106,6 +106,9 @@ class LookaheadConfig:
     def __post_init__(self):
         if not self.depth >= 1:
             raise ValueError("look-ahead depth must be >= 1")
+        if not self.n_trees >= 1:
+            raise ValueError(f"a look-ahead builds n_trees >= 1 trees, "
+                             f"not {self.n_trees}")
         if self.accept not in ("first", "path"):
             raise ValueError(f"unknown accept mode {self.accept!r}")
 

@@ -30,14 +30,13 @@ Where B^-1 comes from:
     the basis; they never write to it.  The first probe of x_j prices
     both branch directions in one pass over its tableau row
     (`_min_ratios`) and keeps both answers.
-  * A warm run whose model differs from that workspace's model only in
-    the bounds of columns basic there (every branch on a basic x_j)
-    starts from the workspace's own iterate, sharing its B^-1
-    (`_Workspace.start_child`): such bounds move no nonbasic value and
+  * A warm run of a `with_bounds` child of that workspace's model whose
+    moved column is basic there (every branch on a basic x_j) starts
+    from the workspace's own iterate, sharing its B^-1
+    (`_Workspace.start_child`): such a bound moves no nonbasic value and
     no dual-feasibility flip, so a load would compute the same iterate.
-    It copies the workspace's bounds and replaces the moved columns':
-    the one column `with_bounds` recorded when the workspace's model is
-    that child's parent, else those a comparison of the bounds finds.
+    It copies the workspace's bounds and replaces the one column
+    `with_bounds` recorded.  Any other warm run loads the basis.
 
 Within a run the reduced costs are recomputed, from the same B^-1, only
 when the next ratio test reads them.  A solution derives `reduced` and
@@ -49,10 +48,8 @@ Work done at a basis is kept with the `Basis` and found again by the
 model's content, `memo_key`: its `rows`, `obj`, `rhs` and straddle
 marks, built into one key once per model (`LpModel.content_key`) and
 shared by the models a bound change derives from it, and its bounds,
-all by value.  So the node model the driver builds, once per node, finds
-what the look-ahead did at the same node through its own, equal, child
-model, and a model rebuilt with equal rows (a straddle row dropped again,
-`LpModel.without_rows`) finds what was done for the first.
+all by value.  So a model rebuilt with equal rows (a straddle row dropped
+again, `LpModel.without_rows`) finds what was done for the first.
 A basis keeps
 
   * `probe_state`: the probe workspace, with every probe's answer by
@@ -261,16 +258,26 @@ class LpSolution:
 _BAD_BOUND = "bounds must not be NaN; lower bounds < +inf, uppers > -inf"
 
 
+def frozen(a) -> np.ndarray:
+    """`a` as a read-only float64 array: one that is read-only already
+    is shared, and any other input is copied, so that a caller's own
+    array stays writeable."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and \
+            not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def _checked_bounds(lower, upper, n: int):
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower = frozen(lower)
+    upper = frozen(upper)
     if lower.shape[0] != n or upper.shape[0] != n:
         raise LpModelError("bound vectors do not match column count")
     # NaN fails both comparisons
     if not ((lower < INF).all() and (upper > -INF).all()):
         raise LpModelError(_BAD_BOUND)
-    lower.setflags(write=False)
-    upper.setflags(write=False)
     return lower, upper, _has_empty_box(lower, upper)
 
 
@@ -295,9 +302,9 @@ class LpModel:
                  "straddle_rows", "_matrices", "_content", "_key", "_moved")
 
     def __init__(self, obj, rows, rhs, lower, upper, straddle_rows=()):
-        obj = np.asarray(obj, dtype=float)
-        rows = np.asarray(rows, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
+        obj = frozen(obj)
+        rows = frozen(rows)
+        rhs = frozen(rhs)
         n = obj.shape[0]
         if rows.ndim != 2 or rows.shape[1] != n:
             if rows.size == 0:
@@ -311,8 +318,6 @@ class LpModel:
                 and np.all(np.isfinite(rhs))):
             raise LpModelError("coefficients must be finite")
         lower, upper, empty_box = _checked_bounds(lower, upper, n)
-        for a in (obj, rows, rhs):
-            a.setflags(write=False)
         object.__setattr__(self, "obj", obj)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -367,18 +372,6 @@ class LpModel:
                                else getattr(self, name))
         return model
 
-    def _rebound(self, lower: np.ndarray, upper: np.ndarray,
-                 empty_box: bool, moved=None) -> "LpModel":
-        """This model under checked bound vectors, sharing everything else."""
-        return self._derive(lower=lower, upper=upper, empty_box=empty_box,
-                            _matrices=self.matrices(),
-                            _content=self.content_key(), _key=None,
-                            _moved=moved)
-
-    def with_bound_vectors(self, lower, upper) -> "LpModel":
-        """This model with every column bound replaced."""
-        return self._rebound(*_checked_bounds(lower, upper, self.n_cols))
-
     def with_bounds(self, j: int, lower: float | None = None,
                     upper: float | None = None) -> "LpModel":
         lo = self.lower.copy()
@@ -394,7 +387,10 @@ class LpModel:
         # only column j can have emptied its box, unless one already was
         empty_box = bool(lo[j] > up[j] + FEAS_TOL) or \
             (self.empty_box and _has_empty_box(lo, up))
-        return self._rebound(lo, up, empty_box, (self.lower, self.upper, j))
+        return self._derive(lower=lo, upper=up, empty_box=empty_box,
+                            _matrices=self.matrices(),
+                            _content=self.content_key(), _key=None,
+                            _moved=(self.lower, self.upper, j))
 
     def with_row(self, coeffs, rhs_value: float,
                  straddle: bool = False) -> "LpModel":
@@ -518,48 +514,31 @@ class _Workspace:
 
     def start_child(self, model: LpModel) -> _Workspace | None:
         """The first iterate of a run of `model` from this loaded probe
-        workspace's basis, or None when a load might differ from it.
+        workspace's basis, or None unless `model` is a `with_bounds` child
+        of this workspace's model whose moved column is basic here.
 
-        `model` must share this model's `rows`, `obj` and `rhs` arrays,
-        and its bounds may differ, byte for byte, only on columns basic
-        here.  A basic column's bounds enter neither the nonbasic values
-        nor the dual-feasibility flips, so B^-1, the reduced costs and the
-        basic values are this workspace's, as a load would compute them.
-        The child shares the read-only B^-1, reduced costs and nonbasic
+        A basic column's bounds enter neither the nonbasic values nor the
+        dual-feasibility flips, so B^-1, the reduced costs and the basic
+        values are this workspace's, as a load would compute them.  The
+        child shares the read-only B^-1, reduced costs and nonbasic
         values; its pivots write B^-1 into new arrays, and the first copies
         the nonbasic values before writing.  Its bounds are copies of this
-        workspace's, with the moved columns' replaced: a probe workspace
-        is loaded from a basis, so it has no stand-in bounds.  A model
-        `with_bounds` derived from this one names its one moved column;
-        any other has its bounds compared with these.
+        workspace's, with the moved column's replaced: a probe workspace
+        is loaded from a basis, so it has no stand-in bounds.
         """
         own = self.model
-        if (model.rows is not own.rows or model.obj is not own.obj
-                or model.rhs is not own.rhs):
-            return None
         record = model._moved
-        if record is not None and record[0] is own.lower \
-                and record[1] is own.upper and self.in_basis[record[2]]:
-            moved = (record[2],)
-        else:
-            # every column whose bounds differ, bit for bit, must be basic
-            moved = []
-            for new, old in ((model.lower, own.lower),
-                             (model.upper, own.upper)):
-                if new.tobytes() != old.tobytes():
-                    for j, (a, b) in enumerate(zip(
-                            new.view(np.int64).tolist(),
-                            old.view(np.int64).tolist())):
-                        if a != b:
-                            if not self.in_basis[j]:
-                                return None
-                            moved.append(j)
+        if (record is None or record[0] is not own.lower
+                or record[1] is not own.upper or model.rows is not own.rows
+                or model.obj is not own.obj or model.rhs is not own.rhs
+                or not self.in_basis[record[2]]):
+            return None
+        j = record[2]
         ws = object.__new__(type(self))
         ws._bind(model, (self._lo[:], self._up[:], self.lo.copy(),
                          self.up.copy()))
-        for j in moved:
-            ws._lo[j] = ws.lo[j] = model.lower.item(j)
-            ws._up[j] = ws.up[j] = model.upper.item(j)
+        ws._lo[j] = ws.lo[j] = model.lower.item(j)
+        ws._up[j] = ws.up[j] = model.upper.item(j)
         ws.basic = list(self.basic)
         ws.in_basis = self.in_basis.copy()
         ws.at_upper = self.at_upper.copy()

@@ -1,4 +1,4 @@
-"""MIP problem data, node bound state, and incumbent bookkeeping."""
+"""MIP problem data, search node state, and incumbent bookkeeping."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from branchlab.lp import (
     LpModel,
     LpSolution,
     fractional_parts,
+    frozen,
 )
 
 
@@ -23,7 +24,8 @@ class MipProblem:
     """Immutable MIP instance: an LpModel plus the integer column set.
 
     Integer columns get their global bounds tightened inward to integers at
-    construction time.  Column order is meaningful and preserved.
+    construction time.  Column order is meaningful and preserved.  The
+    arrays are read-only: copies of the caller's, unless read-only already.
     """
 
     __slots__ = ("name", "obj", "rows", "rhs", "lower", "upper",
@@ -32,12 +34,12 @@ class MipProblem:
 
     def __init__(self, name, obj, rows, rhs, lower, upper, integer_mask,
                  col_names=None, row_names=None):
-        obj = np.asarray(obj, dtype=float)
-        rows = np.asarray(rows, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        lower = np.asarray(lower, dtype=float).copy()
-        upper = np.asarray(upper, dtype=float).copy()
-        integer_mask = np.asarray(integer_mask, dtype=bool)
+        obj = frozen(obj)
+        rows = frozen(rows)
+        rhs = frozen(rhs)
+        lower = np.array(lower, dtype=float)
+        upper = np.array(upper, dtype=float)
+        integer_mask = np.array(integer_mask, dtype=bool)
         n = obj.shape[0]
         if rows.size == 0:
             rows = rows.reshape(0, n)
@@ -48,7 +50,7 @@ class MipProblem:
                 lower[j] = math.ceil(lower[j] - INT_TOL)
             if math.isfinite(upper[j]):
                 upper[j] = math.floor(upper[j] + INT_TOL)
-        for a in (obj, rows, rhs, lower, upper, integer_mask):
+        for a in (lower, upper, integer_mask):
             a.setflags(write=False)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "obj", obj)
@@ -99,14 +101,13 @@ class MipProblem:
                 and self.upper[j] <= 1)
 
     def to_lp(self) -> LpModel:
-        return LpModel(self.obj, self.rows, self.rhs, self.lower, self.upper)
-
-    def lp_with_bounds(self, lower, upper) -> LpModel:
-        """The LP under node bounds; every node model shares this problem's
-        validated rows, objective and full matrix."""
+        """The problem's LP, built once: every search's root model, which
+        shares this problem's arrays, and whose full matrix every node
+        model derived from it shares."""
         if self._lp is None:
-            object.__setattr__(self, "_lp", self.to_lp())
-        return self._lp.with_bound_vectors(lower, upper)
+            object.__setattr__(self, "_lp", LpModel(
+                self.obj, self.rows, self.rhs, self.lower, self.upper))
+        return self._lp
 
 
 @dataclass(frozen=True)
@@ -121,30 +122,24 @@ class BranchRecord:
 
 @dataclass
 class NodeState:
-    """One node of the search: local bounds plus solve/bookkeeping caches."""
+    """One node of the search: its LP model plus solve/bookkeeping caches.
+
+    The model is the only record of the node's bounds.  A root's is the
+    problem's LP (`MipProblem.to_lp`); a child's is its parent's model
+    under the branch (`lp.apply_branch`), and a forced branch replaces it
+    with the model its re-solve solved (`criteria.settle`).
+    """
 
     node_id: int
     parent_id: int | None
     depth: int
     branch: BranchRecord | None
-    lower: np.ndarray
-    upper: np.ndarray
+    model: LpModel = field(repr=False, compare=False)
     implied: list[BranchRecord] = field(default_factory=list)
     solution: LpSolution | None = None
     bound: float = -math.inf    # best known lower bound on this subtree
     ext_id: int | None = None   # matching node in the extended-tree log
     dval_parts: tuple | None = None
-    # the LP under lower and upper, built once (`_Search.node_model`)
-    model: LpModel | None = field(default=None, repr=False, compare=False)
-
-    def child_bounds(self, record: BranchRecord):
-        lo = self.lower.copy()
-        up = self.upper.copy()
-        if record.direction == "up":
-            lo[record.var] = record.bound
-        else:
-            up[record.var] = record.bound
-        return lo, up
 
 
 def fractional(x, problem: MipProblem,

@@ -309,6 +309,18 @@ def test_convex_weights_outside_the_unit_interval_are_refused(
     assert "error:" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("trees", [0, -1])
+def test_fewer_than_one_tree_is_refused(trees, tmp_path, capsys):
+    # `--multi-tree 0` once ran one tree, as without the option
+    options = {"lookahead": 2, "multi_tree": trees}
+    with pytest.raises(ValueError, match="n_trees >= 1"):
+        config_from_options(options)
+    argv = ["--lookahead", "2", "--multi-tree", str(trees)]
+    assert cli.main(["solve", _instance(tmp_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and not captured.out
+
+
 def test_convex_weights_take_both_ends_of_the_unit_interval():
     for weight in (0.0, 1.0):
         SolveConfig(lookahead=LookaheadConfig(), reversal_beta=weight)

@@ -249,7 +249,7 @@ class TestNodeSelection:
 
         def fake(node_id, depth):
             node = NodeState(node_id=node_id, parent_id=None, depth=depth,
-                             branch=None, lower=p.lower, upper=p.upper)
+                             branch=None, model=p.to_lp())
             search.nodes[node_id] = node
             search.push(node)
             return node
@@ -267,7 +267,7 @@ class TestNodeSelection:
 
         for node_id, score in ((0, 5.0), (1, 3.0)):
             node = NodeState(node_id=node_id, parent_id=None, depth=1,
-                             branch=None, lower=p.lower, upper=p.upper)
+                             branch=None, model=p.to_lp())
             node.dval_parts = (score, 0.0, 1)
             search.nodes[node_id] = node
             search.push(node)

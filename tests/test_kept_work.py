@@ -38,12 +38,14 @@ from branchlab.mps import parse_mps
 from branchlab.straddle import StraddleDisjunction, partition_row
 from test_driver import random_ip
 from test_lp_factor import _probe_instance, fresh_basis
+from test_lp_fixed_cost import fits_child_ref
 from test_straddle import fractional_instance
 
 
 def twin(model):
     """A distinct model object with `model`'s content (its memo key)."""
-    other = model.with_bound_vectors(model.lower, model.upper)
+    other = LpModel(model.obj, model.rows, model.rhs, model.lower,
+                    model.upper, model.straddle_rows)
     assert other is not model and memo_key(other) == memo_key(model)
     return other
 
@@ -210,10 +212,28 @@ def test_a_search_reads_the_same_when_nothing_is_kept(monkeypatch):
         assert a.x.tobytes() == b.x.tobytes()
 
 
+def rebuilt_model(search, node):
+    """The node's LP built apart from the search: the problem's bounds
+    under every ancestor's branch and forced branches, in order, as a
+    new `LpModel`."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = search.nodes.get(node.parent_id)
+    problem = search.problem
+    lower, upper = problem.lower.copy(), problem.upper.copy()
+    for node in reversed(chain):
+        for rec in ([node.branch] if node.branch else []) + node.implied:
+            (lower if rec.direction == "up" else upper)[rec.var] = rec.bound
+    return LpModel(problem.obj, problem.rows, problem.rhs, lower, upper)
+
+
 def test_kept_fractional_maps_and_node_models_equal_fresh_ones(monkeypatch):
     """After every default-matrix search of the corpus, no caller has
-    changed a solution's shared fractional map, and every node's kept
-    model is its bounds' model."""
+    changed a solution's shared fractional map, every node's model is
+    the model its branch records rebuild, and no warm run loads a basis
+    where the comparison of bound vectors `start_child` once made would
+    have started it from the probe workspace."""
     scanned = []
     real = model_module.kept_fractional
 
@@ -221,8 +241,23 @@ def test_kept_fractional_maps_and_node_models_equal_fresh_ones(monkeypatch):
         scanned.append(sol)     # keeps every scanned solution alive
         return real(sol, problem)
 
+    started = []
+    real_start = lp._Workspace.start_child
+
+    def start_spy(probe, model):
+        ws = real_start(probe, model)
+        if ws is None:      # the run loads the basis
+            own = probe.model
+            assert not (model.rows is own.rows and model.obj is own.obj
+                        and model.rhs is own.rhs
+                        and fits_child_ref(probe, model))
+        else:
+            started.append(1)
+        return ws
+
     monkeypatch.setattr(model_module, "kept_fractional", spy)
     monkeypatch.setattr(criteria, "kept_fractional", spy)
+    monkeypatch.setattr(lp._Workspace, "start_child", start_spy)
     models = 0
     for path in corpus_paths():
         problem = parse_mps(path.read_text())
@@ -234,9 +269,8 @@ def test_kept_fractional_maps_and_node_models_equal_fresh_ones(monkeypatch):
                 assert sol.__dict__["_fractions"] == \
                     fractional(sol.x, problem)
             for node in search.nodes.values():
-                if node.model is None:
-                    continue
                 models += 1
-                assert memo_key(node.model) == memo_key(
-                    problem.lp_with_bounds(node.lower, node.upper))
+                assert memo_key(node.model) == \
+                    memo_key(rebuilt_model(search, node))
     assert models > 1000
+    assert len(started) > 1000

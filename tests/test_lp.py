@@ -67,8 +67,7 @@ def test_an_empty_column_box_is_infeasible(obj):
     warm = solve(boxed).basis
     # the same empty box, reached through each way of setting bounds
     for empty in (model, model.with_bounds(1, upper=4.0),
-                  boxed.with_bounds(0, lower=3.0),
-                  boxed.with_bound_vectors([3.0, 0.0], [2.0, 5.0])):
+                  boxed.with_bounds(0, lower=3.0)):
         assert empty.empty_box
         for start in (None, warm):
             sol = solve(empty, warm_basis=start)
@@ -346,14 +345,11 @@ def test_nan_bounds_are_rejected_at_every_entry_point():
     with pytest.raises(LpModelError):
         LpModel([1, 1], [[1, 1]], [1], [0, 0], [nan, 5])
     model = LpModel([1, 1], [[1, 1]], [1], [0, -inf], [5, inf])
-    for lower, upper in (([nan, 0], [5, 5]), ([0, 0], [5, nan])):
-        with pytest.raises(LpModelError):
-            model.with_bound_vectors(lower, upper)
     for bound in ({"lower": nan}, {"upper": nan}):
         with pytest.raises(LpModelError):
             model.with_bounds(0, **bound)
     # infinite bounds on their own side stay legal
-    free = model.with_bound_vectors([-inf, -inf], [inf, inf])
+    free = LpModel([1, 1], [[1, 1]], [1], [-inf, -inf], [inf, inf])
     assert model.with_bounds(0, lower=-inf, upper=inf).upper[0] == inf
     assert solve(model).x_o == pytest.approx(1.0)
     assert free.lower.tolist() == [-inf, -inf]

@@ -293,20 +293,23 @@ def test_a_child_starts_from_the_probe_workspace_as_the_replaced_test_says():
         sol = solve(model)
         probe = _probe_workspace(model, sol.basis, "misfit")
         for _ in range(8):
-            lower, upper = model.lower.copy(), model.upper.copy()
-            for j in rng.choice(6, size=int(rng.integers(1, 3)),
-                                replace=False):
-                side = lower if rng.random() < 0.5 else upper
-                # a zero of the other sign is another bound bit for bit
-                side[j] = -side[j] if side[j] == 0.0 else \
-                    side[j] + rng.choice([-1.0, 1.0])
-            child = model.with_bound_vectors(lower, upper)
+            j = int(rng.integers(6))
+            side = "lower" if rng.random() < 0.5 else "upper"
+            value = getattr(model, side)[j]
+            # a zero of the other sign is another bound bit for bit
+            value = -value if value == 0.0 else \
+                value + rng.choice([-1.0, 1.0])
+            child = model.with_bounds(j, **{side: value})
             if child.empty_box:
                 continue
             fits = fits_child_ref(probe, child)
             started = probe.start_child(child)
             assert (started is not None) == fits
             seen[fits] += 1
+            # equal bounds in a model that records no column load
+            assert probe.start_child(LpModel(
+                model.obj, model.rows, model.rhs, child.lower,
+                child.upper)) is None
             if fits:
                 # the bounds a `_bind` of the child's model builds
                 bound = _Workspace(child)

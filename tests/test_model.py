@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from branchlab.lp import apply_branch, solve
+from branchlab.lp import LpModel, apply_branch, solve
 from branchlab.model import (
     BranchRecord,
     Incumbent,
     MipProblem,
     ModelError,
-    NodeState,
     detect_fractional,
 )
 
@@ -88,10 +87,26 @@ def test_incumbent_rejects_fractional_candidates():
         inc.update([0.5, 0.0], -0.5, problem=p)
 
 
-def test_node_child_bounds():
-    p = small_problem()
-    node = NodeState(node_id=0, parent_id=None, depth=0, branch=None,
-                     lower=p.lower.copy(), upper=p.upper.copy())
-    rec = BranchRecord(var=1, direction="up", bound=2.0)
-    lo, up = node.child_bounds(rec)
-    assert lo[1] == 2.0 and up[1] == p.upper[1]
+def test_constructors_leave_the_callers_arrays_writeable():
+    # `np.asarray` returned the caller's own array, which the constructors
+    # then made read-only: `lo[0] = 1.0` raised after `LpModel(..., lo, ..)`
+    lo, up = np.zeros(2), np.full(2, 5.0)
+    obj, rows, rhs = np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), \
+        np.array([3.0])
+    model = LpModel(obj, rows, rhs, lo, up)
+    problem = MipProblem("p", obj, rows, rhs, lo, up, np.ones(2, bool))
+    for a in (lo, up, obj, rows, rhs):
+        a[...] = 7.0
+    assert model.lower.tolist() == problem.lower.tolist() == [0.0, 0.0]
+    assert model.obj.tolist() == problem.obj.tolist() == [1.0, 1.0]
+    assert problem.rows.tolist() == [[1.0, 1.0]]
+    assert model.rhs.tolist() == problem.rhs.tolist() == [3.0]
+    # arrays read-only already, a problem's or a parent model's, are shared
+    root = problem.to_lp()
+    assert root is problem.to_lp()
+    assert root.obj is problem.obj and root.rows is problem.rows
+    assert root.lower is problem.lower and root.upper is problem.upper
+    twin = LpModel(root.obj, root.rows, root.rhs, root.lower, root.upper)
+    assert twin.rows is root.rows and twin.lower is root.lower
+    assert not any(a.flags.writeable for a in (
+        model.obj, model.rows, model.rhs, model.lower, model.upper))

@@ -8,10 +8,12 @@ on its first estimate.  The references below are the one-direction forms
 these replaced: each call its own pass, in either call order.
 
 `LpModel.with_bounds` records its parent's bound arrays and the column it
-moved, and `_Workspace.start_child` reads that column instead of
-comparing the bound vectors when the probe workspace's model is that
-parent.  A child started so must equal one started after a scan and a
-fresh load of the basis: B^-1, the values, the bounds and the solve.
+moved, and `_Workspace.start_child` starts a child only from that record:
+when the probe workspace's model holds those arrays and the column is
+basic there.  Any other model, one with equal bounds built apart too,
+loads the basis.  A child started so must pass a scan of its bounds
+against the workspace's (`fits_child_ref`) and equal a fresh load of the
+basis: B^-1, the values, the bounds and the solve.
 
 As in `test_lp_fixed_cost.py`, every comparison is of bits (`same`).
 """
@@ -29,6 +31,7 @@ from branchlab.lp import (
     INF,
     PIVOT_TOL,
     Basis,
+    LpModel,
     LpProbeError,
     _probe_workspace,
     _Workspace,
@@ -220,7 +223,7 @@ def assert_same_solution(a, b):
 @pytest.mark.parametrize("seed", range(3))
 def test_a_child_from_its_recorded_column_equals_a_scan_and_a_load(seed):
     rng = np.random.default_rng(2330 + seed)
-    seen = {"basic": 0, "unchanged": 0, "loaded": 0}
+    seen = {"started": 0, "loaded": 0}
     for _ in range(12):
         n, m = 6, 3
         model = random_model(rng, n, m)
@@ -229,14 +232,14 @@ def test_a_child_from_its_recorded_column_equals_a_scan_and_a_load(seed):
                 probe = _probe_workspace(model, fresh(basis), "misfit")
             except LpProbeError:
                 continue
-            # the probes of a twin of the model, which shares its bound
+            # the probe of a twin of the model, which shares its bound
             # arrays, and of a sibling whose bounds differ on column k,
-            # which must compare bounds
+            # which is no child's parent here
+            twin_probe = _probe_workspace(twin(model), fresh(basis), "misfit")
             k = int(rng.integers(n))
-            others = [twin(model),
-                      model.with_bounds(k, upper=model.upper[k] - 1.0)]
-            others = [_probe_workspace(o, fresh(basis), "misfit")
-                      for o in others if _Workspace(o).load_basis(basis)]
+            sibling = model.with_bounds(k, upper=model.upper[k] - 1.0)
+            sibling_probe = _probe_workspace(sibling, fresh(basis), "misfit") \
+                if _Workspace(sibling).load_basis(basis) else None
             for j in range(n):
                 for bounds in bound_changes(rng, model, j):
                     child = model.with_bounds(j, **bounds)
@@ -245,43 +248,38 @@ def test_a_child_from_its_recorded_column_equals_a_scan_and_a_load(seed):
                     parent_lower, parent_upper, moved = child._moved
                     assert parent_lower is model.lower and \
                         parent_upper is model.upper and moved == j
-                    scanned = model.with_bound_vectors(child.lower,
-                                                       child.upper)
-                    assert scanned._moved is None
+                    # the same bounds in a model built apart, which
+                    # records no column
+                    unrecorded = LpModel(model.obj, model.rows, model.rhs,
+                                         child.lower, child.upper)
+                    assert unrecorded._moved is None
+                    assert probe.start_child(unrecorded) is None
                     got = probe.start_child(child)
-                    assert (got is not None) == fits_child_ref(probe, child)
-                    starts = [probe.start_child(scanned)]
-                    assert (starts[0] is None) == (got is None)
-                    for other in others:
-                        start = other.start_child(child)
-                        assert (start is not None) == \
-                            fits_child_ref(other, child)
-                        starts.append(start)
-                    starts = [ws for ws in (got, *starts) if ws is not None]
+                    assert (got is not None) == bool(probe.in_basis[j])
+                    again = twin_probe.start_child(child)
+                    assert (again is None) == (got is None)
+                    if sibling_probe is not None:
+                        assert sibling_probe.start_child(child) is None
                     if got is None:
                         seen["loaded"] += 1
-                    else:
-                        seen["basic" if probe.in_basis[j]
-                             else "unchanged"] += 1
-                    if not starts:
                         continue
+                    seen["started"] += 1
+                    assert fits_child_ref(probe, child)
                     load = _Workspace(child)
                     assert load.load_basis(basis)
-                    for ws in starts:
+                    for ws in (got, again):
                         assert ws.basic == load.basic
                         for name in STATE:
                             assert same(getattr(ws, name),
                                         getattr(load, name)), name
                         assert same(ws.objective(), load.objective())
-                    if got is None:
-                        continue
                     via_column = solve(child, warm_basis=with_probe(model,
                                                                     basis))
-                    via_scan = solve(scanned,
-                                     warm_basis=with_probe(model, basis))
                     via_load = solve(child, warm_basis=fresh(basis))
+                    unrecorded_load = solve(
+                        unrecorded, warm_basis=with_probe(model, basis))
                     assert_same_solution(via_column, via_load)
-                    assert_same_solution(via_scan, via_load)
+                    assert_same_solution(unrecorded_load, via_column)
     assert min(seen.values()) >= 50, seen
 
 
@@ -301,6 +299,13 @@ def test_start_child_reads_the_recorded_column_not_the_bounds():
     # so no comparison of the bound vectors found it
     misnamed = child._derive(_moved=(model.lower, model.upper, k))
     assert probe.start_child(misnamed).up[j] == model.upper[j]
+    # a child of the model with a row appended records the same bound
+    # arrays, but its rows are not the workspace's
+    rowed = model.with_row(np.ones(6), 0.0).with_bounds(
+        j, upper=model.upper[j] - 1.0)
+    assert rowed._moved[0] is model.lower and \
+        rowed._moved[1] is model.upper
+    assert probe.start_child(rowed) is None
 
 
 # -- apply_branch looks up its kept child first -------------------------------
