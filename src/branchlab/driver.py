@@ -674,7 +674,12 @@ class _Search:
                 continue
             expansions += self.visit(node)
             self.release(node)
-        return self.finish("limit" if self.incomplete else "optimal")
+        # a region closed without proof holds nothing better than an
+        # incumbent that would prune it as an open node
+        proven = not self.incomplete or (
+            self.incumbent.x is not None and
+            self.closed_bound > self.incumbent.cutoff + CUTOFF_SLACK)
+        return self.finish("optimal" if proven else "limit")
 
     def fix_clist(self, root: NodeState):
         """Turn a CList given by its size K into the K root candidates

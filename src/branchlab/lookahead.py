@@ -194,7 +194,8 @@ class BuildResult:
 class _Proposal:
     parent: TreeNode
     var: int
-    ev: BranchEval                   # what the post-winnow gate ranks by
+    ev: BranchEval | None            # what the first post-winnow gate
+                                     # ranks by; None where no gate reads it
     solved: BranchEval | None = None
 
 
@@ -243,9 +244,21 @@ class _Builder:
         return {j: v for j, v in fractions.items() if j not in self.excluded}
 
     def _winnow(self, node: TreeNode, fractions: dict):
+        """The winnow at one node, with stage-2 evaluations wherever they
+        are read: at the first gated depth, where single-F2 proposals are
+        ranked by them, and by the attract counters."""
+        pw = self.cfg.postwin
         return winnow_run(node.model, node.solution, fractions,
                           self.winnow, self.ctx, node.depth,
-                          self.disjunction)
+                          self.disjunction,
+                          scored=self.cfg.attract is not None or
+                          (pw is not None and node.depth == pw.d0))
+
+    def _tally(self, evals: dict, js, half: str | None):
+        """Bump the attract counters of js in their evaluated directions."""
+        if self.cfg.attract is not None:
+            for j in js:
+                self.attract.bump(j, evals[j].direction, half)
 
     def _reduce_straddle(self, node: TreeNode) -> bool:
         """Drop straddle rows whose slack went nonbasic, re-solving once;
@@ -330,15 +343,14 @@ class _Builder:
         if node.depth == 0:
             self.root_f2 = list(f2)
         half = node.root_side
-        for j in f1:
-            if j not in f2:
-                self.attract.bump(j, s2[j].direction, half)
+        self._tally(s2, [j for j in f1 if j not in f2], half)
         if len(f2) == 1:
             j = f2[0]
             # the pair itself is solved only if this proposal survives
             # post-winnow gating
-            self.attract.bump(j, s2[j].direction, half)
-            return _Proposal(parent=node, var=j, ev=s2[j])
+            self._tally(s2, f2, half)
+            return _Proposal(parent=node, var=j,
+                             ev=None if s2 is None else s2[j])
         est = self.estimator
         evals = self._solve_pairs(
             node, f2, fractions,
@@ -346,8 +358,7 @@ class _Builder:
         # only an LP-solved pair has children to admit
         chosen = select({j: ev for j, ev in evals.items()
                          if ev.uc_up is not None}, self.spec)
-        for j in f2:
-            self.attract.bump(j, evals[j].direction, half)
+        self._tally(evals, f2, half)
         ev = evals[chosen.var]
         return _Proposal(parent=node, var=chosen.var, ev=ev, solved=ev)
 

@@ -4,7 +4,9 @@ Stage 1 screens the fractional set by closeness of f_j to 0.5 (n0
 survivors) and ranks those with single-dual-pivot branch estimates (n1
 survivors).  Stage 2 probes each survivor by actually branching both ways
 under a k2-pivot budget and keeps the n2 best under the configured
-criterion.  The net effect is the nesting F2 <= F1 <= F0 <= F.
+criterion.  The net effect is the nesting F2 <= F1 <= F0 <= F.  When F1
+holds no more than n2 members, stage 2 would keep them all, so it runs
+only for a caller that reads its evaluations.
 
 A fixed candidate list (CList) restricts stage 1 to a subset chosen at the
 root; when no CList member is fractional the node becomes a leaf.  The
@@ -143,9 +145,16 @@ def stage2(model: LpModel, sol: LpSolution, f1: list[int], fractions: dict,
 
 def run(model: LpModel, sol: LpSolution, fractions: dict,
         params: WinnowParams, ctx: EvalContext, depth: int,
-        disjunction=BoundDisjunction):
-    """Full two-stage winnow; returns (F2, stage2 evals, F1, stage1 evals)."""
+        disjunction=BoundDisjunction, scored: bool = False):
+    """Two-stage winnow; returns (F2, stage2 evals, F1, stage1 evals).
+
+    Stage 2 runs when it can cut F1 (|F1| > n2 at this depth) or when
+    `scored` asks for its evaluations; otherwise F2 is F1 and the stage-2
+    evals are None, and no truncated pair is solved.
+    """
     f0, f1, s1 = stage1(model, sol, fractions, params, ctx, disjunction)
+    if not scored and len(f1) <= params.n2_for(depth):
+        return f1, None, f1, s1
     f2, s2 = stage2(model, sol, f1, fractions, params, ctx, depth,
                     disjunction)
     return f2, s2, f1, s1

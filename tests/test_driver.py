@@ -39,6 +39,25 @@ def random_ip(seed, n=None, m=None, hi=4):
                       integer_mask=np.ones(n, bool))
 
 
+def market_split(n, seed, m=2):
+    """Cornuejols-Dawande market split with slacks: binary x, and
+    min sum(s+ + s-) subject to A x + s+ - s- = d, each equality written
+    as two mirrored >= rows; A is integer in 0..99 and d is half of each
+    row sum, rounded down."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 100, size=(m, n)).astype(float)
+    total = a.sum(axis=1)
+    d = np.floor(total / 2)
+    eq = np.hstack([a, np.eye(m), -np.eye(m)])
+    return MipProblem(
+        name=f"split{n}-{seed}",
+        obj=np.concatenate([np.zeros(n), np.ones(2 * m)]),
+        rows=np.vstack([eq, -eq]), rhs=np.concatenate([d, -d]),
+        lower=np.zeros(n + 2 * m),
+        upper=np.concatenate([np.ones(n), total, total]),
+        integer_mask=np.arange(n + 2 * m) < n)
+
+
 def knapsack():
     # max 5a + 4b st 3a + 2b <= 4, binary -> min form
     return MipProblem(name="knap", obj=[-5.0, -4.0], rows=[[-3.0, -2.0]],
@@ -117,15 +136,15 @@ class TestSoundness:
         assert fathomed
 
     def test_a_cut_off_forced_branch_is_fathomed_not_infeasible(self):
-        # node 8 (x_o -15.125) forces a branch whose re-solve the incumbent
+        # node 1 (x_o -20.5) forces a branch whose re-solve the incumbent
         # -19 cuts off: the node held no better point, but it was not
         # proved infeasible
         res = solve_mip(random_ip(31), SolveConfig())
         assert (res.status, res.objective) == ("optimal", -19.0)
         reasons = [rec.get("prune_reason") for rec in res.trace["nodes"]]
         assert "compulsory branch failed" not in reasons
-        node = res.trace["nodes"][8]
-        assert (node["x_o"], node["implied"]) == (-15.125, 1)
+        node = res.trace["nodes"][1]
+        assert (node["x_o"], node["implied"]) == (-20.5, 1)
         assert (node["status"], node["prune_reason"]) == \
             ("fathomed", "both branches cut off")
 
@@ -217,6 +236,29 @@ class TestUnprovenEnds:
         closed = [rec for rec in res.trace["nodes"]
                   if rec.get("prune_reason") == "solver limit"]
         assert closed and res.status in ("feasible", "limit")
+
+    @pytest.mark.parametrize("strategy", ["plain-c2a", "la-d3-2a"])
+    def test_closed_regions_the_incumbent_prunes_prove_it(self, strategy):
+        # a region closed at a solver limit keeps its bound; when every
+        # such bound passes the incumbent's cutoff, the incumbent is proven
+        optimize = pytest.importorskip("scipy.optimize")
+        p = market_split(12, 0)
+        highs = optimize.milp(
+            p.obj, integrality=p.integer_mask.astype(int),
+            constraints=[optimize.LinearConstraint(p.rows, lb=p.rhs)],
+            bounds=optimize.Bounds(p.lower, p.upper))
+        assert highs.status == 0 and highs.fun == pytest.approx(0.0)
+        res = solve_mip(p, default_matrix()[strategy])
+        assert any(rec.get("prune_reason") == "solver limit"
+                   for rec in res.trace["nodes"])
+        assert (res.status, res.objective, res.bound) == ("optimal", 0.0,
+                                                          0.0)
+
+    def test_a_closed_region_below_the_incumbent_leaves_it_unproven(self):
+        res = solve_mip(market_split(14, 0), default_matrix()["plain-c2a"])
+        assert res.status == "feasible"
+        assert res.objective == pytest.approx(2.0)
+        assert res.bound == 0.0
 
     def test_a_forced_branch_stopped_by_its_budget_proves_nothing(self):
         class OnePivotBranches(_Search):

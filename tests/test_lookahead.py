@@ -236,7 +236,7 @@ class TestDive:
         got = rows(plain)
         assert rows(tree) == got
         assert sum(row[2] for row in got) == 266
-        assert sum(row[3] for row in got) == 1583
+        assert sum(row[3] for row in got) == 1300
 
 
 class TestEarlyExit:

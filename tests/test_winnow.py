@@ -111,7 +111,9 @@ def test_large_k2_matches_unbudgeted_evals():
     p, sol, frac = fractional_problem(seed=11)
     ctx = EvalContext(problem=p, check_incumbent=False)
     params = WinnowParams(n1=3, k2=5000)
-    f2, s2, f1, _ = run(p.to_lp(), sol, frac, params, ctx, depth=0)
+    # n1 = 3 is within n2 at the root, so stage 2 runs only when asked
+    f2, s2, f1, _ = run(p.to_lp(), sol, frac, params, ctx, depth=0,
+                        scored=True)
     full_ctx = EvalContext(problem=p, check_incumbent=False)
     spec = CriterionSpec(criterion=Criterion.C1_PRODUCT)
     full = evaluate_candidates(p.to_lp(), sol, f1, full_ctx, spec, frac)
@@ -127,7 +129,8 @@ def test_monotone_evals_in_k2():
     for k2 in (1, 3, 10, 1000):
         ctx = EvalContext(problem=p, check_incumbent=False)
         params = WinnowParams(n1=3, k2=k2)
-        _, s2, f1, _ = run(p.to_lp(), sol, frac, params, ctx, depth=0)
+        _, s2, f1, _ = run(p.to_lp(), sol, frac, params, ctx, depth=0,
+                           scored=True)
         evals_by_k.append({j: (s2[j].eval_up, s2[j].eval_down) for j in f1})
     for prev, nxt in zip(evals_by_k, evals_by_k[1:]):
         for j in prev:
