@@ -143,23 +143,32 @@ def report_to_json(report: dict) -> str:
 
 
 def load_matrix(path: Path) -> dict[str, SolveConfig]:
-    """Strategy matrix from a JSON file of named CLI-style option sets.
+    """Strategy matrix from a JSON file of named CLI-style option sets,
+    `{"configs": {name: {option: value}}}`.
 
-    Raises ValueError naming the config for an option `solve` lacks or a
-    value its config rejects.
+    Raises ValueError for a file of another shape, and naming the config
+    for an option `solve` lacks or a value of a type or size its config
+    rejects; OSError when the file cannot be read.
     """
     from branchlab.cli import config_from_options, option_keys
 
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict) or not isinstance(data.get("configs"),
+                                                    dict):
+        raise ValueError(f"{path}: no \"configs\" object")
     known = option_keys()
     configs = {}
     for name, options in data["configs"].items():
+        if not isinstance(options, dict):
+            raise ValueError(f"config {name!r}: not an object of options")
         unknown = sorted(set(options) - known)
         if unknown:
             raise ValueError(f"config {name!r}: unknown option "
                              f"{unknown[0]!r}")
         try:
             configs[name] = config_from_options(options)
-        except ValueError as err:
+        except (ValueError, TypeError) as err:
+            # a value of the wrong type, such as "n1": "x", fails a check
+            # of its config with a TypeError
             raise ValueError(f"config {name!r}: {err}") from err
     return configs

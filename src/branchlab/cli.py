@@ -211,7 +211,7 @@ def run_bench(args) -> int:
 
     try:
         matrix = load_matrix(args.configs) if args.configs else None
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     report = run_benchmark(args.directory, matrix)

@@ -54,6 +54,7 @@ from branchlab.lookahead import (
 from branchlab.lp import (
     CUTOFF_SLACK,
     LpError,
+    LpNumericError,
     LpStatus,
     LpUnboundedError,
     PivotBudget,
@@ -134,7 +135,8 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    status: str         # optimal | feasible | infeasible | limit | unbounded
+    # optimal | feasible | infeasible | limit | unbounded | numeric
+    status: str
     objective: float
     bound: float
     x: np.ndarray | None
@@ -651,6 +653,8 @@ class _Search:
         except LpUnboundedError:
             # a relaxation without a finite optimum leaves the MIP none
             return self.finish("unbounded")
+        except LpNumericError:
+            return self.numeric(root)
         if status != "ok":
             self.close(root, status)
             return self.finish("limit" if self.incomplete else "optimal")
@@ -672,7 +676,10 @@ class _Search:
                 self.trace_node(node, "pruned", reason="bound")
                 self.child_done(node)
                 continue
-            expansions += self.visit(node)
+            try:
+                expansions += self.visit(node)
+            except LpNumericError:
+                return self.numeric(node)
             self.release(node)
         # a region closed without proof holds nothing better than an
         # incumbent that would prune it as an open node
@@ -680,6 +687,14 @@ class _Search:
             self.incumbent.x is not None and
             self.closed_bound > self.incumbent.cutoff + CUTOFF_SLACK)
         return self.finish("optimal" if proven else "limit")
+
+    def numeric(self, node: NodeState) -> SolveResult:
+        """End the search where the engine could not solve an LP of
+        `node` (`LpNumericError`): the node's region is left unsearched,
+        so its bound counts with the open nodes' bounds."""
+        self.closed_bound = min(self.closed_bound, node.bound)
+        self.trace_node(node, "closed", reason="numeric")
+        return self.finish("numeric")
 
     def fix_clist(self, root: NodeState):
         """Turn a CList given by its size K into the K root candidates

@@ -40,9 +40,8 @@ Where B^-1 comes from:
 
 Within a run the reduced costs are recomputed, from the same B^-1, only
 when the next ratio test reads them.  A solution derives `reduced` and
-`infeas` from its final iterate on first read (`LpSolution`).  A run
-stopped at its pivot limit, whose workspace a later solve may pivot on,
-holds `infeas` and derives `reduced` from a frozen copy of that iterate.
+`infeas` from its final iterate on first read (`LpSolution`): no later
+solve pivots on a workspace that a solve returned.
 
 Work done at a basis is kept with the `Basis` and found again by the
 model's content, `memo_key`: its `rows`, `obj`, `rhs` and straddle
@@ -72,12 +71,8 @@ same iterate with the same status.  When that budget's cutoff first
 stops the path at its last iterate instead, whatever the stored status,
 the answer is built from the stored run without a run: its values, basis
 and pivots, the objective recorded at that iterate, and `reduced` and
-`infeas` as the stored solution derives or holds them.  A
-run that hit its pivot limit also keeps its workspace, and a later solve
-whose budget stops that path nowhere continues it from its last iterate
-instead of pivoting from its start again; the continuation takes the
-workspace, so each truncated run is continued at most once.  Otherwise
-the solve runs from the warm basis, or cold.  A cold solve answered from
+`infeas` as the stored solution derives them.  Otherwise the solve runs
+from the warm basis, or cold, from the start.  A cold solve answered from
 the cold memo returns the stored solution, and so the stored `Basis`, at
 which the straddle children and their solves are kept already.
 
@@ -134,7 +129,9 @@ class LpModelError(LpError):
 
 
 class LpNumericError(LpError):
-    """Singular basis that refactorization could not repair."""
+    """An LP this engine cannot solve: a singular basis that
+    refactorization could not repair, or an optimum on a stand-in bound
+    whose column has a zero reduced cost."""
 
 
 class LpUnboundedError(LpNumericError):
@@ -221,10 +218,7 @@ class Basis:
 @dataclass(frozen=True)
 class LpSolution:
     """One run's outcome.  A solution from `solve` derives `reduced` and
-    `infeas` from its final iterate on first read.  One stopped at its
-    pivot limit holds `infeas` from the start, and derives `reduced` from
-    a frozen copy of that iterate (`_Workspace.frozen`): a later solve may
-    pivot on in the run's workspace."""
+    `infeas` from its final iterate on first read."""
 
     status: LpStatus
     x_o: float
@@ -243,8 +237,7 @@ class LpSolution:
     def __getattr__(self, name: str):
         # reached only for a field a solution from `solve` left unset:
         # `reduced` and `infeas` are derived from its final iterate, kept
-        # as `_final` (the workspace, or its frozen copy, and the values),
-        # on first read
+        # as `_final` (the run's workspace and values), on first read
         final = self.__dict__.get("_final")
         if final is None or name not in ("reduced", "infeas"):
             raise AttributeError(name)
@@ -461,7 +454,6 @@ class _Workspace:
         self._lo, self._up, self.lo, self.up = bounds
         self.artificial: set[int] = set()
         self._objective: float | None = None
-        self.path: list[tuple[float, float, int]] = []   # of its last run
 
     # -- basis management ------------------------------------------------
 
@@ -753,18 +745,6 @@ class _Workspace:
         ups = (self.at_upper > self.in_basis).nonzero()[0].tolist()
         return Basis(tuple(map(int, self.basic)), frozenset(ups))
 
-    def frozen(self) -> _Workspace:
-        """What `_reduced` reads of the current iterate, apart from this
-        workspace, which a later run may pivot on: B^-1 and the reduced
-        costs, which no pivot writes, shared, and copies of the basis."""
-        ws = object.__new__(_Workspace)
-        ws.n, ws.m, ws.full, ws.cost = self.n, self.m, self.full, self.cost
-        ws.binv, ws.rc = self.binv, self.rc
-        ws.basic = list(self.basic)
-        ws.in_basis = self.in_basis.copy()
-        ws.at_upper = self.at_upper.copy()
-        return ws
-
 
 def _stop(budget: PivotBudget, objective: float, viol: float, pivots: int,
           stalled: int) -> LpStatus | None:
@@ -787,15 +767,10 @@ def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
     """Pivot until `_stop` or an empty ratio test ends the run.
 
     Returns the status and the path: (objective, largest violation, stall
-    count) at each iterate, so the pivot count is len(path) - 1.  A
-    workspace that has run before continues from its last iterate, on a
-    copy of its path: that iterate is tested again under `budget`, and
-    the stall count and the refactorization cadence go on from the path,
-    so the continued run is the run a fresh start would make.
+    count) at each iterate, so the pivot count is len(path) - 1.
     """
-    path = ws.path[:-1]
-    stalled = ws.path[-1][2] if ws.path else 0
-    ws.path = path
+    path = []
+    stalled = 0
     while True:
         viol, pos = ws.max_violation()
         objective = ws.objective()
@@ -841,12 +816,12 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
           cold_memo: dict | None = None) -> LpSolution:
     """Dual simplex solve; warm basis must be dual-feasible or flippable.
 
-    A warm solve may be answered from the basis's memo, or continue a
-    truncated run kept there (module docstring); a cold solve may be so
-    answered from `cold_memo`, when given, a dict of the same kind kept
-    by the caller (a search keeps one for its cold runs).  Both are
-    keyed by the model's content, `memo_key`.  A memo answer is shared
-    with earlier callers, which is why a solution's arrays are read-only.
+    A warm solve may be answered from the basis's memo (module
+    docstring); a cold solve may be so answered from `cold_memo`, when
+    given, a dict of the same kind kept by the caller (a search keeps
+    one for its cold runs).  Both are keyed by the model's content,
+    `memo_key`.  A memo answer is shared with earlier callers, which is
+    why a solution's arrays are read-only.
     A model with an empty column box is INFEASIBLE without a pivot.
     """
     if model.empty_box:
@@ -857,30 +832,19 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
         if warm_basis.memo is None:
             warm_basis._remember("memo", {})
         memo = warm_basis.memo
-    ws = None
     if memo is not None:
         key = memo_key(model)
-        runs = memo.get(key, ())
-        resume = None
-        for i, (path, sol, kept) in enumerate(runs):
+        for path, sol in memo.get(key, ()):
             stop = _first_stop(path, budget)
             if stop == (len(path) - 1, sol.status):
                 return sol
             if stop == (len(path) - 1, LpStatus.CUTOFF_INFEASIBLE):
                 return _cutoff_answer(sol, path)
-            if stop is None:
-                # no stop test ended the run, so its ratio test came up
-                # empty, or its budget ended it before this one would
-                if sol.status is LpStatus.INFEASIBLE:
-                    return sol
-                if kept is not None:
-                    resume = i
-        if resume is not None:
-            # the workspace moves on with this run, so its entry lets go
-            *entry, ws = runs[resume]
-            runs[resume] = (*entry, None)
-    if ws is None:
-        ws = _first_iterate(model, warm_basis)
+            # no stop test ended an infeasible run: its ratio test came
+            # up empty, as it would under this budget
+            if stop is None and sol.status is LpStatus.INFEASIBLE:
+                return sol
+    ws = _first_iterate(model, warm_basis)
     status, path = _run_dual_simplex(ws, budget)
     # the run read the objective, so the values, at its last iterate
     values = ws._values
@@ -890,19 +854,12 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
     fields = {"status": status, "x_o": x_o, "x": values[:model.n_cols],
               "pivots": len(path) - 1, "basis": ws.snapshot_basis()}
-    final = ws
-    if status is LpStatus.PIVOT_LIMIT_HIT:
-        # a continuation pivots on in this workspace; the search reads
-        # `infeas` of every truncated run
-        final = ws.frozen()
-        fields["infeas"] = ws.infeasibility(values)
-    elif status is LpStatus.OPTIMAL:
+    if status is LpStatus.OPTIMAL:
         fields["infeas"] = 0.0
     sol = object.__new__(LpSolution)
-    sol.__dict__.update(fields, _final=(final, values))
+    sol.__dict__.update(fields, _final=(ws, values))
     if memo is not None:
-        kept = ws if status is LpStatus.PIVOT_LIMIT_HIT else None
-        memo.setdefault(key, []).append((path, sol, kept))
+        memo.setdefault(key, []).append((path, sol))
     return sol
 
 
@@ -910,14 +867,11 @@ def _cutoff_answer(sol: LpSolution, path) -> LpSolution:
     """What a run would return that follows the stored run of `sol` and
     `path` and is cut off at its last iterate: that iterate's values,
     basis and objective.  `reduced` and `infeas` derive from the stored
-    run's final iterate, or its frozen copy, except a truncated run's
-    `infeas`, which it holds."""
+    run's final iterate."""
     answer = object.__new__(LpSolution)
     answer.__dict__.update(status=LpStatus.CUTOFF_INFEASIBLE,
                            x_o=path[-1][0], x=sol.x, pivots=sol.pivots,
                            basis=sol.basis, _final=sol.__dict__["_final"])
-    if sol.status is LpStatus.PIVOT_LIMIT_HIT:
-        answer.__dict__["infeas"] = sol.infeas
     return answer
 
 

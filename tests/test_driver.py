@@ -260,6 +260,78 @@ class TestUnprovenEnds:
         assert res.objective == pytest.approx(2.0)
         assert res.bound == 0.0
 
+    # min x0 + x1, x0 + x1 >= 2.5, 2 x0 - x1 >= -3.5, x free and integer:
+    # HiGHS gives 2.5 and 3; this engine's root LP stops on a stand-in
+    # bound with a zero reduced cost and raises `LpNumericError`
+    FREE_MPS = "\n".join([
+        "NAME free", "ROWS", " N  OBJ", " G  R0", " G  R1", "COLUMNS",
+        "    MARKER    'MARKER' 'INTORG'",
+        "    X0  OBJ  1", "    X0  R0  1", "    X0  R1  2",
+        "    X1  OBJ  1", "    X1  R0  1", "    X1  R1  -1",
+        "    MARKER    'MARKER' 'INTEND'",
+        "RHS", "    RHS  R0  2.5", "    RHS  R1  -3.5",
+        "BOUNDS", " MI BND  X0", " MI BND  X1", "ENDATA", ""])
+
+    def test_a_root_lp_the_engine_cannot_solve_ends_numeric(self, tmp_path,
+                                                             capsys):
+        from branchlab.cli import main
+
+        p = parse_mps(self.FREE_MPS)
+        with pytest.raises(lp.LpNumericError) as err:
+            lp.solve(p.to_lp())
+        assert not isinstance(err.value, lp.LpUnboundedError)
+        res = solve_mip(p)
+        assert res.status == res.trace["status"] == "numeric"
+        assert res.x is None and res.bound == -math.inf
+        assert res.trace["nodes"][0]["prune_reason"] == "numeric"
+        path = tmp_path / "free.mps"
+        path.write_text(self.FREE_MPS)
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "status    numeric" in out and "Traceback" not in out
+
+    def test_a_numeric_failure_mid_search_keeps_the_incumbent(self):
+        class FailsAfterAnIncumbent(_Search):
+            """Raises `LpNumericError` at the first node solve after an
+            incumbent is found, noting the bound `limit` would give."""
+
+            want = None
+
+            def ensure_solved(self, node):
+                if self.incumbent.x is None or self.want is not None:
+                    return super().ensure_solved(node)
+                pieces = [self.nodes[i].bound for i, _ in self.open]
+                pieces += [node.bound, self.closed_bound,
+                           self.incumbent.x_o]
+                self.want = (self.incumbent.x_o, node.node_id,
+                             min(b for b in pieces if math.isfinite(b)))
+                raise lp.LpNumericError("singular basis")
+
+        p = parse_mps((corpus_dir() / "lab04.mps").read_text())
+        full = solve_mip(p)
+        search = FailsAfterAnIncumbent(p, SolveConfig())
+        res = search.run()
+        objective, failed, bound = search.want
+        assert res.status == "numeric" and res.x is not None
+        assert res.objective == objective
+        assert res.bound == bound < objective
+        assert full.objective <= objective
+        assert full.objective >= bound
+        assert res.trace["nodes"][failed]["prune_reason"] == "numeric"
+
+    def test_a_numeric_failure_branching_the_root_keeps_its_bound(self):
+        class FailsToBranch(_Search):
+            """Raises `LpNumericError` where the root's branch is chosen,
+            after its LP solved and left the open list."""
+
+            def decide(self, node, fractions):
+                raise lp.LpNumericError("singular basis")
+
+        p = parse_mps((corpus_dir() / "lab04.mps").read_text())
+        res = FailsToBranch(p, SolveConfig()).run()
+        assert res.status == "numeric" and res.x is None
+        assert res.bound == lp.solve(p.to_lp()).x_o
+
     def test_a_forced_branch_stopped_by_its_budget_proves_nothing(self):
         class OnePivotBranches(_Search):
             """Gives every branch re-solve, forced ones too, one pivot."""
@@ -575,6 +647,25 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "'typo'" in err and "'lookahed'" in err
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"config": {"ok": {"lookahead": 3}}}', '"configs"'),
+        ('[{"lookahead": 3}]', '"configs"'),
+        ('{"configs": [{"lookahead": 3}]}', '"configs"'),
+        ('{"configs": {"a": 5}}', "'a'"),
+        ('{"configs": {"a": {"n1": "x"}}}', "'a'"),
+        (None, "No such file")])
+    def test_a_malformed_config_file_fails(self, tmp_path, capsys, text,
+                                           named):
+        from branchlab.cli import main
+
+        cfgfile = tmp_path / "configs.json"
+        if text is not None:
+            cfgfile.write_text(text)
+        code = main(["bench", str(tmp_path), "--configs", str(cfgfile)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("instance, options", [
         ("lab01", ["--clist", "1"]),

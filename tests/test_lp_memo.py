@@ -21,8 +21,10 @@ import branchlab.lookahead as lookahead
 import branchlab.lp as lp
 from branchlab.bench import default_matrix
 from branchlab.criteria import CriterionSpec
+from branchlab.instances import corpus_paths
 from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import Basis, LpModel, LpStatus, PivotBudget, memo_key, solve
+from branchlab.mps import parse_mps
 from branchlab.winnow import WinnowParams
 from test_driver import random_ip
 from test_lp import random_model
@@ -49,7 +51,7 @@ def path_of(model, basis):
     probe = None if basis is None else bare(basis)
     memo = {}
     solve(model, warm_basis=probe, cold_memo=memo)
-    [[(path, _, _)]] = (memo if probe is None else probe.memo).values()
+    [[(path, _)]] = (memo if probe is None else probe.memo).values()
     return path
 
 
@@ -280,7 +282,8 @@ def stored_runs(seed=808):
 def test_a_cutoff_at_a_stored_last_iterate_is_answered_without_a_run(runs):
     """An OPTIMAL, INFEASIBLE or truncated stored run answers a tighter
     cutoff that first stops it at its last iterate, as a fresh run would;
-    the truncated run answers so again after its workspace is continued."""
+    the truncated run answers so again after a later solve of the same
+    key ran past it."""
 
     def assert_answered(child, warm, tight, pivots):
         runs.clear()
@@ -299,8 +302,28 @@ def test_a_cutoff_at_a_stored_last_iterate_is_answered_without_a_run(runs):
         if status is LpStatus.PIVOT_LIMIT_HIT:
             runs.clear()
             assert solve(child, warm_basis=warm).status is LpStatus.OPTIMAL
-            assert len(runs) == 1     # the continuation pivoted on
+            assert len(runs) == 1     # a run from the warm basis
             assert_answered(child, warm, tight, sol.pivots)
+
+
+def test_no_workspace_runs_twice(monkeypatch):
+    """Every simplex run of the default matrix on the bundled corpus
+    pivots in a workspace of its own: no solve goes on in the workspace
+    of a run that an earlier solve returned."""
+    entered = {}
+    real = lp._run_dual_simplex
+
+    def run(ws, budget):
+        assert id(ws) not in entered, "a workspace entered a second run"
+        entered[id(ws)] = ws      # held, so that no id is reused
+        return real(ws, budget)
+
+    monkeypatch.setattr(lp, "_run_dual_simplex", run)
+    problems = [parse_mps(p.read_text()) for p in corpus_paths()]
+    for config in default_matrix().values():
+        for problem in problems:
+            driver.solve_mip(problem, config)
+    assert len(entered) > 1000
 
 
 def test_solutions_are_read_only():

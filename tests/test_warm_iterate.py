@@ -5,12 +5,11 @@ A child whose bounds differ from a probe workspace's model only on columns
 basic there starts its run from that workspace's loaded iterate
 (`_Workspace.start_child`) instead of loading the warm basis again.  A
 solution from `solve` reads its reduced costs and infeasibility from its
-final iterate when first asked; a run stopped at its pivot limit, whose
-workspace a later solve may pivot on, holds its infeasibility and reads
-its reduced costs from a frozen copy of that iterate.  These tests
-run on every bundled instance and on the seed-1 deep instances of the
-benchmark, and compare with `tobytes`, never with a tolerance.  The last
-tests check the typed unbounded outcome against HiGHS.
+final iterate when first asked, whatever its status: no later solve
+pivots on in its workspace.  These tests run on every bundled instance
+and on the seed-1 deep instances of the benchmark, and compare with
+`tobytes`, never with a tolerance.  The last tests check the typed
+unbounded outcome against HiGHS.
 """
 
 import functools
@@ -144,11 +143,9 @@ def test_other_arrays_or_a_nonbasic_bound_load_the_basis(starts):
 @pytest.fixture
 def eager(monkeypatch):
     """Each run's reduced costs and infeasibility as they are at its end,
-    by workspace and by the frozen copy a run stopped at its pivot limit
-    makes of it: the values a solution derived at once would hold."""
+    by workspace: the values a solution derived at once would hold."""
     ends = {}
     real = lp._run_dual_simplex
-    real_frozen = lp._Workspace.frozen
 
     def run(ws, budget):
         status, path = real(ws, budget)
@@ -156,13 +153,7 @@ def eager(monkeypatch):
         ends[id(ws)] = (ws, rc.tobytes(), ws.infeasibility(ws.values()))
         return status, path
 
-    def frozen(ws):
-        copy = real_frozen(ws)
-        ends[id(copy)] = (copy, *ends[id(ws)][1:])
-        return copy
-
     monkeypatch.setattr(lp, "_run_dual_simplex", run)
-    monkeypatch.setattr(lp._Workspace, "frozen", frozen)
     return ends
 
 
@@ -173,8 +164,8 @@ def test_a_lazy_field_reads_the_value_at_the_end_of_its_run(index, eager):
         pytest.skip("the root does not branch")
     model, root, children = found
     sols = []
-    # one warm basis for every run, so later runs continue truncated
-    # ones and start from the probe workspace the estimates load
+    # one warm basis for every run, so later runs of a key follow its
+    # truncated ones and start from the probe workspace the estimates load
     for j, d, child in children:
         lp.probe_single_pivot(model, root, j, d)
         for budget in budgets(root)[1:] + budgets(root)[:1]:
@@ -196,12 +187,15 @@ def test_a_lazy_field_reads_the_value_at_the_end_of_its_run(index, eager):
 @pytest.mark.parametrize("index", INSTANCES)
 def test_a_truncated_solution_keeps_its_values_past_a_continuation(index,
                                                                    eager):
+    """A truncated solution's lazily read values stay those of its run
+    after a later, longer solve of the same key from the same warm basis,
+    which runs from the start in a workspace of its own."""
     found = root_children(index)
     if found is None:
         pytest.skip("the root does not branch")
     _, root, children = found
     short = PivotBudget(max_pivots=1)
-    continued = 0
+    longer = 0
     for _, _, child in children:
         warm = bare(root.basis)
         first = solve(child, warm_basis=warm, budget=short)
@@ -209,15 +203,17 @@ def test_a_truncated_solution_keeps_its_values_past_a_continuation(index,
             continue
         ref = solve(child, warm_basis=bare(root.basis), budget=short)
         later = solve(child, warm_basis=warm)
-        [(_, sol, kept)] = warm.memo[lp.memo_key(child)][:1]
-        assert sol is first and kept is None      # its workspace moved on
-        continued += later.pivots > first.pivots
-        # `reduced` is read only now, after the continuation's pivots
+        [(_, sol)] = warm.memo[lp.memo_key(child)][:1]
+        assert sol is first
+        assert later.__dict__["_final"][0] is not first.__dict__["_final"][0]
+        longer += later.pivots > first.pivots
+        # `reduced` and `infeas` are read only now, after the later run
         assert "reduced" not in first.__dict__
-        assert first.reduced.tobytes() == ref.reduced.tobytes() == \
-            eager[id(first.__dict__["_final"][0])][1]
-        assert first.infeas == ref.infeas
-    if not continued:
+        assert "infeas" not in first.__dict__
+        _, rc, infeas = eager[id(first.__dict__["_final"][0])]
+        assert first.reduced.tobytes() == ref.reduced.tobytes() == rc
+        assert first.infeas == ref.infeas == infeas
+    if not longer:
         pytest.skip("no child run stops at one pivot and pivots on")
 
 
