@@ -38,6 +38,7 @@ from enum import Enum
 from branchlab.lp import (
     Basis,
     LpModel,
+    LpNumericError,
     LpSolution,
     LpStatus,
     PivotBudget,
@@ -169,14 +170,11 @@ class SearchCounters:
     probes: int = 0
     nodes: int = 0
 
-    def absorb(self, sol: LpSolution):
-        self.lp_solves += 1
-        self.pivots += sol.pivots
-
 
 @dataclass
 class EvalContext:
-    """Everything branch probes need from the surrounding search."""
+    """Everything branch probes need from the surrounding search.  A
+    search keeps one, and runs and counts every LP through `solve`."""
 
     problem: MipProblem
     x_o_star: float = math.inf       # incumbent objective; also prices
@@ -187,8 +185,7 @@ class EvalContext:
     check_incumbent: bool = True
     k2_default: int | None = None    # driver-calibrated stage-2 budget
 
-    # branch_budget's, made once each; a search passes one dict to all
-    # its contexts
+    # branch_budget's, made once each
     budgets: dict = field(default_factory=dict, repr=False, compare=False)
     # the search's cold runs, for `lp.solve`'s `cold_memo`
     cold_memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -207,13 +204,28 @@ class EvalContext:
                 v_lim=self.budget.v_lim if v_lim is None else v_lim)
         return budget
 
+    def solve(self, model: LpModel, warm: Basis | None = None,
+              budget: PivotBudget | None = None) -> LpSolution:
+        """`lp.solve` under `budget`, by default the branch budget, with
+        the cold memo.  Every call is counted, with its pivots also when
+        the run fails (`LpNumericError.pivots`)."""
+        self.counters.lp_solves += 1
+        try:
+            sol = solve(model, warm_basis=warm,
+                        budget=budget or self.branch_budget(),
+                        cold_memo=self.cold_memo)
+        except LpNumericError as err:
+            self.counters.pivots += err.pivots
+            raise
+        self.counters.pivots += sol.pivots
+        return sol
+
 
 def solve_warm(child: LpModel, warm: Basis, ctx: EvalContext,
                budget: PivotBudget | None = None) -> LpSolution:
     """Solve a prepared child LP from its warm basis; may raise
     IncumbentSignal."""
-    sol = solve(child, warm_basis=warm, budget=budget or ctx.branch_budget())
-    ctx.counters.absorb(sol)
+    sol = ctx.solve(child, warm, budget)
     if (ctx.check_incumbent and sol.status is LpStatus.OPTIMAL
             and not detect_fractional(sol, ctx.problem)):
         raise IncumbentSignal(sol)
@@ -300,8 +312,7 @@ def settle(model: LpModel, sol: LpSolution, ctx: EvalContext, scan,
                 return Settled(sol, closed="unsettled")
             forced += 1
             model, warm = apply_branch(model, sol, sig.var, sig.direction)
-            sol = solve(model, warm_basis=warm, budget=ctx.branch_budget())
-            ctx.counters.absorb(sol)
+            sol = ctx.solve(model, warm)
             if on_forced is not None:
                 on_forced(sig, model, sol)
         except NodeInfeasibleSignal as sig:

@@ -61,7 +61,6 @@ from branchlab.lp import (
     apply_branch,
     apply_reversal_update,
     fractional_parts,
-    solve,
 )
 from branchlab.model import (
     BranchRecord,
@@ -174,24 +173,10 @@ class _Search:
         self.full_solves = 0
         self.full_pivots = 0
         self.unsolved_children: dict[int, int] = {}   # by parent node id
-        self.cold_memo: dict = {}     # this search's cold runs (`lp.solve`)
-        self.budgets: dict = {}       # `EvalContext.branch_budget`'s
+        # runs and counts every LP of the search
+        self.ctx = EvalContext(problem=problem, counters=self.counters)
 
     # -- plumbing ---------------------------------------------------------
-
-    def ctx(self) -> EvalContext:
-        return EvalContext(problem=self.problem,
-                           x_o_star=self.incumbent.x_o,
-                           cutoff=self.incumbent.cutoff,
-                           counters=self.counters,
-                           k2_default=self.k2_default(),
-                           budgets=self.budgets, cold_memo=self.cold_memo)
-
-    def k2_default(self) -> int | None:
-        """One sixth of the running average pivots per full node solve."""
-        if self.full_solves == 0:
-            return None
-        return max(1, math.ceil(self.full_pivots / self.full_solves / 6))
 
     def new_node(self, parent: NodeState | None, record, model,
                  dval_parts=None) -> NodeState:
@@ -246,7 +231,8 @@ class _Search:
             return False
         self.incumbent_log.append({"objective": round(float(x_o), 9),
                                    "order": self.order})
-        cutoff = self.incumbent.cutoff
+        cutoff = self.ctx.cutoff = self.incumbent.cutoff
+        self.ctx.x_o_star = self.incumbent.x_o
         kept = []
         for node_id, order in self.open:
             node = self.nodes[node_id]
@@ -387,7 +373,7 @@ class _Search:
     def pick_branch(self, node: NodeState, model, sol, fractions: dict):
         """Returns (plan, dval seed per direction for the first step)."""
         cfg = self.config
-        ctx = self.ctx()
+        ctx = self.ctx
         la = cfg.lookahead
         if isinstance(la, D2Config):
             return list(build_d2_tree(self.problem, model, sol, cfg,
@@ -494,9 +480,7 @@ class _Search:
                 leaf.model, leaf.solution, j, antecedent)
         except LpError:
             return
-        rev = solve(rev_model, warm_basis=warm,
-                    budget=PivotBudget(cutoff=self.incumbent.cutoff))
-        self.counters.absorb(rev)
+        rev = self.ctx.solve(rev_model, warm)
         realized = (leaf.solution.x_o - rev.x_o
                     if rev.status is LpStatus.OPTIMAL else None)
         self.reversal_log.append({
@@ -516,16 +500,11 @@ class _Search:
         if node.solution is not None and node.solution.is_optimal:
             return "ok"
         warm = None
-        parent = self.nodes.get(node.parent_id) \
-            if node.parent_id is not None else None
+        parent = self.nodes.get(node.parent_id)
         if parent is not None and parent.solution is not None:
             warm = parent.solution.basis
-        budget = PivotBudget(max_pivots=NODE_BUDGET.max_pivots,
-                             max_degenerate=NODE_BUDGET.max_degenerate,
-                             cutoff=self.incumbent.cutoff)
-        sol = solve(node.model, warm_basis=warm, budget=budget,
-                    cold_memo=self.cold_memo)
-        self.counters.absorb(sol)
+        sol = self.ctx.solve(
+            node.model, warm, replace(NODE_BUDGET, cutoff=self.ctx.cutoff))
         node.solution = sol
         self.child_done(node)
         if sol.status is not LpStatus.OPTIMAL:
@@ -533,6 +512,9 @@ class _Search:
         node.bound = sol.x_o
         self.full_solves += 1
         self.full_pivots += sol.pivots
+        # one sixth of the running average pivots per full node solve
+        self.ctx.k2_default = max(
+            1, math.ceil(self.full_pivots / self.full_solves / 6))
         self.refresh_dval_parts(node, parent)
         return "ok"
 
@@ -628,7 +610,8 @@ class _Search:
         fp, fm = fractional_parts(float(sol.x[var]))
         return {"up": (rc * fp, 0.0), "down": (rc * fm, 0.0)}
 
-    def update_taken_pseudo(self, parent: NodeState, child: NodeState):
+    def update_taken_pseudo(self, parent: NodeState | None,
+                            child: NodeState):
         if child.branch is None or parent.solution is None:
             return
         value = float(parent.solution.x[child.branch.var])
@@ -730,10 +713,7 @@ class _Search:
             self.close(node, status)
             return False
         fractions = detect_fractional(node.solution, self.problem)
-        if node.branch is not None and node.parent_id is not None:
-            parent = self.nodes.get(node.parent_id)
-            if parent is not None and parent.solution is not None:
-                self.update_taken_pseudo(parent, node)
+        self.update_taken_pseudo(self.nodes.get(node.parent_id), node)
         if not fractions:
             self.install_incumbent(node.solution.x, node.solution.x_o, node)
             self.trace_node(node, "integral")
@@ -757,7 +737,7 @@ class _Search:
         for _ in range(MAX_FORCED):
             try:
                 settled = settle(node.model, node.solution,
-                                 self.ctx(), partial(self.pick_branch, node),
+                                 self.ctx, partial(self.pick_branch, node),
                                  partial(self.record_forced, node))
             except IncumbentSignal as sig:
                 self.install_incumbent(sig.solution.x, sig.solution.x_o,

@@ -55,7 +55,7 @@ from branchlab.criteria import (
     uc_lookup_from,
     weight_eval,
 )
-from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
+from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch
 from branchlab.model import BranchRecord, MipProblem, detect_fractional
 from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
 from branchlab.winnow import run as winnow_run
@@ -148,7 +148,6 @@ class AttractCounters:
 
 @dataclass
 class TreeNode:
-    node_id: int
     parent: "TreeNode | None"
     depth: int
     var: int | None
@@ -213,7 +212,6 @@ class _Builder:
         self.pair_spec = replace(self.spec, w1=0.0, w2=0.0)
         self.estimator = estimator
         self.ext = ext_tree
-        self.counter = 0
         self.attract = AttractCounters()
         self.depth_counts: list[int] = []
         self.excluded: frozenset[int] = frozenset()
@@ -221,10 +219,6 @@ class _Builder:
         self.all_nodes: list[TreeNode] = []
 
     # -- helpers ----------------------------------------------------------
-
-    def _next_id(self) -> int:
-        self.counter += 1
-        return self.counter
 
     def _record_ext(self, parent: TreeNode, var, direction, bound,
                     tentative, uc):
@@ -276,9 +270,7 @@ class _Builder:
             return True
         node.model = model
         if basis is None:
-            sol = solve(model, budget=self.ctx.branch_budget(),
-                        cold_memo=self.ctx.cold_memo)
-            self.ctx.counters.absorb(sol)
+            sol = self.ctx.solve(model)
             if sol.status is not LpStatus.OPTIMAL:
                 return False
             node.solution = sol
@@ -392,9 +384,8 @@ class _Builder:
         for direction, sol in live:
             child_model, _ = disj.child(direction)
             kid = TreeNode(
-                node_id=self._next_id(), parent=node,
-                depth=node.depth + 1, var=prop.var, direction=direction,
-                model=child_model, solution=sol,
+                parent=node, depth=node.depth + 1, var=prop.var,
+                direction=direction, model=child_model, solution=sol,
                 eval_vs_parent=(ev.eval_up if direction == "up"
                                 else ev.eval_down),
                 root_side=(node.root_side if node.root_side is not None
@@ -586,9 +577,8 @@ def _maybe_override(result: BuildResult, builder: _Builder) -> BuildResult:
 
 def _root_node(model: LpModel, sol: LpSolution,
                ext_root: int | None = None) -> TreeNode:
-    return TreeNode(node_id=0, parent=None, depth=0, var=None,
-                    direction=None, model=model, solution=sol,
-                    ext_id=ext_root)
+    return TreeNode(parent=None, depth=0, var=None, direction=None,
+                    model=model, solution=sol, ext_id=ext_root)
 
 
 def build_tree(problem: MipProblem, model: LpModel, sol: LpSolution,

@@ -57,7 +57,7 @@ A basis keeps
     straddle row partitions and children (`straddle`);
   * `memo`: the solves warm-started from it, below.
 
-`Basis.forget_solves` frees the children and the memo.
+`Basis.forget_solves` frees all three.
 
 Whole solves are reused too.  A warm solve's run depends only on the warm
 basis and the model, a cold one's on the model alone; the budget decides
@@ -131,7 +131,10 @@ class LpModelError(LpError):
 class LpNumericError(LpError):
     """An LP this engine cannot solve: a singular basis that
     refactorization could not repair, or an optimum on a stand-in bound
-    whose column has a zero reduced cost."""
+    whose column has a zero reduced cost.  `pivots` is the failed run's
+    pivot count when it ran to its last iterate, else 0."""
+
+    pivots = 0
 
 
 class LpUnboundedError(LpNumericError):
@@ -209,8 +212,10 @@ class Basis:
         return value
 
     def forget_solves(self) -> None:
-        """Drop the memo of solves warm-started from this basis and the
-        children kept at it, whose own memos go with them."""
+        """Drop the probe workspace, the memo of solves warm-started from
+        this basis and the children kept at it, whose own memos go with
+        them."""
+        self._remember("probe_state", None)
         self._remember("memo", None)
         self._remember("children", None)
 
@@ -850,7 +855,11 @@ def solve(model: LpModel, warm_basis: Basis | None = None,
     values = ws._values
     values.setflags(write=False)
     if status is LpStatus.OPTIMAL and ws.artificial:
-        _check_stand_ins(ws, values)
+        try:
+            _check_stand_ins(ws, values)
+        except LpNumericError as err:
+            err.pivots = len(path) - 1
+            raise
     x_o = INF if status is LpStatus.INFEASIBLE else ws.objective()
     fields = {"status": status, "x_o": x_o, "x": values[:model.n_cols],
               "pivots": len(path) - 1, "basis": ws.snapshot_basis()}

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from branchlab.driver import (
     solve_mip,
     trace_to_json,
 )
-from branchlab.instances import corpus_dir
+from branchlab.instances import corpus_dir, corpus_paths
 from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import LpModelError, LpProbeError, PivotBudget
 from branchlab.model import MipProblem, detect_fractional
@@ -280,15 +282,19 @@ class TestUnprovenEnds:
         with pytest.raises(lp.LpNumericError) as err:
             lp.solve(p.to_lp())
         assert not isinstance(err.value, lp.LpUnboundedError)
+        assert err.value.pivots == 1
         res = solve_mip(p)
         assert res.status == res.trace["status"] == "numeric"
         assert res.x is None and res.bound == -math.inf
         assert res.trace["nodes"][0]["prune_reason"] == "numeric"
+        # the failed root run is counted, with its pivot
+        assert (res.counters.lp_solves, res.counters.pivots) == (1, 1)
         path = tmp_path / "free.mps"
         path.write_text(self.FREE_MPS)
         assert main(["solve", str(path)]) == 1
         out = capsys.readouterr().out
         assert "status    numeric" in out and "Traceback" not in out
+        assert "\nlp solves 1\npivots    1\n" in out
 
     def test_a_numeric_failure_mid_search_keeps_the_incumbent(self):
         class FailsAfterAnIncumbent(_Search):
@@ -336,9 +342,9 @@ class TestUnprovenEnds:
         class OnePivotBranches(_Search):
             """Gives every branch re-solve, forced ones too, one pivot."""
 
-            def ctx(self):
-                return replace(super().ctx(),
-                               budget=PivotBudget(max_pivots=1))
+            def __init__(self, problem, config):
+                super().__init__(problem, config)
+                self.ctx.budget = PivotBudget(max_pivots=1)
 
         claims = unproven = 0
         for seed in range(200):
@@ -353,6 +359,38 @@ class TestUnprovenEnds:
             assert res.objective == pytest.approx(full.objective,
                                                   abs=1e-9), seed
         assert claims and unproven
+
+
+class TestCounters:
+    def test_every_lp_a_search_runs_is_counted(self, monkeypatch):
+        """Each `lp.solve` call of a search, under every name a branchlab
+        module binds it to, is one of the search's `lp_solves`: the
+        default matrix on the bundled corpus and on a root LP that
+        fails."""
+        real = lp.solve
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        package = importlib.import_module("branchlab")
+        modules = [package] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(package.__path__, "branchlab.")]
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, spy)
+        problems = [parse_mps(path.read_text()) for path in corpus_paths()]
+        problems.append(parse_mps(TestUnprovenEnds.FREE_MPS))
+        assert len(problems) > 5
+        for label, config in default_matrix().items():
+            for problem in problems:
+                calls.clear()
+                res = solve_mip(problem, config)
+                assert len(calls) == res.counters.lp_solves > 0, \
+                    (label, problem.name)
 
 
 class TestNodeSelection:

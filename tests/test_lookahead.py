@@ -114,8 +114,8 @@ class TestTreeCounts:
         from branchlab.lookahead import TreeNode
 
         # three generated pairs with Min_j 3, 1 and 5; C7 minimizes Min_j
-        pairs = [[TreeNode(node_id=2 * j + k, parent=None, depth=1, var=j,
-                           direction=d, model=None, solution=None,
+        pairs = [[TreeNode(parent=None, depth=1, var=j, direction=d,
+                           model=None, solution=None,
                            eval_vs_parent=low + k)
                   for k, d in enumerate(("down", "up"))]
                  for j, low in enumerate((3.0, 1.0, 5.0))]
@@ -151,7 +151,7 @@ class TestStepFour:
         ctx = EvalContext(problem=p, x_o_star=9.0, check_incumbent=False)
         builder = _Builder(p, base_cfg(depth=1), ctx)
         root = _root_node(p.to_lp(), sol)
-        alive = TreeNode(node_id=1, parent=root, depth=1, var=0,
+        alive = TreeNode(parent=root, depth=1, var=0,
                          direction="up", model=p.to_lp(), solution=sol,
                          eval_vs_parent=0.5)
         bundles, handles = builder._leaf_bundles([[alive]], root)
@@ -168,9 +168,9 @@ class TestDive:
     @staticmethod
     def pair(**bounds):
         return [lookahead.TreeNode(
-            node_id=k, parent=None, depth=1, var=5, direction=direction,
+            parent=None, depth=1, var=5, direction=direction,
             model=None, solution=SimpleNamespace(x_o=x_o))
-            for k, (direction, x_o) in enumerate(bounds.items())]
+            for direction, x_o in bounds.items()]
 
     def test_the_lower_bound_wins_and_a_tie_goes_down(self):
         dive = _Builder._dive
@@ -510,7 +510,7 @@ class TestAttract:
         for _ in range(9):
             builder.attract.bump(1, "up", "down")   # other half only
         sol = solve(p.to_lp())
-        winner = TreeNode(node_id=9, parent=None, depth=1, var=0,
+        winner = TreeNode(parent=None, depth=1, var=0,
                           direction="up", model=p.to_lp(), solution=sol,
                           root_side="up")
         base = BuildResult(var=0, direction="up", path=[(0, "up")],

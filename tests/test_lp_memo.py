@@ -16,8 +16,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import branchlab.criteria as criteria
 import branchlab.driver as driver
-import branchlab.lookahead as lookahead
 import branchlab.lp as lp
 from branchlab.bench import default_matrix
 from branchlab.criteria import CriterionSpec
@@ -347,7 +347,7 @@ def test_memos_do_not_outlive_a_search(runs, monkeypatch):
     some of the look-ahead's row-dropped re-solves within a search."""
     built, asks, started = [], [], []
     real_init = lp._Workspace.__init__
-    real_solve = lookahead.solve
+    real_solve = criteria.solve
     real_first = lp._first_iterate
 
     def counted(self, model):
@@ -363,7 +363,7 @@ def test_memos_do_not_outlive_a_search(runs, monkeypatch):
         return real_first(model, warm_basis)
 
     monkeypatch.setattr(lp._Workspace, "__init__", counted)
-    monkeypatch.setattr(lookahead, "solve", ask)
+    monkeypatch.setattr(criteria, "solve", ask)
     monkeypatch.setattr(lp, "_first_iterate", first)
     for config, seed in ((LOOKAHEAD, 66),
                          (default_matrix()["la-straddle"], 75)):
@@ -402,8 +402,10 @@ def test_node_memo_is_freed_once_both_children_are_solved(monkeypatch):
         search = driver._Search(random_ip(seed, n=8, m=3, hi=6), LOOKAHEAD)
         result = search.run()
         assert result.status == "optimal"
-        # the search is over, so no solve starts from any node again
+        # the search is over, so no solve or probe starts from any node
+        # again: no memo and no probe workspace is kept
         assert not any(node.solution.basis.memo
+                       or node.solution.basis.probe_state is not None
                        for node in search.nodes.values()
                        if node.solution is not None)
     assert checked and any(used)
