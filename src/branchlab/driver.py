@@ -610,9 +610,8 @@ class _Search:
         fp, fm = fractional_parts(float(sol.x[var]))
         return {"up": (rc * fp, 0.0), "down": (rc * fm, 0.0)}
 
-    def update_taken_pseudo(self, parent: NodeState | None,
-                            child: NodeState):
-        if child.branch is None or parent.solution is None:
+    def update_taken_pseudo(self, parent: NodeState | None, child: NodeState):
+        if child.branch is None or parent is None or parent.solution is None:
             return
         value = float(parent.solution.x[child.branch.var])
         fp, fm = fractional_parts(value)

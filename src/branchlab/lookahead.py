@@ -55,7 +55,9 @@ from branchlab.criteria import (
     uc_lookup_from,
     weight_eval,
 )
-from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch
+# every LP here runs through `EvalContext.solve`; `solve` stays bound for
+# perfbench's tracer test, which reads `lookahead.solve`
+from branchlab.lp import LpModel, LpSolution, LpStatus, apply_branch, solve
 from branchlab.model import BranchRecord, MipProblem, detect_fractional
 from branchlab.straddle import StraddleDisjunction, drop_inactive_straddle_rows
 from branchlab.winnow import run as winnow_run

@@ -131,8 +131,8 @@ class LpModelError(LpError):
 class LpNumericError(LpError):
     """An LP this engine cannot solve: a singular basis that
     refactorization could not repair, or an optimum on a stand-in bound
-    whose column has a zero reduced cost.  `pivots` is the failed run's
-    pivot count when it ran to its last iterate, else 0."""
+    whose column has a zero reduced cost.  `pivots` is the number of
+    pivots the failed run made."""
 
     pivots = 0
 
@@ -790,7 +790,11 @@ def _run_dual_simplex(ws: _Workspace, budget: PivotBudget) \
         delta = ws.pivot(pos, enter, alpha)
         stalled = stalled + 1 if delta <= 1e-12 else 0
         if len(path) % REFACTOR_EVERY == 0:
-            ws.refactorize()
+            try:
+                ws.refactorize()
+            except LpNumericError as err:
+                err.pivots = len(path)
+                raise
 
 
 def _first_stop(path: list[tuple[float, float, int]],
