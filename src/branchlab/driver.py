@@ -7,6 +7,14 @@ look-ahead tree builders or from winnowed criterion selection, run under
 incumbent restarts the decision.  Both loops are capped as a numeric
 safety net, after which the driver branches on the most fractional
 candidate so no region is ever silently dropped.
+
+A node is solved, closed and branched in one place, `visit`.  An accepted
+look-ahead path (`--accept path`) is followed one node at a time: the
+preferred child of each step carries the steps left (`NodeState.plan`),
+and `visit` takes the next one where its variable is still fractional and
+decides afresh where it is not.  Path nodes are visited, traced and
+counted toward `max_nodes` like any other node.  An attract restart hands
+the fresh root a one-step plan the same way.
 """
 
 from __future__ import annotations
@@ -169,7 +177,6 @@ class _Search:
         self.global_attract: dict[tuple[int, str], int] = {}
         self.pending_restart = False
         self.restarted = False
-        self.forced_root: tuple[int, str] | None = None
         self.full_solves = 0
         self.full_pivots = 0
         self.unsolved_children: dict[int, int] = {}   # by parent node id
@@ -376,8 +383,8 @@ class _Search:
         ctx = self.ctx
         la = cfg.lookahead
         if isinstance(la, D2Config):
-            return list(build_d2_tree(self.problem, model, sol, cfg,
-                                      ctx).path), None
+            return build_d2_tree(self.problem, model, sol, cfg,
+                                 ctx).path, None
         if la is not None:
             build = build_multi_trees if la.n_trees > 1 else build_tree
             result = build(self.problem, model, sol, cfg, ctx,
@@ -387,7 +394,7 @@ class _Search:
                 self.try_reversal(result.leaves, node)
             if la.attract is not None:
                 self.merge_attract(result.attract)
-            return list(result.path), None
+            return result.path, None
         f2, _, _, _ = winnow_run(model, sol, fractions, cfg.winnow, ctx,
                                  node.depth)
         spec = cfg.criterion
@@ -544,71 +551,33 @@ class _Search:
         plain = node.solution.x_o - parent.solution.x_o
         node.dval_parts = (plain, mincost, max(parent.depth, 1))
 
-    def make_children(self, node: NodeState, var: int, direction: str,
-                      seed) -> tuple[NodeState, NodeState]:
+    def apply_plan(self, node: NodeState, plan, seed):
+        """Branch on the plan's first step, pushing the untaken sibling and
+        then the preferred child, which carries the plan's later steps
+        for `visit` to follow.  seed holds the step's Dval pieces per
+        direction, or None to derive them from the node's reduced cost."""
+        var, direction = plan[0]
+        sol = node.solution
+        if seed is None:
+            rc = abs(float(sol.reduced[var]))
+            fp, fm = fractional_parts(float(sol.x[var]))
+            seed = {"up": (rc * fp, 0.0), "down": (rc * fm, 0.0)}
         kids = {}
         for side in ("up", "down"):
-            model, _ = apply_branch(node.model, node.solution, var, side)
+            model, _ = apply_branch(node.model, sol, var, side)
             rec = BranchRecord(var=var, direction=side, bound=float(
                 model.lower[var] if side == "up" else model.upper[var]))
-            parts = None
-            if seed is not None:
-                plain, mincost = seed[side]
-                parts = (plain, mincost, max(node.depth, 1))
-            child = self.new_node(node, rec, model, dval_parts=parts)
-            ext_rec = self.ext.add(node.ext_id or 0, var=var,
-                                   direction=side, bound=rec.bound,
-                                   tentative=False, uc=None)
-            child.ext_id = ext_rec.node_id
+            child = self.new_node(node, rec, model, dval_parts=(
+                *seed[side], max(node.depth, 1)))
+            child.ext_id = self.ext.add(node.ext_id or 0, var=var,
+                                        direction=side, bound=rec.bound,
+                                        tentative=False, uc=None).node_id
             kids[side] = child
         self.counters.nodes += 2
         self.unsolved_children[node.node_id] = 2
-        preferred = kids[direction]
-        sibling = kids["down" if direction == "up" else "up"]
-        return preferred, sibling
-
-    def apply_plan(self, node: NodeState, plan, seed):
-        """Create children along the accepted plan, pushing the untaken
-        sibling of every step; the last preferred child joins the open set
-        and everything deeper is expanded inline.  seed holds the first
-        step's Dval pieces per direction, or None to derive them."""
-        current = node
-        solved = []
-        for step, (var, direction) in enumerate(plan):
-            if var not in detect_fractional(current.solution,
-                                            self.problem):
-                break
-            preferred, sibling = self.make_children(
-                current, var, direction,
-                self.seed_for(current, var, seed) if step == 0 else None)
-            self.push(sibling)
-            last = step == len(plan) - 1
-            if last:
-                self.push(preferred)
-                break
-            status = self.ensure_solved(preferred)
-            solved.append(preferred)
-            if status != "ok":
-                self.close(preferred, status)
-                break
-            frac = detect_fractional(preferred.solution, self.problem)
-            self.update_taken_pseudo(current, preferred)
-            if not frac:
-                self.install_incumbent(preferred.solution.x,
-                                       preferred.solution.x_o, preferred)
-                self.trace_node(preferred, "integral")
-                break
-            current = preferred
-        for child in solved:
-            self.release(child)
-
-    def seed_for(self, node: NodeState, var: int, seed):
-        if seed is not None:
-            return seed
-        sol = node.solution
-        rc = abs(float(sol.reduced[var]))
-        fp, fm = fractional_parts(float(sol.x[var]))
-        return {"up": (rc * fp, 0.0), "down": (rc * fm, 0.0)}
+        self.push(kids["down" if direction == "up" else "up"])
+        kids[direction].plan = tuple(plan[1:])
+        self.push(kids[direction])
 
     def update_taken_pseudo(self, parent: NodeState | None, child: NodeState):
         if child.branch is None or parent is None or parent.solution is None:
@@ -706,7 +675,7 @@ class _Search:
 
     def visit(self, node: NodeState) -> bool:
         """Solve an open node and close or branch it; True if it was
-        handed to branch selection."""
+        fractional, so followed its plan or went to branch selection."""
         status = self.ensure_solved(node)
         if status != "ok":
             self.close(node, status)
@@ -717,7 +686,10 @@ class _Search:
             self.install_incumbent(node.solution.x, node.solution.x_o, node)
             self.trace_node(node, "integral")
             return False
-        plan, seed = self.decide(node, fractions)
+        # a followed plan step needs its variable still fractional here
+        plan, seed = node.plan, None
+        if not plan or plan[0][0] not in fractions:
+            plan, seed = self.decide(node, fractions)
         if plan:
             self.trace_node(node, "branched")
             self.apply_plan(node, plan, seed)
@@ -727,11 +699,6 @@ class _Search:
         """(branch plan, Dval seed) for one node, settling its forced
         branches and restarting on every new incumbent; an empty plan
         means the node needs no branching."""
-        if node.depth == 0 and self.forced_root is not None:
-            var, direction = self.forced_root
-            self.forced_root = None
-            if var in fractions:
-                return [(var, direction)], None
         # new incumbents restart the pick, capped like forced branches
         for _ in range(MAX_FORCED):
             try:
@@ -787,7 +754,6 @@ class _Search:
         self.restarted = True
         best = max(self.global_attract,
                    key=lambda k: (self.global_attract[k], -k[0]))
-        self.forced_root = best
         for node_id, _ in self.open:
             self.trace_node(self.nodes[node_id], "dropped",
                             reason="attract restart")
@@ -795,6 +761,7 @@ class _Search:
         self.open = []
         fresh = self.new_node(None, None, self.problem.to_lp())
         fresh.ext_id = 0
+        fresh.plan = (best,)
         self.push(fresh)
 
     def finish(self, status: str) -> SolveResult:

@@ -8,7 +8,10 @@ objective (Step 3), and the variable of the depth-0 branch above the
 winning pair is the answer's (Step 4).  The answer dives into that
 variable's child with the lower LP bound, read from the root pair the
 tree already solved, ties going down; in path-accept mode the winning
-root-to-leaf path is taken when it starts in that child.  The winning
+root-to-leaf path is taken when it starts in that child.  The search
+follows such a path one node at a time (`driver._Search.visit`), solving
+and tracing each path node as any other, and decides afresh where a
+step's variable is no longer fractional.  The winning
 leaf's own root side can be the worse child: on one deep instance it
 leads a depth-2 tree into the child the plain search prunes, at 148
 nodes against 12.  The two-level mode (`build_d2_tree`) keeps its
@@ -188,7 +191,6 @@ class BuildResult:
     early_exit: bool = False
     overridden: bool = False
     pair_scores: dict = field(default_factory=dict)
-    nodes: list = field(default_factory=list)
 
 
 @dataclass
@@ -218,7 +220,6 @@ class _Builder:
         self.depth_counts: list[int] = []
         self.excluded: frozenset[int] = frozenset()
         self.root_f2: list[int] = []
-        self.all_nodes: list[TreeNode] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -396,7 +397,6 @@ class _Builder:
                 node, prop.var, direction, 0.0, tentative=False,
                 uc=(ev.uc_up if direction == "up" else ev.uc_down))
             kids.append(kid)
-            self.all_nodes.append(kid)
         return kids
 
     # -- main build -------------------------------------------------------
@@ -490,7 +490,7 @@ class _Builder:
                 var=var, direction=direction, path=[(var, direction)],
                 depth_counts=self.depth_counts, total_nodes=total,
                 leaves=leaves, winner_leaf=None, attract=self.attract,
-                early_exit=True, nodes=self.all_nodes)
+                early_exit=True)
         deepest = max((d for d, pairs in pairs_by_depth.items() if pairs),
                       default=0)
         pairs = pairs_by_depth.get(deepest, [])
@@ -510,8 +510,7 @@ class _Builder:
             var=var, direction=direction, path=path,
             depth_counts=self.depth_counts, total_nodes=total,
             leaves=leaves, winner_leaf=winner, attract=self.attract,
-            pair_scores={k: pick.scores.get(k) for k in bundles},
-            nodes=self.all_nodes)
+            pair_scores={k: pick.scores.get(k) for k in bundles})
 
 
 def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
@@ -521,8 +520,11 @@ def post_winnow(pairs: list[list[TreeNode]], mode: str, lim: int,
 
     2a keeps the lim best sibling pairs, ranked under `spec` as
     `criteria.rank` ranks branches; 2b keeps only the lower-eval node of
-    each kept pair; 2c keeps the lim best single nodes across pairs.
+    each kept pair; 2c keeps the lim best single nodes across pairs.  A
+    level with no pair carries nothing forward.
     """
+    if not pairs:
+        return []
     if mode == "2c":
         nodes = [k for pair in pairs for k in pair]
         nodes.sort(key=lambda k: (k.eval_vs_parent, k.path_key()))

@@ -140,6 +140,7 @@ class NodeState:
     bound: float = -math.inf    # best known lower bound on this subtree
     ext_id: int | None = None   # matching node in the extended-tree log
     dval_parts: tuple | None = None
+    plan: tuple = ()            # accepted steps left after this node's branch
 
 
 def fractional(x, problem: MipProblem,

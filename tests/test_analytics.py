@@ -5,9 +5,9 @@ import pytest
 
 from branchlab.costmem import ExtendedTree, uc_error_report
 from branchlab.criteria import CriterionSpec
-from branchlab.driver import SolveConfig, solve_mip
+from branchlab.driver import SolveConfig, _Search, solve_mip
 from branchlab.lookahead import AttractConfig, LookaheadConfig
-from branchlab.model import MipProblem
+from branchlab.model import MipProblem, detect_fractional
 from branchlab.winnow import WinnowParams
 from oracles import lattice_points, mip_lattice_minimum
 
@@ -102,3 +102,37 @@ class TestAttractRestart:
                    for r in res.trace["nodes"]):
                 restarted += 1
         assert restarted >= 1
+
+    def test_the_fresh_root_branches_on_the_restart_pick(self):
+        class Restarts(_Search):
+            """Keeps the restart's (var, direction) where that variable is
+            fractional at the fresh root, and what the root branched on."""
+
+            handed = branched = None
+
+            def ensure_solved(self, node):
+                status = super().ensure_solved(node)
+                # only the restart hands a root a plan
+                if node.parent_id is None and node.plan and status == "ok" \
+                        and node.plan[0][0] in detect_fractional(
+                            node.solution, self.problem):
+                    self.handed = node.plan[0]
+                return status
+
+            def apply_plan(self, node, plan, seed):
+                if node.parent_id is None:
+                    self.branched = plan[0]
+                super().apply_plan(node, plan, seed)
+
+        la = LookaheadConfig(
+            depth=2, attract=AttractConfig(threshold=2.0, restart=True))
+        cfg = SolveConfig(criterion=CriterionSpec(),
+                          winnow=WinnowParams(k2=3), lookahead=la)
+        followed = 0
+        for seed in range(130, 150):
+            search = Restarts(random_ip(seed), cfg)
+            search.run()
+            if search.handed is not None:
+                assert search.branched == search.handed
+                followed += 1
+        assert followed >= 1

@@ -101,6 +101,34 @@ class TestSoundness:
                 assert res.objective == pytest.approx(want, abs=1e-9), \
                     (name, seed)
 
+    @pytest.mark.parametrize("name,lookahead", [
+        ("la-straddle", {"accept": "path"}),
+        ("la-d3-2a", {"accept": "path"}),
+        ("la-d3-2a", {"depth": 5}),
+        ("la-d3-2a", {"depth": 4, "postwin": PostWinnow("2b", d0=1)}),
+    ], ids=["la-straddle-path", "la-d3-2a-path", "depth-5-2a",
+            "depth-4-2b-d0-1"])
+    def test_paths_and_empty_post_winnow_levels_match_highs(self, name,
+                                                           lookahead):
+        # a path step whose variable is no longer fractional at its node
+        # is decided again there, and a post-winnow level with no pair
+        # carries nothing forward; no node the search made is left open
+        optimize = pytest.importorskip("scipy.optimize")
+        cfg = default_matrix()[name]
+        cfg = replace(cfg, lookahead=replace(cfg.lookahead, **lookahead))
+        for path in corpus_paths():
+            p = parse_mps(path.read_text())
+            highs = optimize.milp(
+                p.obj, integrality=p.integer_mask.astype(int),
+                constraints=[optimize.LinearConstraint(p.rows, lb=p.rhs)],
+                bounds=optimize.Bounds(p.lower, p.upper))
+            assert highs.status == 0, p.name
+            res = solve_mip(p, cfg)
+            assert res.status == "optimal", p.name
+            assert res.objective == pytest.approx(highs.fun), p.name
+            assert not [rec for rec in res.trace["nodes"]
+                        if rec["status"] == "open"], p.name
+
     def test_integral_root_solves_at_node_zero(self):
         p = MipProblem(name="int", obj=[1.0, 2.0], rows=[[1.0, 1.0]],
                        rhs=[2.0], lower=[0.0, 0.0], upper=[5.0, 5.0],
@@ -213,28 +241,19 @@ class TestUnprovenEnds:
         assert res.trace["nodes"][0]["prune_reason"] == "solver limit"
 
     def test_an_inline_path_child_at_the_solver_limit_is_unsearched(self):
-        class InlineLimit(_Search):
-            """Reports every path child solved inline as stopped at the
-            solver limit."""
-
-            inline = False
-
-            def apply_plan(self, node, plan, seed):
-                self.inline = True
-                try:
-                    super().apply_plan(node, plan, seed)
-                finally:
-                    self.inline = False
+        class PathLimit(_Search):
+            """Reports every path child that still has plan steps to
+            follow as stopped at the solver limit."""
 
             def ensure_solved(self, node):
                 status = super().ensure_solved(node)
-                return "limit" if self.inline else status
+                return "limit" if node.plan else status
 
         cfg = SolveConfig(criterion=CriterionSpec(),
                           winnow=WinnowParams(k2=3),
                           lookahead=LookaheadConfig(depth=3, accept="path"))
         lab04 = corpus_dir() / "lab04.mps"   # accepts multi-step paths
-        res = InlineLimit(parse_mps(lab04.read_text()), cfg).run()
+        res = PathLimit(parse_mps(lab04.read_text()), cfg).run()
         closed = [rec for rec in res.trace["nodes"]
                   if rec.get("prune_reason") == "solver limit"]
         assert closed and res.status in ("feasible", "limit")

@@ -38,6 +38,21 @@ from branchlab.winnow import WinnowParams
 from test_warm_iterate import FIRST_DEEP, problems
 
 
+@pytest.fixture
+def admitted(monkeypatch):
+    """Every tree node `_Builder._admit_pair` attaches, in order."""
+    kids = []
+    real = _Builder._admit_pair
+
+    def admit(self, *args, **kw):
+        pair = real(self, *args, **kw)
+        kids.extend(pair)
+        return pair
+
+    monkeypatch.setattr(_Builder, "_admit_pair", admit)
+    return kids
+
+
 def triangle_fixture(n_triangles=7, seed=0):
     """Vertex-cover LP over disjoint triangles: every unresolved triangle
     keeps its three variables at 1/2, so nodes stay feasible and
@@ -182,7 +197,7 @@ class TestDive:
         assert dive({1: [self.pair(down=7.0)]}) == (5, "down")
 
     def test_bundled_roots_dive_into_the_better_bound_child(
-            self, monkeypatch):
+            self, monkeypatch, admitted):
         lp_solves_in_finish = []
         real = _Builder._finish
 
@@ -199,14 +214,15 @@ class TestDive:
             sol = solve(p.to_lp())
             for depth in (2, 3):
                 ctx = EvalContext(problem=p)
+                admitted.clear()
                 try:
                     result = build_tree(p, p.to_lp(), sol, base_cfg(
                         depth=depth, accept="path"), ctx)
                 except BranchSignal:
                     continue    # the root's own signals are the driver's
                 bound = {k.direction: k.solution.x_o
-                         for k in result.nodes if k.depth == 1}
-                assert result.var == result.nodes[0].var
+                         for k in admitted if k.depth == 1}
+                assert result.var == admitted[0].var
                 assert result.direction == min(
                     bound, key=lambda d: (bound[d], d == "up"))
                 tree_path = [(r.var, r.direction) for r in
@@ -348,7 +364,7 @@ class TestMultiTree:
         b = build_tree(p, p.to_lp(), sol, cfg, make_ctx(p))
         assert (a.var, a.direction) == (b.var, b.direction)
 
-    def test_later_trees_exclude_better_ranked_roots(self):
+    def test_later_trees_exclude_better_ranked_roots(self, admitted):
         p = triangle_fixture(5, seed=2)
         sol = solve(p.to_lp())
         ctx = make_ctx(p)
@@ -356,11 +372,12 @@ class TestMultiTree:
         builder = _Builder(p, cfg, ctx)
         builder.excluded = frozenset({0, 1, 2})
         root = _root_node(p.to_lp(), sol)
-        result = builder.build(root, forced_root_var=4)
-        for node in result.nodes:
+        builder.build(root, forced_root_var=4)
+        assert admitted
+        for node in admitted:
             assert node.var not in {0, 1, 2}
 
-    def test_trees_share_no_bound_vectors(self):
+    def test_trees_share_no_bound_vectors(self, admitted):
         p = triangle_fixture(5, seed=2)
         sol = solve(p.to_lp())
         ctx = make_ctx(p)
@@ -374,9 +391,10 @@ class TestMultiTree:
         for rank, var in enumerate(ranked):
             builder = _Builder(p, cfg, ctx)
             builder.excluded = frozenset(ranked[:rank])
-            result = builder.build(_root_node(p.to_lp(), sol),
-                                   forced_root_var=var)
-            for node in result.nodes:
+            admitted.clear()
+            builder.build(_root_node(p.to_lp(), sol), forced_root_var=var)
+            assert admitted
+            for node in admitted:
                 key = (tuple(node.model.lower), tuple(node.model.upper))
                 assert key not in seen
                 seen.add(key)
