@@ -178,7 +178,9 @@ def run_solve(args) -> int:
     trace = options.pop("trace", None)
     try:
         config = config_from_options(options)
-    except ValueError as err:
+        # opened before solving, so an unwritable path costs no solve
+        trace_file = None if trace is None else trace.open("w")
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     result = solve_mip(problem, config)
@@ -191,13 +193,15 @@ def run_solve(args) -> int:
     print(f"nodes     {result.counters.nodes}")
     print(f"lp solves {result.counters.lp_solves}")
     print(f"pivots    {result.counters.pivots}")
+    print(f"probes    {result.counters.probes}")
     if result.x is not None:
         pairs = ", ".join(
             f"{name}={value:.6g}" for name, value in
             zip(problem.col_names, result.x))
         print(f"solution  {pairs}")
-    if trace is not None:
-        trace.write_text(trace_to_json(result.trace))
+    if trace_file is not None:
+        with trace_file:
+            trace_file.write(trace_to_json(result.trace))
         print(f"trace     {trace}")
     return 0 if result.status in ("optimal", "feasible") else 1
 
@@ -211,12 +215,15 @@ def run_bench(args) -> int:
 
     try:
         matrix = load_matrix(args.configs) if args.configs else None
+        # opened before the matrix runs, so an unwritable path costs none
+        out = None if args.out is None else args.out.open("w")
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     report = run_benchmark(args.directory, matrix)
-    if args.out is not None:
-        args.out.write_text(report_to_json(report))
+    if out is not None:
+        with out:
+            out.write(report_to_json(report))
         print(f"report written to {args.out}")
     if not report["rows"]:
         print("error: no instances found", file=sys.stderr)

@@ -20,7 +20,7 @@ same question (what will branching cost?) from different memory:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,11 @@ class PseudoCostTable:
 # -- extended tree and analytical unit costs --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExtendedRecord:
+    """One evaluated branch; `uc` and `compulsory` fill in later, in
+    place."""
+
     node_id: int
     parent_id: int | None
     var: int | None               # None for the root record
@@ -123,12 +126,11 @@ class ExtendedTree:
     def add_compulsory(self, node_id: int) -> None:
         """Attach one implied restriction to an existing node (an extra
         path edge)."""
-        old = self[node_id]
-        self.records[node_id] = replace(old, compulsory=old.compulsory + 1)
+        self.records[node_id].compulsory += 1
 
     def set_uc(self, node_id: int, uc: float) -> None:
         """Fill in the realized unit cost once a taken branch is solved."""
-        self.records[node_id] = replace(self[node_id], uc=float(uc))
+        self.records[node_id].uc = float(uc)
 
     def __getitem__(self, node_id: int) -> ExtendedRecord:
         return self.records[node_id]

@@ -171,37 +171,70 @@ class SearchCounters:
     nodes: int = 0
 
 
-@dataclass
 class EvalContext:
     """Everything branch probes need from the surrounding search.  A
-    search keeps one, and runs and counts every LP through `solve`."""
+    search keeps one, and runs and counts every LP through `solve`.
 
-    problem: MipProblem
-    x_o_star: float = math.inf       # incumbent objective; also prices
-                                     # infeasible siblings
-    cutoff: float = math.inf         # LP cutoff (x_o_star - eps)
-    budget: PivotBudget = field(default_factory=PivotBudget)
-    counters: SearchCounters = field(default_factory=SearchCounters)
-    check_incumbent: bool = True
-    k2_default: int | None = None    # driver-calibrated stage-2 budget
+    Setting `cutoff` (the incumbent's, x_o_star - eps) or `budget` makes
+    the budgets under the cutoff once: `node_budget` for a node's own LP,
+    when the search gives one, and `branch_budget`'s for every other
+    solve."""
 
-    # branch_budget's, made once each
-    budgets: dict = field(default_factory=dict, repr=False, compare=False)
-    # the search's cold runs, for `lp.solve`'s `cold_memo`
-    cold_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, problem: MipProblem, x_o_star: float = math.inf,
+                 cutoff: float = math.inf, budget: PivotBudget | None = None,
+                 counters: SearchCounters | None = None,
+                 check_incumbent: bool = True,
+                 node_budget: PivotBudget | None = None):
+        self.problem = problem
+        # incumbent objective; also prices infeasible siblings
+        self.x_o_star = x_o_star
+        self.counters = counters or SearchCounters()
+        self.check_incumbent = check_incumbent
+        self.k2_default: int | None = None   # driver-calibrated stage-2 budget
+        # the search's cold runs, for `lp.solve`'s `cold_memo`
+        self.cold_memo: dict = {}
+        self.node_budget = node_budget
+        self._budget = budget or PivotBudget()
+        self.cutoff = cutoff
+
+    @property
+    def budget(self) -> PivotBudget:
+        """A branch solve's limits, before the cutoff."""
+        return self._budget
+
+    @budget.setter
+    def budget(self, budget: PivotBudget):
+        self._budget = budget
+        self.cutoff = self._cutoff
+
+    @property
+    def cutoff(self) -> float:
+        """The LP cutoff, x_o_star - eps."""
+        return self._cutoff
+
+    @cutoff.setter
+    def cutoff(self, cutoff: float):
+        self._cutoff = cutoff
+        if self.node_budget is not None:
+            self.node_budget = replace(self.node_budget, cutoff=cutoff)
+        self.default_budget = replace(self._budget, cutoff=cutoff)
+        # branch_budget's under a pivot limit or an early stop, made once
+        self.budgets = {}
 
     def branch_budget(self, pivot_limit: int | None = None,
                       v_lim: float | None = None) -> PivotBudget:
         """`budget` under the cutoff, and the pivot limit and the early
         stop's violation when given."""
-        key = (self.budget, self.cutoff, pivot_limit, v_lim)
+        if pivot_limit is None and v_lim is None:
+            return self.default_budget
+        key = (pivot_limit, v_lim)
         budget = self.budgets.get(key)
         if budget is None:
             budget = self.budgets[key] = replace(
-                self.budget, cutoff=self.cutoff,
-                max_pivots=self.budget.max_pivots if pivot_limit is None
+                self.default_budget,
+                max_pivots=self._budget.max_pivots if pivot_limit is None
                 else pivot_limit,
-                v_lim=self.budget.v_lim if v_lim is None else v_lim)
+                v_lim=self._budget.v_lim if v_lim is None else v_lim)
         return budget
 
     def solve(self, model: LpModel, warm: Basis | None = None,
@@ -212,7 +245,7 @@ class EvalContext:
         self.counters.lp_solves += 1
         try:
             sol = solve(model, warm_basis=warm,
-                        budget=budget or self.branch_budget(),
+                        budget=budget or self.default_budget,
                         cold_memo=self.cold_memo)
         except LpNumericError as err:
             self.counters.pivots += err.pivots

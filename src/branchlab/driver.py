@@ -1,7 +1,11 @@
 """Branch-and-bound driver tying the strategy modules together.
 
-One solve owns the incumbent, the open-node set, every cost memory, and a
-deterministic JSON-able trace.  Branch decisions come either from the
+One solve owns the incumbent, the open-node set, the cost memories and a
+deterministic JSON-able trace.  A memory is kept only where something
+reads it: the extended tree always (analytical estimates and `bench`'s
+unit-cost report read it), classic pseudo-costs under `pseudo="classic"`,
+each node's Dval pieces and the calibrator under `dval_approach`, and the
+reference set under `refset_theta`.  Branch decisions come either from the
 look-ahead tree builders or from winnowed criterion selection, run under
 `criteria.settle`, which folds forced branches into the node; a new
 incumbent restarts the decision.  Both loops are capped as a numeric
@@ -158,7 +162,9 @@ class _Search:
         self.config = config
         self.incumbent = Incumbent(eps=config.eps)
         self.counters = SearchCounters()
-        self.pseudo = PseudoCostTable()
+        # classic pseudo-costs, the one estimator that reads them
+        self.pseudo = PseudoCostTable() if config.pseudo == "classic" \
+            else None
         self.ext = ExtendedTree()
         self.dval = None if config.dval_approach is None \
             else DvalCalibrator(approach=config.dval_approach)
@@ -181,19 +187,18 @@ class _Search:
         self.full_pivots = 0
         self.unsolved_children: dict[int, int] = {}   # by parent node id
         # runs and counts every LP of the search
-        self.ctx = EvalContext(problem=problem, counters=self.counters)
+        self.ctx = EvalContext(problem=problem, counters=self.counters,
+                               node_budget=NODE_BUDGET)
 
     # -- plumbing ---------------------------------------------------------
 
-    def new_node(self, parent: NodeState | None, record, model,
-                 dval_parts=None) -> NodeState:
+    def new_node(self, parent: NodeState | None, record, model) -> NodeState:
         node = NodeState(node_id=self.next_id,
                          parent_id=parent.node_id if parent else None,
                          depth=parent.depth + 1 if parent else 0,
                          branch=record, model=model,
                          bound=parent.solution.x_o if parent and
                          parent.solution else -math.inf)
-        node.dval_parts = dval_parts
         self.nodes[node.node_id] = node
         self.next_id += 1
         self.trace_node(node, "open")
@@ -378,7 +383,8 @@ class _Search:
     # -- branch selection -----------------------------------------------------
 
     def pick_branch(self, node: NodeState, model, sol, fractions: dict):
-        """Returns (plan, dval seed per direction for the first step)."""
+        """Returns (plan, Dval seed per direction for the first step,
+        None without Dval selection)."""
         cfg = self.config
         ctx = self.ctx
         la = cfg.lookahead
@@ -407,10 +413,12 @@ class _Search:
         pick = vote(evals, VOTE_PANEL) \
             if spec.criterion is Criterion.VOTE else select(evals, spec)
         var, direction = self.apply_gate(node, evals, pick)
-        self.record_pseudo(evals)
+        if self.pseudo is not None:
+            self.record_pseudo(evals)
         seed = None
         ev = evals.get(var)
-        if ev is not None and ev.uc_up is not None:
+        if self.dval is not None and ev is not None and \
+                ev.uc_up is not None:
             lookup = uc_lookup_from(sol, evals)
             seed = {
                 "up": (ev.eval_up, mincost_sum(ev.frac_up, lookup)),
@@ -510,8 +518,7 @@ class _Search:
         parent = self.nodes.get(node.parent_id)
         if parent is not None and parent.solution is not None:
             warm = parent.solution.basis
-        sol = self.ctx.solve(
-            node.model, warm, replace(NODE_BUDGET, cutoff=self.ctx.cutoff))
+        sol = self.ctx.solve(node.model, warm, self.ctx.node_budget)
         node.solution = sol
         self.child_done(node)
         if sol.status is not LpStatus.OPTIMAL:
@@ -522,7 +529,8 @@ class _Search:
         # one sixth of the running average pivots per full node solve
         self.ctx.k2_default = max(
             1, math.ceil(self.full_pivots / self.full_solves / 6))
-        self.refresh_dval_parts(node, parent)
+        if self.dval is not None:
+            self.refresh_dval_parts(node, parent)
         return "ok"
 
     # A node's LP memo (`lp.Basis.memo`) serves solves warm-started from
@@ -554,11 +562,12 @@ class _Search:
     def apply_plan(self, node: NodeState, plan, seed):
         """Branch on the plan's first step, pushing the untaken sibling and
         then the preferred child, which carries the plan's later steps
-        for `visit` to follow.  seed holds the step's Dval pieces per
-        direction, or None to derive them from the node's reduced cost."""
+        for `visit` to follow.  Under Dval selection, seed holds the step's
+        Dval pieces per direction, or None to derive them from the node's
+        reduced cost."""
         var, direction = plan[0]
         sol = node.solution
-        if seed is None:
+        if self.dval is not None and seed is None:
             rc = abs(float(sol.reduced[var]))
             fp, fm = fractional_parts(float(sol.x[var]))
             seed = {"up": (rc * fp, 0.0), "down": (rc * fm, 0.0)}
@@ -567,8 +576,9 @@ class _Search:
             model, _ = apply_branch(node.model, sol, var, side)
             rec = BranchRecord(var=var, direction=side, bound=float(
                 model.lower[var] if side == "up" else model.upper[var]))
-            child = self.new_node(node, rec, model, dval_parts=(
-                *seed[side], max(node.depth, 1)))
+            child = self.new_node(node, rec, model)
+            if self.dval is not None:
+                child.dval_parts = (*seed[side], max(node.depth, 1))
             child.ext_id = self.ext.add(node.ext_id or 0, var=var,
                                         direction=side, bound=rec.bound,
                                         tentative=False, uc=None).node_id
@@ -588,8 +598,9 @@ class _Search:
         if f <= 1e-12:
             return
         uc = unit_cost(child.solution.x_o - parent.solution.x_o, f)
-        self.pseudo.update(child.branch.var, child.branch.direction, uc,
-                           True)
+        if self.pseudo is not None:
+            self.pseudo.update(child.branch.var, child.branch.direction, uc,
+                               True)
         if child.ext_id is not None:
             self.ext.set_uc(child.ext_id, uc)
 

@@ -125,6 +125,10 @@ def parse_mps(text: str) -> MipProblem:
                 if row not in row_sense:
                     raise MpsParseError(
                         f"RHS references undeclared row {row!r}", line_no)
+                if row == obj_row:
+                    raise MpsParseError(
+                        f"an objective constant (RHS on the objective row "
+                        f"{row!r}) is not supported", line_no)
                 rhs_values[row] = _number(fields[k + 1], line_no)
         elif section == "BOUNDS":
             if len(fields) < 3:

@@ -666,6 +666,37 @@ class TestCli:
         assert main(["solve", str(inst), "--clist", "1"]) == 1
         assert f"status    {status}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["", "missing/out.json"],
+                             ids=["directory", "missing-parent"])
+    def test_an_unwritable_output_path_exits_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, out):
+        from branchlab import bench, cli
+
+        def no_solving(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(cli, "solve_mip", no_solving)
+        monkeypatch.setattr(bench, "run_benchmark", no_solving)
+        lab01 = str(corpus_dir() / "lab01.mps")
+        path = str(tmp_path / out)
+        for argv in (["solve", lab01, "--trace", path],
+                     ["bench", str(corpus_dir()), "--out", path]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and not captured.out
+
+    def test_solve_prints_the_four_search_counters(self, capsys):
+        from branchlab.cli import config_from_options, main
+
+        lab01 = corpus_dir() / "lab01.mps"
+        assert main(["solve", str(lab01)]) == 0
+        out = capsys.readouterr().out
+        counters = solve_mip(parse_mps(lab01.read_text()),
+                             config_from_options({})).trace["counters"]
+        for label, key in (("nodes    ", "nodes"), ("lp solves", "lp_solves"),
+                           ("pivots   ", "pivots"), ("probes   ", "probes")):
+            assert f"\n{label} {counters[key]}\n" in out
+
     def test_bench_rejects_reversals_without_lookahead(self, tmp_path,
                                                         capsys):
         from branchlab.cli import main

@@ -133,6 +133,18 @@ def test_bad_numbers_are_parse_errors_with_their_line(old, new, line_no,
     assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
 
 
+def test_an_objective_constant_is_refused_with_its_line(tmp_path, capsys):
+    # it was once dropped, so the reported objective differed from HiGHS's
+    bad = KNAPSACK.replace("    RHS  CAP  4", "    RHS  CAP  4   COST  5")
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(bad)
+    assert err.value.line_no == 11 and "objective" in str(err.value)
+    path = tmp_path / "constant.mps"
+    path.write_text(bad)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 11: ")
+
+
 def test_infinite_bounds_on_their_own_side_parse():
     text = KNAPSACK.replace(" UP BND  X1  1", " UP BND  X1  inf") \
                    .replace(" UP BND  X2  1", " LO BND  X2  -inf")

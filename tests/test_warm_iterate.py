@@ -232,7 +232,9 @@ def test_lazy_reads_in_a_search_equal_the_values_at_run_end(eager,
 
     monkeypatch.setattr(lp.LpSolution, "__getattr__", read)
     matrix = default_matrix()
-    for name in ("plain-c2a", "la-d3-2a", "la-straddle"):
+    # strategies that read `reduced`: Dval pieces, C7's MinCost pricing,
+    # reversals and d2's unit-cost leaf score
+    for name in ("dval-select", "plain-c7", "la-reversals", "la-d2-mode"):
         for problem in problems()[:25]:
             solve_mip(problem, matrix[name])
     assert "reduced" in reads
