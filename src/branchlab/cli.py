@@ -16,11 +16,12 @@ from branchlab.lookahead import (
     LookaheadConfig,
     PostWinnow,
 )
+from branchlab.model import FINE_EPS
 from branchlab.mps import MpsParseError, parse_mps
 
-# `solve` options a `bench --configs` entry may not use: the input, the
-# output, and the CList size, whose members are picked from the instance
-_CLI_ONLY = ("instance", "trace", "clist")
+# `solve` options a `bench --configs` entry may not use: the input and
+# the output
+_CLI_ONLY = ("instance", "trace")
 
 # the config object each strategy option sets; every other option is a
 # SolveConfig field.  An option's field has its name unless renamed here.
@@ -92,9 +93,9 @@ def solve_parser() -> argparse.ArgumentParser:
                    help="early-stop multiplier m for stage-2 probes")
     s.add_argument("--max-nodes", type=int)
     s.add_argument("--max-time", type=float)
-    s.add_argument("--eps", type=float)
-    s.add_argument("--integral-eps", action="store_true",
-                   help="use eps = 1 for integral objectives")
+    s.add_argument("--eps", type=float,
+                   help="incumbent cutoff step (default: 1 when every MIP "
+                        f"point's objective is an integer, else {FINE_EPS:g})")
     s.add_argument("--trace", type=Path, metavar="OUT.JSON")
     return s
 
@@ -160,11 +161,8 @@ def config_from_options(opt: dict) -> SolveConfig:
     d2 = _optional("d2", parts)
     if lookahead and d2:
         raise ValueError("d2 and lookahead exclude each other")
-    solve = parts["solve"]
-    if solve.pop("integral_eps", False):
-        solve["eps"] = 1.0
     return SolveConfig(criterion=spec, winnow=winnow,
-                       lookahead=lookahead or d2, **solve)
+                       lookahead=lookahead or d2, **parts["solve"])
 
 
 def run_solve(args) -> int:
@@ -190,6 +188,7 @@ def run_solve(args) -> int:
     print(f"status    {result.status}")
     print(f"objective {obj}")
     print(f"bound     {bound}")
+    print(f"eps       {result.trace['eps']:g}")
     print(f"nodes     {result.counters.nodes}")
     print(f"lp solves {result.counters.lp_solves}")
     print(f"pivots    {result.counters.pivots}")

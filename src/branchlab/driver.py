@@ -110,7 +110,7 @@ class SolveConfig:
     refset_theta: float | None = None   # reference-set gate (plain only)
     dval_approach: int | None = None  # Dval node selection; None is DFS
     reversal_beta: float | None = None  # leaf reversals (look-ahead trees)
-    eps: float = 1e-6
+    eps: float | None = None          # cutoff step; None is MipProblem.eps
     max_nodes: int = 100_000
     max_time: float = 300.0
 
@@ -122,7 +122,7 @@ class SolveConfig:
         # NaN fails every comparison, so each test below rejects it
         if not (self.max_nodes > 0 and self.max_time > 0):
             raise ValueError("limits must be positive")
-        if not 0 <= self.eps < math.inf:
+        if self.eps is not None and not 0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, not {self.eps}")
         for name in ("reversal_beta", "refset_theta"):
             weight = getattr(self, name)
@@ -160,7 +160,8 @@ class _Search:
     def __init__(self, problem: MipProblem, config: SolveConfig):
         self.problem = problem
         self.config = config
-        self.incumbent = Incumbent(eps=config.eps)
+        self.incumbent = Incumbent(
+            eps=problem.eps if config.eps is None else config.eps)
         self.counters = SearchCounters()
         # classic pseudo-costs, the one estimator that reads them
         self.pseudo = PseudoCostTable() if config.pseudo == "classic" \
@@ -792,6 +793,7 @@ class _Search:
         trace = {
             "schema": TRACE_SCHEMA,
             "instance": self.problem.name,
+            "eps": self.incumbent.eps,
             "status": status,
             "objective": None if self.incumbent.x is None
             else round(float(self.incumbent.x_o), 9),

@@ -116,6 +116,13 @@ class LookaheadConfig:
                              f"not {self.n_trees}")
         if self.accept not in ("first", "path"):
             raise ValueError(f"unknown accept mode {self.accept!r}")
+        # either would build the same tree and answer as without it
+        if self.postwin is not None and self.postwin.d0 >= self.depth:
+            raise ValueError(f"post-winnowing from d0 = {self.postwin.d0} "
+                             f"needs look-ahead depth > d0, not {self.depth}")
+        if self.accept == "path" and self.depth == 1:
+            raise ValueError("accept path needs look-ahead depth >= 2: a "
+                             "depth-1 path is the one step first takes")
 
 
 @dataclass(frozen=True)
@@ -368,10 +375,7 @@ class _Builder:
             except CompulsorySignal as sig:
                 if node.depth == 0:
                     raise
-                ev = sig.evaluation
-                if ev is None:
-                    return []
-                prop.solved = ev
+                prop.solved = sig.evaluation
             except NodeInfeasibleSignal:
                 if node.depth == 0:
                     raise
@@ -379,8 +383,6 @@ class _Builder:
         ev = prop.solved
         live = [(direction, sol) for direction, sol in
                 (("up", ev.sol_up), ("down", ev.sol_down)) if sol is not None]
-        if not live:
-            return []
         disj = self.disjunction(node.model, node.solution, prop.var,
                                 self.ctx)
         kids = []
@@ -637,8 +639,6 @@ def build_d2_tree(problem: MipProblem, model: LpModel, sol: LpSolution,
 
     for direction, child_sol in (("up", root_ev.sol_up),
                                  ("down", root_ev.sol_down)):
-        if child_sol is None:
-            continue
         child_model, _ = apply_branch(model, sol, choice.var, direction)
         settled = settle(child_model, child_sol, ctx, child_scan)
         if settled.closed == "integral":

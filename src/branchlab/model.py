@@ -16,6 +16,11 @@ from branchlab.lp import (
 )
 
 
+# the incumbent cutoff step of an objective that can take fractional
+# values at MIP points
+FINE_EPS = 1e-6
+
+
 class ModelError(Exception):
     pass
 
@@ -26,11 +31,16 @@ class MipProblem:
     Integer columns get their global bounds tightened inward to integers at
     construction time.  Column order is meaningful and preserved.  The
     arrays are read-only: copies of the caller's, unless read-only already.
+
+    `eps` is the incumbent cutoff step the objective allows: 1 when every
+    MIP point's objective is an integer (each integer column's cost is an
+    integer and every other column's is 0), so a better point is better
+    by at least 1, and `FINE_EPS` otherwise.
     """
 
     __slots__ = ("name", "obj", "rows", "rhs", "lower", "upper",
                  "integer_mask", "integer_indices", "col_names", "row_names",
-                 "_lp")
+                 "eps", "_lp")
 
     def __init__(self, name, obj, rows, rhs, lower, upper, integer_mask,
                  col_names=None, row_names=None):
@@ -67,6 +77,9 @@ class MipProblem:
         object.__setattr__(self, "row_names",
                            tuple(row_names) if row_names
                            else tuple(f"R{i}" for i in range(rows.shape[0])))
+        integral = np.where(integer_mask, obj == np.floor(obj), obj == 0)
+        object.__setattr__(self, "eps",
+                           1.0 if integral.all() else FINE_EPS)
         object.__setattr__(self, "_lp", None)
 
     def __setattr__(self, *a):
@@ -183,7 +196,7 @@ class Incumbent:
 
     x: np.ndarray | None = None
     x_o: float = math.inf
-    eps: float = 1e-6
+    eps: float = FINE_EPS
 
     @property
     def cutoff(self) -> float:

@@ -32,24 +32,23 @@ from branchlab.winnow import WinnowParams
 
 CONFIG_CLASSES = (SolveConfig, LookaheadConfig, PostWinnow, AttractConfig,
                   D2Config, WinnowParams, CriterionSpec)
-PYTHON_ONLY = {"WinnowParams.n2_mid", "WinnowParams.n2_deep",
-               "WinnowParams.clist"}
+PYTHON_ONLY = {"WinnowParams.n2_mid", "WinnowParams.n2_deep"}
 
 # one valid, non-default value per strategy option
 SAMPLES = {
     "criterion": "C5", "p": 0.3, "lambda": 0.5, "w1": 1.0, "w2": 1.0,
-    "mu": 0.5, "n0": 3, "n1": 2, "n2": 2, "k2": 5, "vlim": 0.5,
+    "mu": 0.5, "n0": 3, "n1": 2, "n2": 2, "k2": 5, "vlim": 0.5, "clist": 2,
     "lookahead": 3, "postwin": "2a", "lim": 2, "d0": 1, "accept": "path",
     "early_exit": True, "d2": 1.5, "multi_tree": 2, "straddle": True,
     "attract": 2.0, "attract_half": True, "reversals": 0.25,
     "pseudo": "classic", "refset": 0.25, "dval": 2, "eps": 1e-3,
-    "integral_eps": True, "max_nodes": 10, "max_time": 5.0,
+    "max_nodes": 10, "max_time": 5.0,
     "attract_restart": True,
 }
 
 # the options each sample is set on top of, where not {"lookahead": 2}:
 # an option of an optional object needs the option that switches it on
-_POSTWIN = {"lookahead": 2, "postwin": "2b"}
+_POSTWIN = {"lookahead": 3, "postwin": "2b"}
 _ATTRACT = {"lookahead": 2, "attract": 3.0}
 BASES = {"postwin": _POSTWIN, "lim": _POSTWIN, "d0": _POSTWIN,
          "early_exit": _POSTWIN, "attract": _ATTRACT,
@@ -269,6 +268,25 @@ SILENT = {
     "14-d2-with-reversals": (
         {"d2": 1.0, "reversals": 0.5}, ["--d2", "1", "--reversals", "0.5"],
         lambda: SolveConfig(lookahead=_D2, reversal_beta=0.5)),
+    # the tree stops at depth D before the first gate at d0 >= D
+    "15-postwin-from-the-depth": (
+        {"lookahead": 2, "postwin": "2a"},
+        ["--lookahead", "2", "--postwin", "2a"],
+        lambda: LookaheadConfig(depth=2, postwin=PostWinnow("2a"))),
+    "15-postwin-past-the-depth": (
+        {"lookahead": 3, "postwin": "2a", "d0": 3},
+        ["--lookahead", "3", "--postwin", "2a", "--d0", "3"],
+        lambda: LookaheadConfig(depth=3, postwin=PostWinnow("2a", d0=3))),
+    "15-postwin-2b-early_exit-from-the-depth": (
+        {"lookahead": 2, "postwin": "2b", "early_exit": True},
+        ["--lookahead", "2", "--postwin", "2b", "--early-exit"],
+        lambda: LookaheadConfig(depth=2, postwin=PostWinnow(
+            "2b", early_exit=True))),
+    # a depth-1 path is the one step `first` takes
+    "16-accept-path-at-depth-1": (
+        {"lookahead": 1, "accept": "path"},
+        ["--lookahead", "1", "--accept", "path"],
+        lambda: LookaheadConfig(depth=1, accept="path")),
 }
 
 
@@ -338,7 +356,7 @@ def test_convex_weights_take_both_ends_of_the_unit_interval():
     ({"lookahead": 3, "attract": math.nan},
      ["--lookahead", "3", "--attract", "nan"]),
     ({"n1": math.nan}, None),
-    ({"lookahead": 2, "postwin": "2a", "lim": math.nan}, None),
+    ({"lookahead": 3, "postwin": "2a", "lim": math.nan}, None),
 ], ids=["eps-inf", "eps-nan", "eps-minus", "p-nan", "w1-nan", "w2-nan",
         "max-time-nan", "attract-nan", "n1-nan", "lim-nan"])
 def test_non_finite_eps_and_nan_options_are_refused(options, argv, tmp_path,
@@ -359,3 +377,15 @@ def test_non_finite_eps_and_nan_options_are_refused(options, argv, tmp_path,
 
 def test_eps_zero_and_an_unlimited_time_stay_legal():
     config_from_options({"eps": 0.0, "max_time": math.inf})
+
+
+def test_integral_eps_is_no_option(tmp_path, capsys):
+    # the cutoff step follows from the objective (`MipProblem.eps`), and
+    # `--integral-eps` once set step 1 also on a fractional objective
+    assert "integral_eps" not in option_keys()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", _instance(tmp_path), "--integral-eps"])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        SolveConfig(integral_eps=True)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import branchlab.driver as driver_module
-from branchlab import cli, lp
+from branchlab import cli, criteria, lp
 from branchlab.bench import default_matrix, report_to_json, run_benchmark
-from branchlab.criteria import CriterionSpec
+from branchlab.costmem import ReferenceSet
+from branchlab.criteria import MAX_FORCED, CompulsorySignal, CriterionSpec
 from branchlab.driver import (
     SolveConfig,
     _Search,
@@ -22,8 +23,8 @@ from branchlab.driver import (
 from branchlab.instances import corpus_dir, corpus_paths
 from branchlab.lookahead import LookaheadConfig, PostWinnow
 from branchlab.lp import LpModelError, LpProbeError, PivotBudget
-from branchlab.model import MipProblem, detect_fractional
-from branchlab.mps import parse_mps
+from branchlab.model import FINE_EPS, MipProblem, detect_fractional
+from branchlab.mps import parse_mps, write_mps
 from branchlab.winnow import WinnowParams
 from oracles import mip_lattice_minimum
 
@@ -58,6 +59,17 @@ def market_split(n, seed, m=2):
         lower=np.zeros(n + 2 * m),
         upper=np.concatenate([np.ones(n), total, total]),
         integer_mask=np.arange(n + 2 * m) < n)
+
+
+def fg16():
+    """Fractional costs: no better MIP point need be better by 1.  HiGHS's
+    optimum is 5.42 at x = (1, 1, 1, 1, 0)."""
+    return MipProblem(
+        name="fg16", obj=[0.64, 2.12, 0.55, 2.11, 2.88],
+        rows=[[7.0, 1.0, 6.0, -4.0, 2.0], [0.0, -5.0, 4.0, 1.0, -5.0],
+              [-1.0, 8.0, -4.0, 7.0, 8.0]], rhs=[6.0, -3.0, 9.0],
+        lower=np.zeros(5), upper=np.full(5, 6.0),
+        integer_mask=np.ones(5, bool))
 
 
 def knapsack():
@@ -142,13 +154,16 @@ class TestSoundness:
                                                            capsys):
         # lab08 under a depth-2 tree with a one-member CList: the probes
         # find the incumbent -20, and then both branches at the root
-        # (x_o -20.31) are cut off by it, not infeasible
+        # (x_o -20.31) are cut off by it, not infeasible.  Under the
+        # integral objective's step 1 the cutoff -21 prunes the root
+        # itself, so the step is set to 1e-6
         out = tmp_path / "trace.json"
         assert cli.main(["solve", str(corpus_dir() / "lab08.mps"),
-                         "--lookahead", "2", "--clist", "1",
+                         "--lookahead", "2", "--clist", "1", "--eps", "1e-6",
                          "--trace", str(out)]) == 0
         trace = json.loads(out.read_text())
         assert (trace["status"], trace["objective"]) == ("optimal", -20.0)
+        assert trace["eps"] == 1e-6
         root = trace["nodes"][0]
         assert root["x_o"] == -20.307692308
         assert (root["status"], root["prune_reason"]) == \
@@ -182,10 +197,143 @@ class TestSoundness:
         p = random_ip(31)
         res = solve_mip(p, SolveConfig())
         assert res.status == "optimal"
-        cutoff = res.objective - 1e-6
+        cutoff = res.objective - res.trace["eps"]
         for rec in res.trace["nodes"]:
             if rec["status"] == "pruned" and rec["x_o"] is not None:
                 assert rec["x_o"] >= cutoff - 1e-9
+
+
+class TestCutoffStep:
+    """The incumbent cutoff step is 1 where every MIP point's objective
+    is an integer and `FINE_EPS` elsewhere; an explicit eps wins."""
+
+    def test_the_step_follows_the_objective(self):
+        assert random_ip(31).eps == 1.0
+        assert fg16().eps == FINE_EPS
+        # market split's slacks are continuous columns with costs
+        assert market_split(12, 0).eps == FINE_EPS
+        free = MipProblem(name="free", obj=[1.0, 0.0], rows=[[1.0, 1.0]],
+                          rhs=[1.0], lower=[0.0, 0.0], upper=[4.0, 4.0],
+                          integer_mask=[True, False])
+        assert free.eps == 1.0
+
+    def test_a_fractional_objective_is_solved_to_its_optimum(self, tmp_path,
+                                                             capsys):
+        p = fg16()
+        want, _ = mip_lattice_minimum(p)
+        assert round(want, 9) == 5.42
+        res = solve_mip(p)
+        assert (res.status, round(res.objective, 9)) == ("optimal", 5.42)
+        assert res.trace["eps"] == FINE_EPS
+        # the step of an integral objective ends optimal at a worse point
+        wrong = solve_mip(p, SolveConfig(eps=1.0))
+        assert wrong.status == "optimal" and wrong.objective > 5.43
+        inst = tmp_path / "fg16.mps"
+        inst.write_text(write_mps(p))
+        assert cli.main(["solve", str(inst)]) == 0
+        out = capsys.readouterr().out
+        assert "\nobjective 5.42\n" in out and "\neps       1e-06\n" in out
+
+    def test_an_explicit_eps_wins(self):
+        p = random_ip(31)
+        default = solve_mip(p)
+        fine = solve_mip(p, SolveConfig(eps=FINE_EPS))
+        assert (default.trace["eps"], fine.trace["eps"]) == (1.0, FINE_EPS)
+        assert fine.objective == default.objective
+
+
+class TestSafetyNets:
+    """Paths the bundled searches never take, each ending at the
+    optimum."""
+
+    def test_a_node_that_never_settles_branches_most_fractional(
+            self, monkeypatch):
+        # the root's winnow signals a compulsory branch every time, and a
+        # branch imposed at the root changes nothing, so `settle` gives up
+        # after MAX_FORCED forced branches and `decide` branches on the
+        # most fractional variable
+        p = random_ip(31)
+        root_model = p.to_lp()
+        root_frac = detect_fractional(lp.solve(root_model), p)
+        signals = []
+        real_winnow = driver_module.winnow_run
+        real_branch = criteria.apply_branch
+
+        def signalling(model, sol, fractions, *rest):
+            if model is root_model:
+                signals.append(model)
+                raise CompulsorySignal(min(fractions), "up")
+            return real_winnow(model, sol, fractions, *rest)
+
+        def branch(model, sol, j, direction):
+            if model is root_model:
+                return model, sol.basis
+            return real_branch(model, sol, j, direction)
+
+        monkeypatch.setattr(driver_module, "winnow_run", signalling)
+        monkeypatch.setattr(criteria, "apply_branch", branch)
+        res = solve_mip(p)
+        assert len(signals) == MAX_FORCED + 1
+        want, _ = mip_lattice_minimum(p)
+        assert (res.status, res.objective) == ("optimal", want)
+        root, first = res.trace["nodes"][:2]
+        assert (root["status"], root["implied"]) == ("branched", MAX_FORCED)
+        assert first["branch"]["var"] == max(
+            root_frac, key=lambda j: (min(root_frac[j]), -j))
+
+    def test_dval_under_look_ahead_seeds_from_reduced_costs(
+            self, monkeypatch):
+        # a look-ahead answer carries no Dval pieces, so each branch seeds
+        # its children's from the node's reduced cost
+        unseeded = []
+        real = _Search.apply_plan
+
+        def apply_plan(self, node, plan, seed):
+            unseeded.append(seed is None)
+            return real(self, node, plan, seed)
+
+        monkeypatch.setattr(_Search, "apply_plan", apply_plan)
+        config = SolveConfig(dval_approach=1,
+                             lookahead=LookaheadConfig(depth=2))
+        for path in corpus_paths():
+            p = parse_mps(path.read_text())
+            want, _ = mip_lattice_minimum(p)
+            res = solve_mip(p, config)
+            assert res.status == "optimal", p.name
+            assert res.objective == pytest.approx(want, abs=1e-9), p.name
+        assert unseeded and all(unseeded)
+
+    def test_a_gate_that_denies_the_pick_rations_another_branch(
+            self, monkeypatch):
+        # the gate denies both sides of every even-indexed variable and
+        # the down side of every odd one, once the reference set holds a
+        # solution; a wider winnow leaves it other candidates
+        class Denying(ReferenceSet):
+            def gate(self, j, direction, accumulated, theta=0.5,
+                     is_binary=False):
+                return j % 2 == 1 and direction == "up"
+
+        rationed = []
+        real = _Search.apply_gate
+
+        def apply_gate(self, node, evals, pick):
+            got = real(self, node, evals, pick)
+            if got != (pick.var, pick.direction):
+                rationed.append((pick.var, got))
+            return got
+
+        monkeypatch.setattr(driver_module, "ReferenceSet", Denying)
+        monkeypatch.setattr(_Search, "apply_gate", apply_gate)
+        config = SolveConfig(refset_theta=0.5, winnow=WinnowParams(
+            n1=4, n2_mid=4, n2_deep=4))
+        for path in corpus_paths():
+            p = parse_mps(path.read_text())
+            want, _ = mip_lattice_minimum(p)
+            res = solve_mip(p, config)
+            assert res.status == "optimal", p.name
+            assert res.objective == pytest.approx(want, abs=1e-9), p.name
+        # some pick moved to another variable
+        assert [1 for var, (j, _) in rationed if j != var]
 
 
 class TestLimits:
@@ -587,6 +735,29 @@ class TestBench:
         assert len(r1["rows"]) == 4
         assert report_to_json(r1) == report_to_json(r2)
         assert all(r["status"] == "optimal" for r in r1["rows"])
+
+    def test_a_clist_entry_picks_its_members_per_instance(self, tmp_path):
+        # the search picks the K root candidates nearest 0.5 after its own
+        # root solve, so a configs entry gives the size as `--clist` does
+        from branchlab.bench import load_matrix
+
+        for name in ("lab01", "lab10"):
+            (tmp_path / f"{name}.mps").write_text(
+                (corpus_dir() / f"{name}.mps").read_text())
+        cfgfile = tmp_path / "configs.json"
+        cfgfile.write_text(json.dumps({"configs": {"k2": {"clist": 2}}}))
+        matrix = load_matrix(cfgfile)
+        assert matrix == {"k2": cli.config_from_options({"clist": 2})}
+        report = run_benchmark(tmp_path, matrix, log=lambda *a: None)
+        assert matrix["k2"].winnow.clist == 2
+        assert len(report["rows"]) == 2
+        for row in report["rows"]:
+            problem = parse_mps((tmp_path / row["instance"]).read_text())
+            res = solve_mip(problem, matrix["k2"])
+            assert (row["status"], row["objective"], row["nodes"],
+                    row["lp_solves"]) == (
+                res.status, res.objective if res.x is not None else None,
+                res.counters.nodes, res.counters.lp_solves)
 
     def test_default_matrix_has_the_documented_strategies(self):
         names = set(default_matrix())

@@ -251,8 +251,8 @@ class TestDive:
 
         got = rows(plain)
         assert rows(tree) == got
-        assert sum(row[2] for row in got) == 266
-        assert sum(row[3] for row in got) == 1300
+        assert sum(row[2] for row in got) == 228
+        assert sum(row[3] for row in got) == 991
 
 
 class TestEarlyExit:

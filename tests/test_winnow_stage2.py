@@ -78,7 +78,7 @@ def test_the_default_matrix_runs_stage2_only_where_it_cuts_or_is_read(
 def test_stage2_still_cuts_a_wider_f1(stage2_calls):
     lab19 = parse_mps((corpus_dir() / "lab19.mps").read_text())
     wide = solve_mip(lab19, SolveConfig(winnow=WinnowParams(n1=4)))
-    assert len(stage2_calls) == 17
+    assert len(stage2_calls) == 15
     assert all(n_f1 > n2 for n_f1, n2, _ in stage2_calls)
     # so its early stop still acts on the search
     stopped = solve_mip(lab19, SolveConfig(
